@@ -605,7 +605,7 @@ func BenchmarkRelayBatching(b *testing.B) {
 				}
 			}
 		}
-		// Warm the relay path (and the deliverBatch capability probe).
+		// Warm the relay path.
 		seq++
 		g.BroadcastUpdate(wire.NewUpdate(appID, seq), "")
 		wait(seq)

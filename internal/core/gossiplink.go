@@ -48,7 +48,7 @@ func (s *Substrate) GossipNow() {
 }
 
 // gossipTransport carries the two gossip RPCs over the substrate's ORB as
-// bulk exchanges (v2 connections compress them). It deliberately skips the
+// bulk exchanges (the ORB compresses them). It deliberately skips the
 // health gate — gossip is itself a failure detector and must be able to
 // probe suspect and dead peers for recovery — but every outcome still
 // feeds the breaker through observePeer.

@@ -18,9 +18,9 @@ import (
 //
 // Each wakeup drains up to batchMax queued items and pushes them with ONE
 // deliverBatch oneway invocation — the batching that keeps the per-message
-// middleware overhead (ablation A1) off the WAN hot path. Peers that
-// predate deliverBatch are detected once via a two-way probe and served
-// with per-message deliver invocations coalesced into a single write.
+// middleware overhead (ablation A1) off the WAN hot path. The peer's ORB
+// runs one connection's oneways in arrival order, so batches land in the
+// order they were drained.
 type relaySender struct {
 	sub      *Substrate
 	peer     peerInfo
@@ -28,9 +28,6 @@ type relaySender struct {
 	done     chan struct{}
 	batchMax int
 	batch    []relayItem // drain scratch; loop goroutine only
-
-	probed atomic.Bool // peer confirmed to support deliverBatch
-	legacy atomic.Bool // peer confirmed to lack deliverBatch
 
 	// Histogram pointers are resolved once at construction so the loop's
 	// hot path never touches the registry map (and stays alloc-free).
@@ -172,50 +169,23 @@ func nextBackoff(d time.Duration) time.Duration {
 	return d
 }
 
-// send pushes one drained batch to the peer. Oneway delivery: the push is
-// pipelined, never blocked on a WAN round trip per message — except for
-// the first multi-message batch, which goes two-way once so a peer without
-// deliverBatch surfaces BAD_OPERATION instead of silently discarding it.
+// send pushes one drained batch to the peer as a single oneway
+// invocation: the push is pipelined, never blocked on a WAN round trip.
 func (r *relaySender) send(batch []relayItem) error {
 	ctx, cancel := r.sub.rpcCtx()
 	defer cancel()
+	r.invocations.Add(1)
 	if len(batch) == 1 {
-		r.invocations.Add(1)
 		return r.sub.orb.InvokeOneway(ctx, r.peer.controlRef(), "deliver",
 			deliverReq{App: batch[0].app, Msg: batch[0].msg, From: r.sub.srv.Name()})
 	}
-	if !r.legacy.Load() {
-		items := make([]deliverItem, len(batch))
-		for i, it := range batch {
-			items[i] = deliverItem{App: it.app, Msg: it.msg}
-		}
-		req := deliverBatchReq{Items: items, From: r.sub.srv.Name()}
-		r.invocations.Add(1)
-		if r.probed.Load() {
-			r.batches.Add(1)
-			return r.sub.orb.InvokeOneway(ctx, r.peer.controlRef(), "deliverBatch", req)
-		}
-		err := r.sub.orb.Invoke(ctx, r.peer.controlRef(), "deliverBatch", req, nil)
-		if err == nil {
-			r.probed.Store(true)
-			r.batches.Add(1)
-			return nil
-		}
-		if !orb.IsRemote(err, orb.CodeNoMethod) {
-			return err
-		}
-		r.legacy.Store(true)
-		r.sub.cfg.Logf("core %s: peer %s lacks deliverBatch, using per-message deliver",
-			r.sub.srv.Name(), r.peer.name)
-	}
-	// Mixed-version fallback: one deliver invocation per message, still
-	// coalesced into a single write on the pooled connection.
-	reqs := make([]any, len(batch))
+	items := make([]deliverItem, len(batch))
 	for i, it := range batch {
-		reqs[i] = deliverReq{App: it.app, Msg: it.msg, From: r.sub.srv.Name()}
+		items[i] = deliverItem{App: it.app, Msg: it.msg}
 	}
-	r.invocations.Add(uint64(len(reqs)))
-	return r.sub.orb.InvokeOnewayBatch(ctx, r.peer.controlRef(), "deliver", reqs)
+	r.batches.Add(1)
+	return r.sub.orb.InvokeOneway(ctx, r.peer.controlRef(), "deliverBatch",
+		deliverBatchReq{Items: items, From: r.sub.srv.Name()})
 }
 
 // stats snapshots the sender's counters for /api/stats.
@@ -283,7 +253,7 @@ func (p *poller) pollOnce() {
 	defer cancel()
 	var resp pollResp
 	// Polls are bulk exchanges: a busy application's accumulated update
-	// batch is large and compressible on a v2 connection.
+	// batch is large and compressible.
 	err := p.sub.orb.Invoke(orb.WithBulk(ctx), p.sub.proxyRef(p.peer, p.appID), "pollUpdates",
 		pollReq{SinceSeq: p.lastSeq, From: p.sub.srv.Name()}, &resp)
 	p.sub.observePeer(p.peer, err)

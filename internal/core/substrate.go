@@ -477,9 +477,7 @@ func (s *Substrate) WireStats() server.WireStats {
 		Writes:      st.Writes,
 		BytesOut:    st.BytesOut,
 		Replies:     st.Replies,
-		V2Conns:     st.V2Conns,
-		BytesV1:     st.BytesV1,
-		BytesV2:     st.BytesV2,
+		Bytes:       st.Bytes,
 		InternDefs:  st.InternDefs,
 		InternHits:  st.InternHits,
 		Compressed:  st.Compressed,

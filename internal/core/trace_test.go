@@ -76,52 +76,6 @@ func TestTracePropagationAcrossFederation(t *testing.T) {
 	}
 }
 
-// TestTraceLegacyPeerFallback checks interop with a peer that does not
-// speak the trace trailer: the reply carries no echo, so the rpc span
-// stays unsplit (servant time folded in) and no servant span appears —
-// but the invocation itself still succeeds.
-func TestTraceLegacyPeerFallback(t *testing.T) {
-	telemetry.Reset()
-	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
-
-	// The host drops trace trailers from its replies, emulating a peer
-	// built before the telemetry wire extension.
-	a.orb.SetWireTrace(false)
-
-	sess, err := b.srv.Login(context.Background(), "alice", "pw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := telemetry.Default().Start("command status")
-	ctx := telemetry.WithTrace(context.Background(), tr)
-	if _, err := b.srv.SubmitCommand(ctx, sess, "status", nil); err != nil {
-		t.Fatalf("command against legacy peer: %v", err)
-	}
-	tr.Finish()
-
-	rec, ok := telemetry.Default().Get(tr.ID())
-	if !ok {
-		t.Fatal("finished trace not found in ring")
-	}
-	hops := spanByHop(rec)
-	if len(hops[telemetry.HopServant]) != 0 {
-		t.Errorf("legacy peer produced a servant span: %+v", hops[telemetry.HopServant])
-	}
-	for _, h := range []string{telemetry.HopEdge, telemetry.HopQueue, telemetry.HopRPC} {
-		if len(hops[h]) == 0 {
-			t.Errorf("trace lacks %s span despite legacy peer", h)
-		}
-	}
-}
-
 // TestRelayHistogramsPopulated checks that the push relay records flush
 // and queue-wait latencies as traffic flows to a subscribed peer.
 func TestRelayHistogramsPopulated(t *testing.T) {

@@ -118,11 +118,6 @@ type FederationConfig struct {
 	OfferTTL      time.Duration
 	DiscoverEvery time.Duration
 
-	// WireV1Domains names domains whose ORB runs with SetWireV2(false):
-	// they neither offer nor accept the protocol-v2 handshake, emulating
-	// a pre-v2 peer for mixed-version federation experiments (W1).
-	WireV1Domains []string
-
 	// Epidemic-directory knobs (experiment G1). GossipEnabled turns the
 	// gossip replica on in every domain; GossipPeriod < 0 disables the
 	// background loop so the harness drives lockstep rounds through
@@ -254,11 +249,6 @@ func (f *Federation) addDomain(name string, site netsim.Site, cfg FederationConf
 	f.setSite(srv.Daemon().Addr(), site)
 
 	o := orb.New(orb.WithDialer(f.dialerFrom(site)))
-	for _, legacy := range cfg.WireV1Domains {
-		if legacy == name {
-			o.SetWireV2(false)
-		}
-	}
 	if err := o.Listen("127.0.0.1:0"); err != nil {
 		return nil, err
 	}

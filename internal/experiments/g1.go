@@ -203,7 +203,7 @@ func g1AtSize(n int, withPartition bool, res *Result, snap *G1Snapshot) (float64
 	// bytes per domain per round. Steady state means warm, long-lived
 	// connections, but the in-process harness cannot keep O(n²) sockets
 	// pooled at 200 domains inside the descriptor budget, so raw window
-	// totals would be polluted by redial costs (dial, v2 negotiation, gob
+	// totals would be polluted by redial costs (dial, connection preface, gob
 	// type descriptors — ~1 KB per fresh conn) whose dial *diversity*
 	// grows with n — an artifact of socket management, not of the
 	// protocol. Instead, meter only connections established before the

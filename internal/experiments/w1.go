@@ -11,22 +11,24 @@ import (
 	"discover/internal/orb"
 )
 
-// RunW1 measures what wire protocol v2 buys over the v1/gob baseline,
-// with raw ORB pairs over an accounted (and, for the last row, shaped)
-// netsim link so every byte on the wire is attributable:
+// RunW1 measures what the ORB's wire protocol buys, with raw ORB pairs
+// over an accounted (and, for the last row, shaped) netsim link so every
+// byte on the wire is attributable:
 //
 //   - small-message traffic: the paper's steering workload is thousands
 //     of tiny control messages, where gob's per-message self-description
-//     and the repeated (key, method) target dominate the payload. v2
-//     interns both per connection, so steady-state bytes must drop by
-//     at least 40%.
+//     and the repeated (key, method) target dominate the payload. The
+//     protocol interns both per connection, so its bytes on the wire,
+//     framing included, must be at least 40% below the self-describing
+//     gob payloads of the same calls alone.
 //   - bulk compression: a WithBulk exchange flate-compresses a redundant
 //     payload; plain invocations never pay for compression.
-//   - head-of-line blocking: on a bandwidth-limited WAN link a v1 bulk
-//     reply is one frame that serializes the connection, so a concurrent
-//     small call waits out the whole transfer. v2 streams the reply as
-//     interleavable chunks, so the small call's worst case is bounded by
-//     the in-flight flow-control window, not the transfer size.
+//   - head-of-line blocking: on a bandwidth-limited WAN link a protocol
+//     that sends each reply as one frame makes a concurrent small call
+//     wait out the whole bulk transfer. Chunked replies interleave, so the
+//     small call's worst case is bounded by the in-flight flow-control
+//     window: it must stay within half the time the link needs to
+//     serialize the bulk reply.
 //
 // msgs sizes the small-message workload; blobBytes sizes the bulk
 // payload (it should be several times wire.V2StreamWindow so the HOL row
@@ -38,45 +40,44 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 	if blobBytes <= 0 {
 		blobBytes = 1 << 20
 	}
-	res := Result{ID: "W1", Title: "Wire protocol v2: interned codec, compression, pipelining"}
+	res := Result{ID: "W1", Title: "ORB wire protocol: interned codec, compression, pipelining"}
 
-	// --- Row 1: small-message bytes on the wire, v1 vs v2. ---
-	smallBytes := func(v2 bool) (uint64, error) {
-		leg, err := newW1Leg(v2, nil)
-		if err != nil {
-			return 0, err
-		}
-		defer leg.close()
-		ctx := context.Background()
+	// --- Row 1: small-message bytes on the wire vs the gob payloads. ---
+	leg, err := newW1Leg(nil)
+	if err != nil {
+		return res, err
+	}
+	ctx := context.Background()
+	var gobBytes uint64
+	for i := 0; i < msgs; i++ {
+		in := w1Echo{Seq: i, Client: "client-7", Op: "set_param", Value: "source_freq"}
 		var out w1Echo
-		for i := 0; i < msgs; i++ {
-			in := w1Echo{Seq: i, Client: "client-7", Op: "set_param", Value: "source_freq"}
-			if err := leg.client.Invoke(ctx, leg.ref, "echo", in, &out); err != nil {
-				return 0, err
-			}
+		if err := leg.client.Invoke(ctx, leg.ref, "echo", in, &out); err != nil {
+			leg.close()
+			return res, err
 		}
-		return leg.net.TotalWAN().Bytes, nil
+		for _, v := range []any{in, out} {
+			p, err := orb.Marshal(v)
+			if err != nil {
+				leg.close()
+				return res, err
+			}
+			gobBytes += uint64(len(p))
+		}
 	}
-	v1Small, err := smallBytes(false)
-	if err != nil {
-		return res, err
-	}
-	v2Small, err := smallBytes(true)
-	if err != nil {
-		return res, err
-	}
-	reduction := 1 - float64(v2Small)/float64(v1Small)
+	wireSmall := leg.net.TotalWAN().Bytes
+	leg.close()
+	reduction := 1 - float64(wireSmall)/float64(gobBytes)
 	res.Rows = append(res.Rows, Row{
 		Name:  fmt.Sprintf("small-message bytes on the wire (%d invocations)", msgs),
-		Paper: "interning targets and gob descriptors removes per-message self-description: >=40% fewer bytes than v1/gob",
-		Measured: fmt.Sprintf("v1 %d B vs v2 %d B including handshake — %.1f%% reduction (%.1f vs %.1f B/call)",
-			v1Small, v2Small, 100*reduction, float64(v1Small)/float64(msgs), float64(v2Small)/float64(msgs)),
+		Paper: "interning targets and gob descriptors removes per-message self-description: >=40% fewer bytes than the gob payloads alone",
+		Measured: fmt.Sprintf("gob payloads %d B vs wire %d B including preface and framing — %.1f%% reduction (%.1f vs %.1f B/call)",
+			gobBytes, wireSmall, 100*reduction, float64(gobBytes)/float64(msgs), float64(wireSmall)/float64(msgs)),
 		Pass: reduction >= 0.40,
 	})
 
 	// --- Row 2: bulk compression is opt-in and effective. ---
-	leg, err := newW1Leg(true, nil)
-	if err != nil {
+	if leg, err = newW1Leg(nil); err != nil {
 		return res, err
 	}
 	blob := func(ctx context.Context, compressible bool) (uint64, error) {
@@ -91,7 +92,6 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 		}
 		return leg.net.TotalWAN().Bytes - before, nil
 	}
-	ctx := context.Background()
 	plainB, err := blob(ctx, true)
 	if err != nil {
 		leg.close()
@@ -112,96 +112,98 @@ func RunW1(msgs, blobBytes int) (Result, error) {
 	})
 
 	// --- Row 3: head-of-line blocking on a shaped link. ---
-	shape := func(t *netsim.Topology) {
+	const bandwidth = 8 << 20 // bytes/s
+	if leg, err = newW1Leg(func(t *netsim.Topology) {
 		t.SetRTT("east", "west", 10*time.Millisecond)
-		t.SetBandwidth("east", "west", 8<<20) // 8 MB/s
+		t.SetBandwidth("east", "west", bandwidth)
+	}); err != nil {
+		return res, err
 	}
-	holWorst := func(v2 bool) (time.Duration, int, error) {
-		leg, err := newW1Leg(v2, shape)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer leg.close()
-		ctx := context.Background()
-		var warm w1Echo
-		if err := leg.client.Invoke(ctx, leg.ref, "echo", w1Echo{Op: "warm"}, &warm); err != nil {
-			return 0, 0, err
-		}
-		done := make(chan error, 1)
-		go func() {
-			var out w1Blob
-			done <- leg.client.Invoke(ctx, leg.ref, "blob", w1BlobReq{N: blobBytes}, &out)
-		}()
-		// Give the bulk request a head start onto the wire, then hammer
-		// small calls on the same pooled connection until it completes.
-		time.Sleep(5 * time.Millisecond)
-		var worst time.Duration
-		probes := 0
-		var out w1Echo
-		for {
-			t0 := time.Now()
-			if err := leg.client.Invoke(ctx, leg.ref, "echo", w1Echo{Op: "probe"}, &out); err != nil {
-				return 0, 0, err
-			}
-			if lat := time.Since(t0); lat > worst {
-				worst = lat
-			}
-			probes++
-			select {
-			case err := <-done:
-				if err != nil {
-					return 0, 0, err
-				}
-				return worst, probes, nil
-			default:
-			}
-		}
-	}
-	v1Worst, v1N, err := holWorst(false)
+	worst, probes, err := leg.holWorst(blobBytes)
+	leg.close()
 	if err != nil {
 		return res, err
 	}
-	v2Worst, v2N, err := holWorst(true)
+	// The floor any single-frame reply pays: the link serializing the
+	// whole bulk reply before a small reply can follow it.
+	reply, err := orb.Marshal(w1Blob{Data: make([]byte, blobBytes)})
 	if err != nil {
 		return res, err
 	}
+	baseline := time.Duration(float64(len(reply)) / bandwidth * float64(time.Second))
 	res.Rows = append(res.Rows, Row{
 		Name:  fmt.Sprintf("worst small-call latency during a concurrent %d B fetch (8 MB/s, 10 ms RTT)", blobBytes),
-		Paper: "v2 chunks interleave streams so a bulk reply no longer head-of-line-blocks small calls; v1 serializes the whole frame",
-		Measured: fmt.Sprintf("v1 worst %s (%d probes) vs v2 worst %s (%d probes)",
-			v1Worst.Round(time.Millisecond), v1N, v2Worst.Round(time.Millisecond), v2N),
-		Pass: v1N > 0 && v2N > 0 && 2*v2Worst <= v1Worst,
+		Paper: "chunked replies interleave streams, so a bulk reply does not head-of-line-block small calls the way a single reply frame would",
+		Measured: fmt.Sprintf("worst %s (%d probes) vs %s to serialize the %d B reply",
+			worst.Round(time.Millisecond), probes, baseline.Round(time.Millisecond), len(reply)),
+		Pass: probes > 0 && 2*worst <= baseline,
 	})
 
 	w1mu.Lock()
 	w1last = &W1Snapshot{
-		Msgs:              msgs,
-		BlobBytes:         blobBytes,
-		V1SmallBytes:      v1Small,
-		V2SmallBytes:      v2Small,
-		SmallReductionPct: 100 * reduction,
-		PlainBlobBytes:    plainB,
-		BulkBlobBytes:     bulkB,
-		CompressionRatio:  cratio,
-		V1HolWorstMS:      float64(v1Worst) / float64(time.Millisecond),
-		V2HolWorstMS:      float64(v2Worst) / float64(time.Millisecond),
+		Msgs:                msgs,
+		BlobBytes:           blobBytes,
+		GobPayloadBytes:     gobBytes,
+		WireSmallBytes:      wireSmall,
+		SmallReductionPct:   100 * reduction,
+		PlainBlobBytes:      plainB,
+		BulkBlobBytes:       bulkB,
+		CompressionRatio:    cratio,
+		SerializeBaselineMS: float64(baseline) / float64(time.Millisecond),
+		HolWorstMS:          float64(worst) / float64(time.Millisecond),
 	}
 	w1mu.Unlock()
 	return res, nil
 }
 
+// holWorst fetches a blobBytes reply while hammering small calls on the
+// same pooled connection, and reports the worst small-call latency and
+// the number of small calls made.
+func (l *w1Leg) holWorst(blobBytes int) (time.Duration, int, error) {
+	ctx := context.Background()
+	var warm w1Echo
+	if err := l.client.Invoke(ctx, l.ref, "echo", w1Echo{Op: "warm"}, &warm); err != nil {
+		return 0, 0, err
+	}
+	done := make(chan error, 1)
+	go func() {
+		var out w1Blob
+		done <- l.client.Invoke(ctx, l.ref, "blob", w1BlobReq{N: blobBytes}, &out)
+	}()
+	// Give the bulk request a head start onto the wire.
+	time.Sleep(5 * time.Millisecond)
+	var worst time.Duration
+	probes := 0
+	var out w1Echo
+	for {
+		t0 := time.Now()
+		if err := l.client.Invoke(ctx, l.ref, "echo", w1Echo{Op: "probe"}, &out); err != nil {
+			return 0, 0, err
+		}
+		if lat := time.Since(t0); lat > worst {
+			worst = lat
+		}
+		probes++
+		select {
+		case err := <-done:
+			return worst, probes, err
+		default:
+		}
+	}
+}
+
 // W1Snapshot is the compact BENCH_W1.json record of the last RunW1.
 type W1Snapshot struct {
-	Msgs              int     `json:"msgs"`
-	BlobBytes         int     `json:"blobBytes"`
-	V1SmallBytes      uint64  `json:"v1SmallBytes"`
-	V2SmallBytes      uint64  `json:"v2SmallBytes"`
-	SmallReductionPct float64 `json:"smallReductionPct"`
-	PlainBlobBytes    uint64  `json:"plainBlobBytes"`
-	BulkBlobBytes     uint64  `json:"bulkBlobBytes"`
-	CompressionRatio  float64 `json:"compressionRatio"`
-	V1HolWorstMS      float64 `json:"v1HolWorstMs"`
-	V2HolWorstMS      float64 `json:"v2HolWorstMs"`
+	Msgs                int     `json:"msgs"`
+	BlobBytes           int     `json:"blobBytes"`
+	GobPayloadBytes     uint64  `json:"gobPayloadBytes"`
+	WireSmallBytes      uint64  `json:"wireSmallBytes"`
+	SmallReductionPct   float64 `json:"smallReductionPct"`
+	PlainBlobBytes      uint64  `json:"plainBlobBytes"`
+	BulkBlobBytes       uint64  `json:"bulkBlobBytes"`
+	CompressionRatio    float64 `json:"compressionRatio"`
+	SerializeBaselineMS float64 `json:"serializeBaselineMs"`
+	HolWorstMS          float64 `json:"holWorstMs"`
 }
 
 var (
@@ -253,10 +255,8 @@ func (l *w1Leg) close() {
 }
 
 // newW1Leg builds a fresh pair per measurement so interning tables and
-// pooled connections never leak between legs. v2=false pins the client
-// to the legacy protocol (it never offers the handshake), which is how a
-// pre-v2 peer behaves on the wire.
-func newW1Leg(v2 bool, shape func(*netsim.Topology)) (*w1Leg, error) {
+// pooled connections never leak between legs.
+func newW1Leg(shape func(*netsim.Topology)) (*w1Leg, error) {
 	topo := netsim.NewTopology()
 	if shape != nil {
 		shape(topo)
@@ -286,8 +286,5 @@ func newW1Leg(v2 bool, shape func(*netsim.Topology)) (*w1Leg, error) {
 		}),
 	})
 	client := orb.New(orb.WithDialer(n.Dialer("west", "east")))
-	if !v2 {
-		client.SetWireV2(false)
-	}
 	return &w1Leg{net: n, client: client, server: srv, ref: srv.Ref("w1")}, nil
 }

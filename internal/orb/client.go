@@ -11,22 +11,19 @@ import (
 )
 
 // poolConn is one multiplexed client connection: many in-flight requests
-// share it, matched to replies by request id. After a successful version
-// handshake the connection speaks protocol v2 (varint frames, interned
-// descriptors, chunked replies); against a legacy peer it stays on v1.
+// share it, matched to replies by request id (the frame's stream id).
+// Targets and descriptors are interned per connection, and large reply
+// bodies arrive as CHUNK frames reassembled per stream.
 type poolConn struct {
 	conn    net.Conn
 	stats   *orbStats
 	writeMu sync.Mutex
-	sendBuf []byte // frame assembly buffer, guarded by writeMu
-
-	// v2 state. Fixed before the read loop starts (see start), so the
-	// flag needs no synchronization afterwards.
-	v2      bool
+	sendBuf []byte            // frame assembly buffer, guarded by writeMu
+	preface bool              // wireMagic not yet written, guarded by writeMu
 	targets *targetTable      // sender target interning, guarded by writeMu
 	interns *wire.InternTable // sender descriptor interning, guarded by writeMu
+	pbuf    []byte            // payload scratch, guarded by writeMu
 	defs    *wire.InternDefs  // reply descriptor definitions, read loop only
-	pbuf    []byte            // v2 payload scratch, guarded by writeMu
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -34,71 +31,43 @@ type poolConn struct {
 	err     error
 }
 
-// newPoolConn wraps an established connection and starts the v1 read
-// loop immediately — the pre-handshake behaviour, used directly by tests
-// and by ORBs with v2 disabled.
+// newPoolConn wraps an established connection and starts its read loop.
+// The connection preface rides in front of the first frame written, so
+// opening a connection costs no extra write and no round trip.
 func newPoolConn(conn net.Conn, stats *orbStats) *poolConn {
-	pc := newPoolConnIdle(conn, stats)
-	pc.start()
+	pc := &poolConn{
+		conn:    conn,
+		stats:   stats,
+		preface: true,
+		targets: newTargetTable(),
+		interns: wire.NewInternTable(),
+		defs:    wire.NewInternDefs(),
+		pending: make(map[uint64]chan *reply),
+	}
+	go pc.readLoop()
 	return pc
 }
 
-// newPoolConnIdle wraps an established connection without starting a
-// read loop, leaving room for the synchronous version handshake: until
-// start runs, the caller owns the connection exclusively.
-func newPoolConnIdle(conn net.Conn, stats *orbStats) *poolConn {
-	return &poolConn{conn: conn, stats: stats, pending: make(map[uint64]chan *reply)}
-}
-
-// start launches the read loop matching the negotiated protocol version.
-func (pc *poolConn) start() {
-	if pc.v2 {
-		pc.targets = newTargetTable()
-		pc.interns = wire.NewInternTable()
-		pc.defs = wire.NewInternDefs()
-		go pc.readLoopV2()
-		return
+// frameBuf returns the empty send buffer, led by the connection preface
+// until the first write succeeds. Callers hold writeMu.
+func (pc *poolConn) frameBuf() []byte {
+	if pc.preface {
+		return append(pc.sendBuf[:0], wireMagic...)
 	}
-	go pc.readLoop()
+	return pc.sendBuf[:0]
 }
 
-// handshake probes the peer with the v2 hello as the first (v1) request
-// on the connection and reads its reply directly — no read loop is
-// running yet, so the exchange is race-free. A positive ack flips the
-// connection to v2; OBJECT_NOT_EXIST (or any servant-level error) means
-// a legacy peer and the connection continues in v1. A transport error is
-// returned and the connection is unusable.
-func (pc *poolConn) handshake() (v2 bool, err error) {
-	args, err := Marshal(helloReq{Magic: helloMagic, MaxVersion: wireV2Version})
+// writeLocked writes buf, assembled on frameBuf, and keeps its storage
+// for the next frame. Callers hold writeMu.
+func (pc *poolConn) writeLocked(buf []byte) error {
+	_, err := pc.conn.Write(buf)
+	pc.sendBuf = buf[:0]
 	if err != nil {
-		return false, err
+		return err
 	}
-	pc.mu.Lock()
-	pc.nextID++
-	id := pc.nextID
-	pc.mu.Unlock()
-	if err := pc.writeRequests(&request{id: id, key: wireControlKey, method: helloMethod, args: args}); err != nil {
-		return false, err
-	}
-	for {
-		payload, err := wire.ReadFrame(pc.conn)
-		if err != nil {
-			return false, err
-		}
-		_, rp, err := decodeFrame(payload)
-		if err != nil || rp == nil || rp.id != id {
-			return false, errBadFrame
-		}
-		if rp.status != replyOK {
-			return false, nil // legacy peer: the pseudo-servant does not exist
-		}
-		var ack helloAck
-		if err := Unmarshal(rp.body, &ack); err != nil || ack.Version != wireV2Version {
-			return false, nil
-		}
-		pc.v2 = true
-		return true, nil
-	}
+	pc.preface = false
+	pc.stats.addWireBytes(uint64(len(buf)))
+	return nil
 }
 
 func (pc *poolConn) dead() bool {
@@ -134,29 +103,13 @@ func (pc *poolConn) deliver(rp *reply) {
 	}
 }
 
-func (pc *poolConn) readLoop() {
-	for {
-		payload, err := wire.ReadFrame(pc.conn)
-		if err != nil {
-			pc.close(&RemoteError{Code: CodeComm, Msg: "connection lost: " + err.Error()})
-			return
-		}
-		_, rp, err := decodeFrame(payload)
-		if err != nil || rp == nil {
-			pc.close(&RemoteError{Code: CodeComm, Msg: "protocol violation"})
-			return
-		}
-		pc.deliver(rp)
-	}
-}
-
-// readLoopV2 demultiplexes v2 frames: complete replies deliver directly;
+// readLoop demultiplexes reply frames: complete replies deliver directly;
 // chunked bodies accumulate per stream until END, with every received
 // chunk immediately credited back so the sender's flow-control window
 // keeps moving even for streams whose waiter has gone. Budget bounds
 // protect the receive side: one body may not exceed MaxStreamBody and
 // all partial bodies together may not exceed MaxConnStreamBudget.
-func (pc *poolConn) readLoopV2() {
+func (pc *poolConn) readLoop() {
 	br := bufio.NewReaderSize(pc.conn, 32<<10)
 	var frameBuf []byte
 	streams := make(map[uint64][]byte)
@@ -234,93 +187,43 @@ func (pc *poolConn) writeCredit(stream uint64, n int) error {
 	var payload [binary.MaxVarintLen64]byte
 	pn := binary.PutUvarint(payload[:], uint64(n))
 	pc.writeMu.Lock()
-	buf := wire.AppendV2Header(pc.sendBuf[:0], wire.V2FrameCredit, 0, stream, pn)
-	buf = append(buf, payload[:pn]...)
-	written := len(buf)
-	_, err := pc.conn.Write(buf)
-	pc.sendBuf = buf[:0]
-	pc.writeMu.Unlock()
-	if err == nil {
-		pc.stats.addWireBytes(true, uint64(written))
-	}
-	return err
+	defer pc.writeMu.Unlock()
+	buf := wire.AppendV2Header(pc.frameBuf(), wire.V2FrameCredit, 0, stream, pn)
+	return pc.writeLocked(append(buf, payload[:pn]...))
 }
 
-// writeRequests encodes every request as a frame in the connection's
+// writeRequest encodes rq as one REQUEST frame in the connection's
 // reusable buffer and issues a single Write — the request path's only
-// syscall, shared by single invocations and coalesced batches. On a v2
-// connection the frame is varint-headed, the target and the args
-// descriptor are interned, and a bulk request may be compressed.
-func (pc *poolConn) writeRequests(rqs ...*request) error {
-	return pc.writeRequestsOpt(false, rqs...)
-}
-
-func (pc *poolConn) writeRequestsOpt(bulk bool, rqs ...*request) error {
+// syscall. The target and the args descriptor are interned, and a bulk
+// request may be compressed.
+func (pc *poolConn) writeRequest(rq *request, bulk bool) error {
 	pc.writeMu.Lock()
-	buf := pc.sendBuf[:0]
-	var err error
-	if pc.v2 {
-		buf, err = pc.appendV2Requests(buf, bulk, rqs)
-	} else {
-		buf, err = appendV1Requests(buf, rqs)
+	defer pc.writeMu.Unlock()
+	payload := appendRequestV2(pc.pbuf[:0], pc.targets, pc.interns, pc.stats, rq)
+	pc.pbuf = payload[:0]
+	if len(payload) > wire.MaxFrameSize {
+		return wire.ErrFrameTooLarge
 	}
-	if err != nil {
-		pc.sendBuf = buf[:0]
-		pc.writeMu.Unlock()
-		return err
+	var flags uint8
+	if rq.oneway {
+		flags |= wire.V2FlagOneway
 	}
-	written := len(buf)
-	_, err = pc.conn.Write(buf)
-	pc.sendBuf = buf[:0]
-	pc.writeMu.Unlock()
+	if bulk {
+		flags |= wire.V2FlagBulk
+		if comp, ok := wire.CompressPayload(payload[len(payload):], payload); ok {
+			payload = comp
+			flags |= wire.V2FlagCompressed
+			pc.stats.compressed.Add(1)
+		}
+	}
+	buf := wire.AppendV2Header(pc.frameBuf(), wire.V2FrameRequest, flags, rq.id, len(payload))
+	buf = append(buf, payload...)
+	err := pc.writeLocked(buf)
 	if err == nil {
 		pc.stats.writes.Add(1)
-		pc.stats.bytesOut.Add(uint64(written))
-		pc.stats.addWireBytes(pc.v2, uint64(written))
+		pc.stats.bytesOut.Add(uint64(len(buf)))
 	}
 	return err
-}
-
-// appendV1Requests assembles length-prefixed v1 frames.
-func appendV1Requests(buf []byte, rqs []*request) ([]byte, error) {
-	for _, rq := range rqs {
-		start := len(buf)
-		buf = append(buf, 0, 0, 0, 0)
-		buf = appendRequest(buf, rq)
-		n := len(buf) - start - 4
-		if n > wire.MaxFrameSize {
-			return buf, wire.ErrFrameTooLarge
-		}
-		binary.BigEndian.PutUint32(buf[start:start+4], uint32(n))
-	}
-	return buf, nil
-}
-
-// appendV2Requests assembles v2 REQUEST frames, interning targets and
-// descriptors through the connection tables (all guarded by writeMu).
-func (pc *poolConn) appendV2Requests(buf []byte, bulk bool, rqs []*request) ([]byte, error) {
-	for _, rq := range rqs {
-		payload := appendRequestV2(pc.pbuf[:0], pc.targets, pc.interns, pc.stats, rq)
-		pc.pbuf = payload[:0]
-		if len(payload) > wire.MaxFrameSize {
-			return buf, wire.ErrFrameTooLarge
-		}
-		var flags uint8
-		if rq.oneway {
-			flags |= wire.V2FlagOneway
-		}
-		if bulk {
-			flags |= wire.V2FlagBulk
-			if comp, ok := wire.CompressPayload(payload[len(payload):], payload); ok {
-				payload = comp
-				flags |= wire.V2FlagCompressed
-				pc.stats.compressed.Add(1)
-			}
-		}
-		buf = wire.AppendV2Header(buf, wire.V2FrameRequest, flags, rq.id, len(payload))
-		buf = append(buf, payload...)
-	}
-	return buf, nil
 }
 
 // sendOneway writes a request that expects no reply.
@@ -335,7 +238,7 @@ func (pc *poolConn) sendOneway(key, method string, args []byte) error {
 	id := pc.nextID
 	pc.mu.Unlock()
 
-	err := pc.writeRequests(&request{id: id, key: key, method: method, args: args, oneway: true})
+	err := pc.writeRequest(&request{id: id, key: key, method: method, args: args, oneway: true}, false)
 	if err != nil {
 		pc.close(&RemoteError{Code: CodeComm, Msg: "write failed: " + err.Error()})
 		return &RemoteError{Code: CodeComm, Msg: err.Error()}
@@ -344,40 +247,10 @@ func (pc *poolConn) sendOneway(key, method string, args []byte) error {
 	return nil
 }
 
-// sendOnewayBatch writes several oneway requests to the same object and
-// method as consecutive frames in one Write. Frame order (and therefore
-// remote execution order relative to this connection) matches argsList.
-func (pc *poolConn) sendOnewayBatch(key, method string, argsList [][]byte) error {
-	if len(argsList) == 0 {
-		return nil
-	}
-	pc.mu.Lock()
-	if pc.err != nil {
-		err := pc.err
-		pc.mu.Unlock()
-		return err
-	}
-	firstID := pc.nextID + 1
-	pc.nextID += uint64(len(argsList))
-	pc.mu.Unlock()
-
-	rqs := make([]*request, len(argsList))
-	for i, args := range argsList {
-		rqs[i] = &request{id: firstID + uint64(i), key: key, method: method, args: args, oneway: true}
-	}
-	if err := pc.writeRequests(rqs...); err != nil {
-		pc.close(&RemoteError{Code: CodeComm, Msg: "write failed: " + err.Error()})
-		return &RemoteError{Code: CodeComm, Msg: err.Error()}
-	}
-	pc.stats.oneways.Add(uint64(len(argsList)))
-	return nil
-}
-
 // roundTrip sends one request and waits for its reply or ctx cancellation.
 // trace, when nonzero, rides as the frame's trailing metadata; the
-// returned TraceMeta is the reply's echo (zero Trace = legacy peer). A
-// WithBulk context flags the exchange for compression and streaming on a
-// v2 connection.
+// returned TraceMeta is the reply's echo. A WithBulk context flags the
+// exchange for compression.
 func (pc *poolConn) roundTrip(ctx context.Context, key, method string, args []byte, trace uint64) ([]byte, wire.TraceMeta, error) {
 	pc.mu.Lock()
 	if pc.err != nil {
@@ -391,8 +264,7 @@ func (pc *poolConn) roundTrip(ctx context.Context, key, method string, args []by
 	pc.pending[id] = ch
 	pc.mu.Unlock()
 
-	bulk := pc.v2 && IsBulk(ctx)
-	err := pc.writeRequestsOpt(bulk, &request{id: id, key: key, method: method, args: args, trace: trace})
+	err := pc.writeRequest(&request{id: id, key: key, method: method, args: args, trace: trace}, IsBulk(ctx))
 	if err != nil {
 		pc.mu.Lock()
 		delete(pc.pending, id)

@@ -1,10 +1,12 @@
 package orb
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -23,8 +25,7 @@ import (
 //     single-write encoder).
 //
 // The peer is a raw frame reader, not a full ORB, so frame arrival order
-// is observed directly rather than through per-request servant
-// goroutines.
+// is observed directly rather than through servant dispatch.
 func TestPoolConnConcurrentOnewayAndRoundTrip(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -40,13 +41,22 @@ func TestPoolConnConcurrentOnewayAndRoundTrip(t *testing.T) {
 			return
 		}
 		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var magic [len(wireMagic)]byte
+		if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != wireMagic {
+			t.Errorf("connection preface %q, want %q", magic[:], wireMagic)
+			return
+		}
+		targets, defs := newTargetDefs(), wire.NewInternDefs()
+		interns := wire.NewInternTable()
+		var peerStats orbStats
 		for {
-			payload, err := wire.ReadFrame(conn)
+			h, payload, err := wire.ReadV2Frame(br, nil)
 			if err != nil {
 				return
 			}
-			rq, _, err := decodeFrame(payload)
-			if err != nil || rq == nil {
+			rq, err := decodeRequestV2(payload, h.Stream, h.Flags&wire.V2FlagOneway != 0, targets, defs)
+			if err != nil || h.Type != wire.V2FrameRequest {
 				t.Error("malformed frame reached the peer")
 				return
 			}
@@ -58,7 +68,9 @@ func TestPoolConnConcurrentOnewayAndRoundTrip(t *testing.T) {
 				continue
 			}
 			// Echo the request body so callers can verify matching.
-			if err := wire.WriteFrame(conn, encodeReply(&reply{id: rq.id, status: replyOK, body: rq.args})); err != nil {
+			body := appendReplyV2(nil, interns, &peerStats, &reply{id: rq.id, status: replyOK, body: rq.args})
+			frame := append(wire.AppendV2Header(nil, wire.V2FrameReply, 0, rq.id, len(body)), body...)
+			if _, err := conn.Write(frame); err != nil {
 				return
 			}
 		}
@@ -135,113 +147,5 @@ drain:
 	}
 	if got := stats.writes.Load(); got == 0 {
 		t.Error("stats.writes never incremented")
-	}
-}
-
-// TestSendOnewayBatchFIFO checks that a coalesced batch reaches the peer
-// as consecutive in-order frames even while other goroutines write to the
-// same connection.
-func TestSendOnewayBatchFIFO(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	type frame struct {
-		method string
-		seq    uint32
-	}
-	frames := make(chan frame, 4096)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		for {
-			payload, err := wire.ReadFrame(conn)
-			if err != nil {
-				return
-			}
-			rq, _, err := decodeFrame(payload)
-			if err != nil || rq == nil {
-				return
-			}
-			if rq.oneway {
-				frames <- frame{method: rq.method, seq: binary.BigEndian.Uint32(rq.args)}
-				continue
-			}
-			wire.WriteFrame(conn, encodeReply(&reply{id: rq.id, status: replyOK}))
-		}
-	}()
-
-	raw, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats orbStats
-	pc := newPoolConn(raw, &stats)
-	defer pc.close(errors.New("test over"))
-
-	const batches, batchSize = 20, 16
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { // competing single-frame traffic
-		defer wg.Done()
-		var arg [4]byte
-		for i := 0; i < batches*batchSize; i++ {
-			binary.BigEndian.PutUint32(arg[:], uint32(i))
-			if err := pc.sendOneway("obj", "single", arg[:]); err != nil {
-				t.Errorf("single %d: %v", i, err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		for b := 0; b < batches; b++ {
-			argsList := make([][]byte, batchSize)
-			for i := range argsList {
-				arg := make([]byte, 4)
-				binary.BigEndian.PutUint32(arg, uint32(b*batchSize+i))
-				argsList[i] = arg
-			}
-			if err := pc.sendOnewayBatch("obj", "batched", argsList); err != nil {
-				t.Errorf("batch %d: %v", b, err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	if _, _, err := pc.roundTrip(context.Background(), "obj", "echo", []byte{0, 0, 0, 0}, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	var nextBatched, nextSingle uint32
-	count := 0
-drain:
-	for {
-		select {
-		case f := <-frames:
-			count++
-			switch f.method {
-			case "batched":
-				if f.seq != nextBatched {
-					t.Fatalf("batched frame %d arrived, want %d", f.seq, nextBatched)
-				}
-				nextBatched++
-			case "single":
-				if f.seq != nextSingle {
-					t.Fatalf("single frame %d arrived, want %d", f.seq, nextSingle)
-				}
-				nextSingle++
-			}
-		default:
-			break drain
-		}
-	}
-	if count != 2*batches*batchSize {
-		t.Errorf("peer saw %d frames, want %d", count, 2*batches*batchSize)
 	}
 }

@@ -20,35 +20,26 @@
 // Argument marshalling uses encoding/gob, mirroring the prototype's use of
 // Java object serialization over IIOP.
 //
-// # Wire protocol versions
+// # Wire protocol
 //
-// Two protocol generations share every pooled connection's lifecycle;
-// WIRE.md at the repository root is the normative spec of both.
-//
-// v1 is the original GIOP-like exchange: 4-byte length-prefixed frames,
-// one complete gob-self-describing message per frame, replies matched to
-// requests by id. It remains fully supported — it is the negotiation
-// carrier and the fallback.
-//
-// v2 is negotiated per connection: the client's first request invokes
-// the "__wire"/"hello" pseudo-object as an ordinary v1 call. A
-// v2-capable server intercepts it and acknowledges, after which both
-// sides switch to varint-headed frames with
+// Every peer speaks one protocol; WIRE.md at the repository root is its
+// normative spec. A client opens each connection by writing the 4-byte
+// preface "DWP2" and then sends varint-headed frames directly — no
+// negotiation round trip. A server that reads any other preface closes
+// the connection before dispatching anything, so a peer speaking some
+// other protocol sees COMM_FAILURE. Frames carry
 //
 //   - interned targets and type descriptors ((key, method) pairs and gob
 //     descriptor prefixes ship once per connection, then travel as ids),
 //   - multiplexed pipelining (each request is a stream; reply bodies over
 //     wire.V2ChunkSize stream as CHUNK frames that interleave with other
 //     streams, paced by per-stream CREDIT flow control, so one bulk reply
-//     no longer head-of-line-blocks concurrent invocations), and
+//     does not head-of-line-block concurrent invocations), and
 //   - opt-in flate compression for bulk exchanges (WithBulk).
 //
-// A v1 peer has no "__wire" servant; its OBJECT_NOT_EXIST reply leaves
-// the connection in v1, the verdict is cached per address, and DropConn
-// clears it so a restarted peer is re-probed. SetWireV2(false) disables
-// both sides of the mechanism, making the ORB indistinguishable from a
-// pre-v2 peer. Stats reports the negotiated-connection count, per-version
-// byte totals, and descriptor-cache defs/hits.
+// The server runs each two-way request on its own goroutine and a
+// connection's oneway requests one at a time, in arrival order. Stats
+// reports request, reply and byte totals and descriptor-cache defs/hits.
 //
 // # Telemetry
 //
@@ -56,9 +47,7 @@
 // (internal/telemetry), its id crosses the wire as an optional frame
 // trailer (wire.TraceMeta); the servant side measures dispatch time,
 // records the servant span locally, and echoes the trailer so the caller
-// can split servant time out of its round-trip measurement. Legacy peers
-// ignore trailers and echo nothing, which the caller detects per request
-// — no handshake, no version bump. SetWireTrace gates the whole
-// mechanism. Invocation, servant-dispatch and oneway latencies feed
-// per-operation histograms regardless of sampling.
+// can split servant time out of its round-trip measurement. Invocation,
+// servant-dispatch and oneway latencies feed per-operation histograms
+// regardless of sampling.
 package orb

@@ -35,35 +35,6 @@ func FuzzParseConstraint(f *testing.F) {
 	})
 }
 
-// FuzzDecodeFrame hardens the GIOP-like protocol decoder.
-func FuzzDecodeFrame(f *testing.F) {
-	f.Add(encodeRequest(&request{id: 1, key: "k", method: "m", args: []byte{1}}))
-	f.Add(encodeRequest(&request{id: 2, key: "k", method: "m", oneway: true}))
-	f.Add(encodeReply(&reply{id: 1, status: replyOK, body: []byte("x")}))
-	f.Add([]byte("DORB"))
-	f.Add([]byte{})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		rq, rp, err := decodeFrame(data)
-		if err != nil {
-			return
-		}
-		if rq == nil && rp == nil {
-			t.Fatal("decodeFrame returned neither request nor reply without error")
-		}
-		if rq != nil {
-			re := encodeRequest(rq)
-			rq2, _, err := decodeFrame(re)
-			if err != nil || rq2 == nil {
-				t.Fatalf("request re-round-trip failed: %v", err)
-			}
-			if rq2.id != rq.id || rq2.key != rq.key || rq2.method != rq.method || rq2.oneway != rq.oneway {
-				t.Fatal("request mutated in re-round-trip")
-			}
-		}
-	})
-}
-
 // fuzzV2Seeds renders valid v2 payloads (target/blob defs and refs) to
 // seed the corpora below.
 func fuzzV2Seeds() [][]byte {
@@ -79,8 +50,8 @@ func fuzzV2Seeds() [][]byte {
 	seeds = append(seeds, appendReplyV2(nil, rit, &stats, &reply{id: 1, status: replyOK, body: args}))
 	seeds = append(seeds, appendReplyV2(nil, rit, &stats, &reply{id: 2, status: replyUserError, body: args, trace: 5, servantNanos: 7}))
 	seeds = append(seeds, appendEndV2(nil, &reply{id: 3, status: replyOK, trace: 1}))
-	// Cross-version garbage: a v1 frame payload fed to the v2 decoders.
-	seeds = append(seeds, encodeRequest(&request{id: 4, key: "k", method: "m", args: args}))
+	// A stray connection preface fed to the payload decoders.
+	seeds = append(seeds, []byte(wireMagic))
 	seeds = append(seeds, []byte{})
 	seeds = append(seeds, []byte{targetRef, 0xFF})
 	seeds = append(seeds, []byte{targetDef, 0x01, 0x01, 'k'})
@@ -89,7 +60,7 @@ func fuzzV2Seeds() [][]byte {
 
 // FuzzDecodeRequestV2 hardens the v2 request decoder against hostile
 // payloads: bogus target/descriptor ids, truncated blobs, out-of-sequence
-// definitions, and v1 frames must error, never panic. The interning
+// definitions, and stray prefaces must error, never panic. The interning
 // tables persist across inputs, as they do on a live connection.
 func FuzzDecodeRequestV2(f *testing.F) {
 	for _, s := range fuzzV2Seeds() {

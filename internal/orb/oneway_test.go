@@ -45,20 +45,17 @@ func TestOnewayDeliversInOrder(t *testing.T) {
 			t.Fatalf("only %d oneway requests executed", i)
 		}
 	}
-	// Oneway requests on one pooled connection are read in order; the ORB
-	// dispatches each in its own goroutine, so execution order is not
-	// guaranteed — but all must arrive exactly once.
+	// Oneway requests on one pooled connection execute one at a time in
+	// the order they were sent, each exactly once.
 	mu.Lock()
 	defer mu.Unlock()
-	seen := make(map[int]bool)
-	for _, v := range got {
-		if seen[v] {
-			t.Fatalf("duplicate oneway delivery %d", v)
-		}
-		seen[v] = true
+	if len(got) != n {
+		t.Fatalf("executed %d oneways, want %d", len(got), n)
 	}
-	if len(seen) != n {
-		t.Fatalf("delivered %d distinct, want %d", len(seen), n)
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("oneway %d executed in position %d: order %v", v, i, got)
+		}
 	}
 }
 
@@ -157,4 +154,29 @@ func TestManyClientsOneServer(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
+}
+
+// TestOnewayQueueCompacts pushes while the worker is busy and never lets
+// the queue run empty: the backing array must stay bounded by the queue's
+// length, not grow with every oneway ever run.
+func TestOnewayQueueCompacts(t *testing.T) {
+	var q onewayQueue
+	q.running = true // a busy worker: push only appends
+	q.push(nil, &request{method: "0"}, nil)
+	for i := 1; i <= 10000; i++ {
+		q.push(nil, &request{method: fmt.Sprint(i)}, nil)
+		rq, ok := q.next()
+		if !ok || rq.method != fmt.Sprint(i-1) {
+			t.Fatalf("pop %d = %v, %v", i-1, rq, ok)
+		}
+	}
+	if c := cap(q.queue); c > 16 {
+		t.Fatalf("queue of 1 request has cap %d after 10000 oneways", c)
+	}
+	if rq, ok := q.next(); !ok || rq.method != "10000" {
+		t.Fatalf("last pop = %v, %v", rq, ok)
+	}
+	if _, ok := q.next(); ok || q.running {
+		t.Fatal("empty queue did not stop the worker")
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -86,51 +87,39 @@ type orbStats struct {
 	writes      atomic.Uint64 // client-side write syscalls on pooled conns
 	bytesOut    atomic.Uint64 // client-side bytes written on pooled conns
 	replies     atomic.Uint64 // server-side replies written
+	bytes       atomic.Uint64 // bytes written on ORB connections (both roles)
+	internDefs  atomic.Uint64 // descriptor/target definitions sent
+	internHits  atomic.Uint64 // interned references sent (cache hits)
+	compressed  atomic.Uint64 // frames sent flate-compressed
 
-	v2conns    atomic.Uint64 // client connections negotiated to protocol v2
-	bytesV1    atomic.Uint64 // bytes written on v1 connections (both roles)
-	bytesV2    atomic.Uint64 // bytes written on v2 connections (both roles)
-	internDefs atomic.Uint64 // descriptor/target definitions sent
-	internHits atomic.Uint64 // interned references sent (cache hits)
-	compressed atomic.Uint64 // frames sent flate-compressed
-
-	// Mirrors of the byte counters in the process-wide metric
-	// discover_wire_bytes_total{ver}; nil when the stats block was not
-	// built by New (direct test construction).
-	ctrV1, ctrV2 *telemetry.Counter
+	// Mirror of bytes in the process-wide metric
+	// discover_wire_bytes_total; nil when the stats block was not built
+	// by New (direct test construction).
+	ctrBytes *telemetry.Counter
 }
 
-// addWireBytes accounts n written bytes to the per-version counters.
-func (s *orbStats) addWireBytes(v2 bool, n uint64) {
-	if v2 {
-		s.bytesV2.Add(n)
-		if s.ctrV2 != nil {
-			s.ctrV2.Add(n)
-		}
-		return
-	}
-	s.bytesV1.Add(n)
-	if s.ctrV1 != nil {
-		s.ctrV1.Add(n)
+// addWireBytes accounts n bytes written on an ORB connection.
+func (s *orbStats) addWireBytes(n uint64) {
+	s.bytes.Add(n)
+	if s.ctrBytes != nil {
+		s.ctrBytes.Add(n)
 	}
 }
 
 // Stats is a snapshot of an ORB's cumulative wire-level work: how many
 // invocations went out and what they cost in write syscalls and bytes.
-// Writes < Invocations+Oneways indicates frame coalescing is working.
+// Each request is one frame and one Write, the connection preface riding
+// in front of a connection's first frame.
 type Stats struct {
 	Invocations uint64 // two-way requests sent
 	Oneways     uint64 // oneway requests sent
 	Writes      uint64 // write syscalls issued for requests
 	BytesOut    uint64 // request bytes written
 	Replies     uint64 // replies served to remote callers
-
-	V2Conns    uint64 // client connections negotiated to protocol v2
-	BytesV1    uint64 // bytes written on v1 connections (both roles)
-	BytesV2    uint64 // bytes written on v2 connections (both roles)
-	InternDefs uint64 // descriptor/target definitions sent
-	InternHits uint64 // interned references sent (cache hits)
-	Compressed uint64 // frames sent flate-compressed
+	Bytes       uint64 // bytes written on ORB connections (both roles)
+	InternDefs  uint64 // descriptor/target definitions sent
+	InternHits  uint64 // interned references sent (cache hits)
+	Compressed  uint64 // frames sent flate-compressed
 }
 
 // ORB hosts servants on a listening endpoint and invokes methods on remote
@@ -139,23 +128,6 @@ type ORB struct {
 	dial        Dialer
 	dialTimeout atomic.Int64 // nanoseconds; 0 = no separate dial bound
 	stats       orbStats
-
-	// wireTrace gates the optional trace trailer on the wire: off, the
-	// ORB neither appends trailers to requests nor echoes them in replies,
-	// exactly like a pre-telemetry peer. Tests use it to exercise the
-	// legacy-interop path; operators can use it as a kill switch.
-	wireTrace atomic.Bool
-
-	// wireV2 gates protocol v2: off, the ORB neither probes peers nor
-	// answers the hello, behaving exactly like a pre-v2 peer. Tests use
-	// it to stand up v1 domains; operators get a kill switch.
-	wireV2 atomic.Bool
-
-	// verMu guards verCache: peer addresses that failed the v2 probe and
-	// are spoken to in v1 without re-probing. DropConn clears the verdict
-	// so a restarted (possibly upgraded) peer is probed afresh.
-	verMu    sync.Mutex
-	verCache map[string]struct{}
 
 	histMu      sync.RWMutex
 	invokeHist  map[string]*telemetry.Histogram
@@ -173,39 +145,6 @@ type ORB struct {
 	pool   map[string]*poolConn
 
 	wg sync.WaitGroup
-}
-
-// SetWireTrace enables or disables trace-trailer handling on the wire
-// (default enabled). Disabled, the ORB behaves exactly like a peer built
-// before the telemetry layer existed.
-func (o *ORB) SetWireTrace(enabled bool) { o.wireTrace.Store(enabled) }
-
-// WireTraceEnabled reports whether trace trailers are handled.
-func (o *ORB) WireTraceEnabled() bool { return o.wireTrace.Load() }
-
-// SetWireV2 enables or disables protocol v2 negotiation (default
-// enabled). Disabled, the ORB behaves exactly like a pre-v2 peer on both
-// its client and server sides; existing pooled connections are not
-// affected.
-func (o *ORB) SetWireV2(enabled bool) { o.wireV2.Store(enabled) }
-
-// WireV2Enabled reports whether protocol v2 is negotiated.
-func (o *ORB) WireV2Enabled() bool { return o.wireV2.Load() }
-
-// markLegacy records that addr failed the v2 probe; future connections
-// skip the handshake until DropConn clears the verdict.
-func (o *ORB) markLegacy(addr string) {
-	o.verMu.Lock()
-	o.verCache[addr] = struct{}{}
-	o.verMu.Unlock()
-}
-
-// knownLegacy reports whether addr has a cached failed-probe verdict.
-func (o *ORB) knownLegacy(addr string) bool {
-	o.verMu.Lock()
-	_, ok := o.verCache[addr]
-	o.verMu.Unlock()
-	return ok
 }
 
 // histFor returns the per-method histogram cached in m, registering it in
@@ -235,9 +174,7 @@ func (o *ORB) Stats() Stats {
 		Writes:      o.stats.writes.Load(),
 		BytesOut:    o.stats.bytesOut.Load(),
 		Replies:     o.stats.replies.Load(),
-		V2Conns:     o.stats.v2conns.Load(),
-		BytesV1:     o.stats.bytesV1.Load(),
-		BytesV2:     o.stats.bytesV2.Load(),
+		Bytes:       o.stats.bytes.Load(),
 		InternDefs:  o.stats.internDefs.Load(),
 		InternHits:  o.stats.internHits.Load(),
 		Compressed:  o.stats.compressed.Load(),
@@ -251,15 +188,11 @@ func New(opts ...Option) *ORB {
 		servants:    make(map[string]Servant),
 		pool:        make(map[string]*poolConn),
 		accepted:    make(map[net.Conn]struct{}),
-		verCache:    make(map[string]struct{}),
 		invokeHist:  make(map[string]*telemetry.Histogram),
 		servantHist: make(map[string]*telemetry.Histogram),
 		onewayHist:  make(map[string]*telemetry.Histogram),
 	}
-	o.wireTrace.Store(true)
-	o.wireV2.Store(true)
-	o.stats.ctrV1 = telemetry.GetCounter("discover_wire_bytes_total", "ver", "v1")
-	o.stats.ctrV2 = telemetry.GetCounter("discover_wire_bytes_total", "ver", "v2")
+	o.stats.ctrBytes = telemetry.GetCounter("discover_wire_bytes_total")
 	var d net.Dialer
 	o.dial = d.DialContext
 	for _, opt := range opts {
@@ -357,6 +290,11 @@ func (o *ORB) acceptLoop(ln net.Listener) {
 	}
 }
 
+// serveConn serves one accepted connection: the wireMagic preface, then
+// REQUEST and CREDIT frames until the client goes away. Each two-way
+// request runs on its own goroutine, so a slow servant holds up no other
+// caller; oneway requests run one at a time in arrival order (see
+// onewayQueue), so a caller's oneways execute in the order it sent them.
 func (o *ORB) serveConn(conn net.Conn) {
 	defer o.wg.Done()
 	defer func() {
@@ -365,71 +303,25 @@ func (o *ORB) serveConn(conn net.Conn) {
 		delete(o.accepted, conn)
 		o.mu.Unlock()
 	}()
-	rw := &replyWriter{conn: conn, stats: &o.stats}
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
-	var readBuf []byte
-	first := true
-	for {
-		payload, err := wire.ReadFrameBuf(conn, readBuf)
-		if err != nil {
-			return
-		}
-		if cap(payload) > cap(readBuf) {
-			readBuf = payload[:0]
-		}
-		// decodeFrame copies every field out of payload, so the read
-		// buffer is free for reuse as soon as it returns.
-		rq, _, err := decodeFrame(payload)
-		if err != nil || rq == nil {
-			return // protocol violation: drop the connection
-		}
-		// A v2-capable client's first request is the version probe. When
-		// this ORB speaks v2, acknowledge and switch the connection; when
-		// it doesn't, fall through to normal dispatch, which fails the
-		// call with OBJECT_NOT_EXIST — the client's signal to stay on v1.
-		if first && !rq.oneway && rq.key == wireControlKey && rq.method == helloMethod && o.wireV2.Load() {
-			var hr helloReq
-			if Unmarshal(rq.args, &hr) == nil && hr.Magic == helloMagic && hr.MaxVersion >= wireV2Version {
-				body, err := Marshal(helloAck{Version: wireV2Version})
-				if err != nil || rw.write(&reply{id: rq.id, status: replyOK, body: body}) != nil {
-					return
-				}
-				o.serveConnV2(conn, rw)
-				return
-			}
-		}
-		first = false
-		handlers.Add(1)
-		go func(rq *request) {
-			defer handlers.Done()
-			rp := o.execute(rq)
-			if rq.oneway {
-				return // oneway: no reply travels back
-			}
-			if err := rw.write(rp); err != nil {
-				conn.Close()
-			}
-		}(rq)
+	rw := &replyWriter{
+		conn:    conn,
+		stats:   &o.stats,
+		interns: wire.NewInternTable(),
+		flows:   make(map[uint64]*streamFlow),
 	}
-}
-
-// serveConnV2 serves a connection that completed the version handshake:
-// varint-headed frames, interned targets and descriptors, chunked
-// streamed replies with credit-based flow control. The caller's defers
-// still own connection teardown.
-func (o *ORB) serveConnV2(conn net.Conn, rw *replyWriter) {
-	rw.v2 = true
-	rw.interns = wire.NewInternTable()
-	rw.flows = make(map[uint64]*streamFlow)
 	targets := newTargetDefs()
 	defs := wire.NewInternDefs()
 	var handlers sync.WaitGroup
+	var oneways onewayQueue
 	// LIFO defers: when the read loop exits, first unblock any chunk
 	// writers waiting on flow credit, then wait the handlers out.
 	defer handlers.Wait()
 	defer rw.closeFlows()
 	br := bufio.NewReaderSize(conn, 32<<10)
+	var magic [len(wireMagic)]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil || string(magic[:]) != wireMagic {
+		return // not a peer of this protocol: close before dispatching
+	}
 	var readBuf []byte
 	for {
 		h, payload, err := wire.ReadV2Frame(br, readBuf)
@@ -453,18 +345,18 @@ func (o *ORB) serveConnV2(conn net.Conn, rw *replyWriter) {
 			if err != nil {
 				return // protocol violation: drop the connection
 			}
+			if rq.oneway {
+				oneways.push(o, rq, &handlers)
+				continue
+			}
 			bulk := h.Flags&wire.V2FlagBulk != 0
 			handlers.Add(1)
-			go func(rq *request, bulk bool) {
+			go func() {
 				defer handlers.Done()
-				rp := o.execute(rq)
-				if rq.oneway {
-					return
-				}
-				if err := rw.writeV2(rp, rq.id, bulk); err != nil {
+				if err := rw.write(o.execute(rq), rq.id, bulk); err != nil {
 					conn.Close()
 				}
-			}(rq, bulk)
+			}()
 		case wire.V2FrameCredit:
 			n, sz := binary.Uvarint(payload)
 			if sz <= 0 || n > wire.MaxConnStreamBudget {
@@ -477,55 +369,89 @@ func (o *ORB) serveConnV2(conn net.Conn, rw *replyWriter) {
 	}
 }
 
+// onewayQueue runs one connection's oneway requests one at a time, in
+// arrival order, on a worker goroutine that exists only while requests
+// are queued. The queue is not bounded, like the per-request goroutines
+// of two-way calls.
+type onewayQueue struct {
+	mu      sync.Mutex
+	queue   []*request
+	head    int // next request to run
+	running bool
+}
+
+// push queues rq and starts the worker if it is idle. The worker counts
+// against wg, so connection teardown waits for the queue to drain.
+func (q *onewayQueue) push(o *ORB, rq *request, wg *sync.WaitGroup) {
+	q.mu.Lock()
+	q.queue = append(q.queue, rq)
+	if q.running {
+		q.mu.Unlock()
+		return
+	}
+	q.running = true
+	q.mu.Unlock()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			rq, ok := q.next()
+			if !ok {
+				return
+			}
+			o.execute(rq) // oneway: no reply travels back
+		}
+	}()
+}
+
+// next pops the oldest queued request. On an empty queue it reports
+// false and marks the worker stopped. Once more than half the slice has
+// been run it moves the rest to the front, so a worker that never finds
+// the queue empty does not grow the backing array without bound.
+func (q *onewayQueue) next() (*request, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head == len(q.queue) {
+		q.queue, q.head, q.running = q.queue[:0], 0, false
+		return nil, false
+	}
+	rq := q.queue[q.head]
+	q.queue[q.head] = nil
+	q.head++
+	if q.head > len(q.queue)/2 {
+		n := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[n:])
+		q.queue, q.head = q.queue[:n], 0
+	}
+	return rq, true
+}
+
 // replyWriter assembles each reply frame in a per-connection reusable
-// buffer and writes it with a single syscall. On a v2 connection it also
-// owns the server half of multiplexing: small replies go out as one
-// REPLY frame, large bodies as CHUNK frames interleavable with other
-// streams, paced by per-stream flow-control credit.
+// buffer and writes it with a single syscall. It also owns the server
+// half of multiplexing: small replies go out as one REPLY frame, large
+// bodies as CHUNK frames interleavable with other streams, paced by
+// per-stream flow-control credit.
 type replyWriter struct {
 	mu    sync.Mutex
 	buf   []byte
 	conn  net.Conn
 	stats *orbStats
 
-	// v2 state, set by serveConnV2 before any concurrent use.
-	v2      bool
-	pbuf    []byte            // v2 payload scratch, guarded by mu
+	pbuf    []byte            // payload scratch, guarded by mu
 	interns *wire.InternTable // descriptor interning, guarded by mu
 
 	flowMu sync.Mutex
 	flows  map[uint64]*streamFlow
 }
 
-func (rw *replyWriter) write(rp *reply) error {
-	rw.mu.Lock()
-	buf := append(rw.buf[:0], 0, 0, 0, 0)
-	buf = appendReply(buf, rp)
-	if len(buf)-4 > wire.MaxFrameSize {
-		rw.buf = buf[:0]
-		rw.mu.Unlock()
-		return wire.ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	written := len(buf)
-	_, err := rw.conn.Write(buf)
-	rw.buf = buf[:0]
-	rw.mu.Unlock()
-	if err == nil {
-		rw.stats.replies.Add(1)
-		rw.stats.addWireBytes(false, uint64(written))
-	}
-	return err
-}
-
-// writeV2 sends one reply on a v2 connection. Bodies up to V2ChunkSize
-// travel as a single REPLY frame with descriptor interning; larger
-// bodies stream as raw CHUNK frames plus a terminating END, releasing
-// the write lock between chunks so concurrent small replies interleave
-// instead of queueing behind the bulk transfer.
-func (rw *replyWriter) writeV2(rp *reply, stream uint64, bulk bool) error {
+// write sends one reply. Bodies up to V2ChunkSize travel as a single
+// REPLY frame with descriptor interning; larger bodies stream as raw
+// CHUNK frames plus a terminating END, releasing the write lock between
+// chunks so concurrent small replies interleave instead of queueing
+// behind the bulk transfer.
+func (rw *replyWriter) write(rp *reply, stream uint64, bulk bool) error {
 	if len(rp.body) <= wire.V2ChunkSize {
-		return rw.writeV2Single(rp, stream, bulk)
+		return rw.writeSingle(rp, stream, bulk)
 	}
 	if len(rp.body) > wire.MaxStreamBody {
 		return wire.ErrFrameTooLarge
@@ -552,12 +478,12 @@ func (rw *replyWriter) writeV2(rp *reply, stream uint64, bulk bool) error {
 	rw.mu.Unlock()
 	if err == nil {
 		rw.stats.replies.Add(1)
-		rw.stats.addWireBytes(true, uint64(written))
+		rw.stats.addWireBytes(uint64(written))
 	}
 	return err
 }
 
-func (rw *replyWriter) writeV2Single(rp *reply, stream uint64, bulk bool) error {
+func (rw *replyWriter) writeSingle(rp *reply, stream uint64, bulk bool) error {
 	rw.mu.Lock()
 	payload := appendReplyV2(rw.pbuf[:0], rw.interns, rw.stats, rp)
 	rw.pbuf = payload[:0]
@@ -581,7 +507,7 @@ func (rw *replyWriter) writeV2Single(rp *reply, stream uint64, bulk bool) error 
 	rw.mu.Unlock()
 	if err == nil {
 		rw.stats.replies.Add(1)
-		rw.stats.addWireBytes(true, uint64(written))
+		rw.stats.addWireBytes(uint64(written))
 	}
 	return err
 }
@@ -610,7 +536,7 @@ func (rw *replyWriter) writeChunk(stream uint64, body []byte, bulk bool, flow *s
 	rw.buf = buf[:0]
 	rw.mu.Unlock()
 	if err == nil {
-		rw.stats.addWireBytes(true, uint64(written))
+		rw.stats.addWireBytes(uint64(written))
 	}
 	return err
 }
@@ -721,11 +647,10 @@ func (o *ORB) execute(rq *request) *reply {
 	} else {
 		rp = &reply{id: rq.id, status: replyOK, body: body}
 	}
-	// Echo the trace trailer only when the request carried one (and wire
-	// tracing is on): a trailer-less reply tells the caller this peer is
-	// legacy. The servant hop is recorded where it executed; clocks across
-	// servers need not agree, so its offset is left zero.
-	if rq.trace != 0 && o.wireTrace.Load() {
+	// Echo the trace trailer when the request carried one. The servant
+	// hop is recorded where it executed; clocks across servers need not
+	// agree, so its offset is left zero.
+	if rq.trace != 0 {
 		rp.trace = rq.trace
 		rp.servantNanos = uint64(dur.Nanoseconds())
 		telemetry.Default().RecordRemoteSpan(telemetry.TraceID(rq.trace), telemetry.Span{
@@ -757,7 +682,7 @@ func (o *ORB) Invoke(ctx context.Context, ref ObjRef, method string, in, out any
 	// in its context, so this is one pointer lookup and no allocation.
 	tr := telemetry.TraceFrom(ctx)
 	var traceID uint64
-	if tr != nil && o.wireTrace.Load() {
+	if tr != nil {
 		traceID = uint64(tr.ID())
 	}
 	t0 := time.Now()
@@ -768,7 +693,7 @@ func (o *ORB) Invoke(ctx context.Context, ref ObjRef, method string, in, out any
 	for attempt := 0; ; attempt++ {
 		pc, err := o.getConn(ctx, ref.Addr)
 		if err != nil {
-			return &RemoteError{Code: CodeComm, Msg: err.Error()}
+			return err
 		}
 		tSent := time.Now()
 		body, meta, err := pc.roundTrip(ctx, ref.Key, method, args, traceID)
@@ -786,15 +711,12 @@ func (o *ORB) Invoke(ctx context.Context, ref ObjRef, method string, in, out any
 		if tr != nil {
 			// queue = marshalling + pooled-connection acquisition; rpc =
 			// round trip minus the servant time echoed in the reply
-			// trailer. A legacy peer echoes nothing (meta.Trace == 0), so
-			// its servant time stays folded into the rpc span.
+			// trailer.
 			loc := o.Addr()
 			tr.AddSpan(telemetry.HopQueue, method, loc, ref.Addr, t0, tSent.Sub(t0))
 			rpc := end.Sub(tSent)
-			if meta.Trace != 0 {
-				if s := time.Duration(meta.ServantNanos); s < rpc {
-					rpc -= s
-				}
+			if s := time.Duration(meta.ServantNanos); s < rpc {
+				rpc -= s
 			}
 			tr.AddSpan(telemetry.HopRPC, method, loc, ref.Addr, tSent, rpc)
 		}
@@ -808,7 +730,9 @@ func (o *ORB) Invoke(ctx context.Context, ref ObjRef, method string, in, out any
 // SetDialTimeout changes the connection-establishment bound at runtime.
 func (o *ORB) SetDialTimeout(d time.Duration) { o.dialTimeout.Store(int64(d)) }
 
-// getConn returns a live pooled connection to addr, dialing if needed.
+// getConn returns a live pooled connection to addr, dialing if needed. A
+// failed dial is COMM_FAILURE, unless the caller's ctx ended: then the
+// error wraps ctx.Err(), so a cancelled caller is not a failed peer.
 func (o *ORB) getConn(ctx context.Context, addr string) (*poolConn, error) {
 	o.poolMu.Lock()
 	pc, ok := o.pool[addr]
@@ -827,37 +751,12 @@ func (o *ORB) getConn(ctx context.Context, addr string) (*poolConn, error) {
 	}
 	conn, err := o.dial(dctx, "tcp", addr)
 	if err != nil {
-		return nil, err
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("orb: dial %s: %w", addr, ctx.Err())
+		}
+		return nil, &RemoteError{Code: CodeComm, Msg: err.Error()}
 	}
-	pc = newPoolConnIdle(conn, &o.stats)
-	if o.wireV2.Load() && !o.knownLegacy(addr) {
-		// Probe for v2 synchronously, before the connection is published
-		// or its read loop starts — no concurrent sender can slip a v1
-		// frame into the handshake. The dial context bounds the exchange:
-		// expiry closes the connection out from under the blocked read.
-		done := make(chan struct{})
-		var v2 bool
-		var herr error
-		go func() {
-			v2, herr = pc.handshake()
-			close(done)
-		}()
-		select {
-		case <-done:
-		case <-dctx.Done():
-			conn.Close()
-			<-done
-			herr = dctx.Err()
-		}
-		if herr != nil {
-			conn.Close()
-			return nil, herr
-		}
-		if !v2 {
-			o.markLegacy(addr)
-		}
-	}
-	pc.start()
+	pc = newPoolConn(conn, &o.stats)
 
 	o.poolMu.Lock()
 	if existing, ok := o.pool[addr]; ok && !existing.dead() {
@@ -868,9 +767,6 @@ func (o *ORB) getConn(ctx context.Context, addr string) (*poolConn, error) {
 	}
 	o.pool[addr] = pc
 	o.poolMu.Unlock()
-	if pc.v2 {
-		o.stats.v2conns.Add(1)
-	}
 	return pc, nil
 }
 
@@ -890,7 +786,7 @@ func (o *ORB) InvokeOneway(ctx context.Context, ref ObjRef, method string, in an
 	for attempt := 0; ; attempt++ {
 		pc, err := o.getConn(ctx, ref.Addr)
 		if err != nil {
-			return &RemoteError{Code: CodeComm, Msg: err.Error()}
+			return err
 		}
 		err = pc.sendOneway(ref.Key, method, args)
 		if err == nil {
@@ -905,49 +801,8 @@ func (o *ORB) InvokeOneway(ctx context.Context, ref ObjRef, method string, in an
 	}
 }
 
-// InvokeOnewayBatch sends one oneway request per element of ins to the
-// same object and method, coalescing all frames into a single write on the
-// pooled connection. Remote execution order matches ins. It is the
-// syscall-frugal form of a loop over InvokeOneway, used by relay fan-out
-// paths that must speak to peers lacking a batched servant method.
-func (o *ORB) InvokeOnewayBatch(ctx context.Context, ref ObjRef, method string, ins []any) error {
-	if ref.IsZero() {
-		return errors.New("orb: oneway invoke on zero ObjRef")
-	}
-	if len(ins) == 0 {
-		return nil
-	}
-	argsList := make([][]byte, len(ins))
-	for i, in := range ins {
-		args, err := Marshal(in)
-		if err != nil {
-			return err
-		}
-		argsList[i] = args
-	}
-	t0 := time.Now()
-	for attempt := 0; ; attempt++ {
-		pc, err := o.getConn(ctx, ref.Addr)
-		if err != nil {
-			return &RemoteError{Code: CodeComm, Msg: err.Error()}
-		}
-		err = pc.sendOnewayBatch(ref.Key, method, argsList)
-		if err == nil {
-			o.histFor(o.onewayHist, metricOneway, method).Observe(time.Since(t0))
-			return nil
-		}
-		var re *RemoteError
-		if errors.As(err, &re) && re.Code == CodeComm && attempt == 0 {
-			continue
-		}
-		return err
-	}
-}
-
 // DropConn discards any pooled connection to addr, forcing the next
-// Invoke to redial. Used when a peer is believed restarted. The cached
-// version verdict is cleared with the connection: a peer that came back
-// upgraded gets a fresh v2 probe.
+// Invoke to redial. Used when a peer is believed restarted.
 func (o *ORB) DropConn(addr string) {
 	o.poolMu.Lock()
 	if pc, ok := o.pool[addr]; ok {
@@ -955,13 +810,9 @@ func (o *ORB) DropConn(addr string) {
 		delete(o.pool, addr)
 	}
 	o.poolMu.Unlock()
-	o.verMu.Lock()
-	delete(o.verCache, addr)
-	o.verMu.Unlock()
 }
 
-// DropAllConns discards every pooled connection and cached version
-// verdict, forcing every subsequent Invoke to redial. Large simulated
+// DropAllConns discards every pooled connection, forcing every subsequent Invoke to redial. Large simulated
 // federations use it between experiment phases to keep the process's
 // descriptor footprint bounded: N domains gossiping pairwise would
 // otherwise hold O(N²) idle sockets.
@@ -972,7 +823,4 @@ func (o *ORB) DropAllConns() {
 		delete(o.pool, addr)
 	}
 	o.poolMu.Unlock()
-	o.verMu.Lock()
-	o.verCache = make(map[string]struct{})
-	o.verMu.Unlock()
 }

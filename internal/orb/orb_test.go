@@ -6,43 +6,110 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"discover/internal/wire"
 )
 
-func TestProtoRoundTrip(t *testing.T) {
-	rq := &request{id: 42, key: "obj/1", method: "ping", args: []byte{1, 2, 3}}
-	gotReq, gotRep, err := decodeFrame(encodeRequest(rq))
-	if err != nil || gotRep != nil || gotReq == nil {
-		t.Fatalf("decode request: %v %v %v", gotReq, gotRep, err)
+func TestProtoRejectsGarbage(t *testing.T) {
+	// def prefixes rest with a valid definition of target "k"/"m" as id 1.
+	def := func(rest ...byte) []byte {
+		return append([]byte{targetDef, 1, 1, 'k', 1, 'm'}, rest...)
 	}
-	if gotReq.id != 42 || gotReq.key != "obj/1" || gotReq.method != "ping" || string(gotReq.args) != "\x01\x02\x03" {
-		t.Errorf("request round trip: %+v", gotReq)
+	requests := [][]byte{
+		nil,
+		{0x07},                         // unknown target tag
+		{targetRef, 1},                 // reference to an undefined target
+		{targetDef, 2, 1, 'k', 1, 'm'}, // definition out of sequence
+		def(0x09),                      // unknown blob tag
+		def(blobRaw, 5, 'x'),           // truncated blob
+		def(blobRef, 1, 0),             // reference to an undefined descriptor
 	}
-
-	rp := &reply{id: 42, status: replyUserError, body: []byte("oops")}
-	gotReq, gotRep, err = decodeFrame(encodeReply(rp))
-	if err != nil || gotReq != nil || gotRep == nil {
-		t.Fatalf("decode reply: %v %v %v", gotReq, gotRep, err)
+	for i, p := range requests {
+		if _, err := decodeRequestV2(p, 1, false, newTargetDefs(), wire.NewInternDefs()); err == nil {
+			t.Errorf("request case %d: decodeRequestV2 accepted garbage", i)
+		}
 	}
-	if gotRep.id != 42 || gotRep.status != replyUserError || string(gotRep.body) != "oops" {
-		t.Errorf("reply round trip: %+v", gotRep)
+	for i, p := range [][]byte{nil, {replyOK, 0x09}, {replyOK, blobRaw, 5, 'x'}} {
+		if _, err := decodeReplyV2(p, 1, wire.NewInternDefs()); err == nil {
+			t.Errorf("reply case %d: decodeReplyV2 accepted garbage", i)
+		}
+	}
+	if _, err := decodeEndV2(nil, 1, nil); err == nil {
+		t.Error("decodeEndV2 accepted an empty payload")
 	}
 }
 
-func TestProtoRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("XXXX\x01\x01"),
-		[]byte("DORB"),
-		[]byte("DORB\x02\x01"), // wrong version
-		[]byte("DORB\x01\x09"), // unknown message type
-		encodeRequest(&request{id: 1, key: "k", method: "m"})[:8],
+// TestServerRejectsForeignPreface opens raw connections that carry a
+// valid REQUEST frame behind a wrong preface, or behind none at all: the
+// server must close each connection without dispatching the request. The
+// same frame behind the DWP2 preface is served, so the frame itself is
+// not what the server refused.
+func TestServerRejectsForeignPreface(t *testing.T) {
+	server := New()
+	if err := server.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	for i, p := range cases {
-		if _, _, err := decodeFrame(p); err == nil {
-			t.Errorf("case %d: decodeFrame accepted garbage", i)
+	defer server.Close()
+	var dispatched atomic.Int32
+	server.Register("sink", MethodMap{
+		"note": func(args []byte) ([]byte, error) {
+			dispatched.Add(1)
+			return args, nil
+		},
+	})
+	args, err := Marshal(echoReq{Text: "hi"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := appendRequestV2(nil, newTargetTable(), wire.NewInternTable(), &orbStats{},
+		&request{id: 1, key: "sink", method: "note", args: args})
+	frame := append(wire.AppendV2Header(nil, wire.V2FrameRequest, 0, 1, len(payload)), payload...)
+
+	// send writes preface+frame on a fresh connection and returns what the
+	// server sends back before closing it.
+	send := func(preface string) []byte {
+		t.Helper()
+		conn, err := net.Dial("tcp", server.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer conn.Close()
+		if _, err := conn.Write(append([]byte(preface), frame...)); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var got []byte
+		buf := make([]byte, 512)
+		for {
+			n, err := conn.Read(buf)
+			got = append(got, buf[:n]...)
+			if err != nil {
+				if ne, ok := err.(net.Error); ok && ne.Timeout() {
+					t.Fatalf("preface %q: server neither replied nor closed", preface)
+				}
+				return got
+			}
+			if preface == wireMagic && len(got) > 0 {
+				return got // the reply is on its way: the frame was accepted
+			}
+		}
+	}
+	for _, preface := range []string{"", "DORB", "DWP1", "\x00\x00\x00\x10"} {
+		if got := send(preface); len(got) != 0 {
+			t.Errorf("preface %q: server answered %d bytes", preface, len(got))
+		}
+	}
+	if n := dispatched.Load(); n != 0 {
+		t.Fatalf("%d requests dispatched behind a foreign preface", n)
+	}
+	if got := send(wireMagic); len(got) == 0 {
+		t.Fatal("request behind the DWP2 preface got no reply")
+	}
+	if n := dispatched.Load(); n != 1 {
+		t.Fatalf("dispatched %d requests behind the DWP2 preface, want 1", n)
 	}
 }
 
@@ -470,6 +537,21 @@ func TestDialTimeoutBoundsBlackholedDial(t *testing.T) {
 }
 
 func TestIsPeerFailureClassification(t *testing.T) {
+	// A caller that cancels while the dial is still pending gets an error
+	// wrapping its own ctx.Err(), not COMM_FAILURE.
+	stalled := func(ctx context.Context, network, addr string) (net.Conn, error) {
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	o := New(WithDialer(stalled))
+	defer o.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	dialCancelled := o.Invoke(ctx, ObjRef{Addr: "10.255.255.1:9", Key: "k"}, "m", struct{}{}, nil)
+	if !errors.Is(dialCancelled, context.Canceled) {
+		t.Fatalf("invoke cancelled mid-dial: %v, want an error wrapping context.Canceled", dialCancelled)
+	}
+
 	cases := []struct {
 		err  error
 		want bool
@@ -479,6 +561,7 @@ func TestIsPeerFailureClassification(t *testing.T) {
 		{fmt.Errorf("wrapped: %w", &RemoteError{Code: CodeComm, Msg: "x"}), true},
 		{context.DeadlineExceeded, true},
 		{context.Canceled, false}, // caller's choice, not the peer's fault
+		{dialCancelled, false},    // the same, while the dial was pending
 		{&RemoteError{Code: CodeNoMethod, Msg: "m"}, false},
 		{&RemoteError{Code: CodeApplication, Msg: "boom"}, false},
 		{&RemoteError{Code: CodeNoServant, Msg: "k"}, false},

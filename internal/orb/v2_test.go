@@ -5,10 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"discover/internal/wire"
 )
 
 // echoServant echoes args for "echo" and returns a caller-sized blob for
@@ -70,101 +74,102 @@ type rawEcho struct {
 	B string
 }
 
+// countingDialer dials TCP and records what crosses the client's
+// connections: how many were opened, each Write, and the bytes read.
+type countingDialer struct {
+	dials atomic.Int64
+	read  atomic.Int64
+	mu    sync.Mutex
+	wrote [][]byte // every client Write, in order
+}
+
+func (d *countingDialer) dial(ctx context.Context, network, addr string) (net.Conn, error) {
+	var nd net.Dialer
+	c, err := nd.DialContext(ctx, network, addr)
+	if err != nil {
+		return nil, err
+	}
+	d.dials.Add(1)
+	return &countingConn{Conn: c, d: d}, nil
+}
+
+func (d *countingDialer) writes() [][]byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return append([][]byte(nil), d.wrote...)
+}
+
+type countingConn struct {
+	net.Conn
+	d *countingDialer
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.d.read.Add(int64(n))
+	return n, err
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.d.mu.Lock()
+	c.d.wrote = append(c.d.wrote, append([]byte(nil), p...))
+	c.d.mu.Unlock()
+	return c.Conn.Write(p)
+}
+
 func TestV2Negotiation(t *testing.T) {
-	p := newV2Pair(t)
+	server := newV2ServerORB(t)
+	var d countingDialer
+	client := New(WithDialer(d.dial))
+	defer client.Close()
+	ref := server.Ref("obj")
+
 	var out rawEcho
-	if err := p.client.Invoke(context.Background(), p.ref, "echo",
+	if err := client.Invoke(context.Background(), ref, "echo",
 		rawEcho{A: 1, B: "x"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	st := p.client.Stats()
-	if st.V2Conns != 1 {
-		t.Fatalf("V2Conns = %d, want 1", st.V2Conns)
+	// No negotiation round trip: the first call is one Write carrying the
+	// preface and the REQUEST frame.
+	w := d.writes()
+	if len(w) != 1 || !bytes.HasPrefix(w[0], []byte(wireMagic)) {
+		t.Fatalf("first call wrote %d buffers, want 1 led by %q", len(w), wireMagic)
 	}
-	if st.BytesV2 == 0 {
-		t.Fatal("no v2 bytes counted after a v2 invocation")
+	if h, _, err := wire.ParseV2Header(w[0][len(wireMagic):]); err != nil || h.Type != wire.V2FrameRequest {
+		t.Fatalf("frame after the preface: %+v, %v", h, err)
+	}
+	st := client.Stats()
+	if st.Bytes == 0 {
+		t.Fatal("no bytes counted after an invocation")
 	}
 	// The gob args of the first call defined a descriptor; repeats hit it.
 	if st.InternDefs == 0 {
 		t.Fatal("no descriptor definitions counted")
 	}
 	for i := 0; i < 5; i++ {
-		if err := p.client.Invoke(context.Background(), p.ref, "echo",
+		if err := client.Invoke(context.Background(), ref, "echo",
 			rawEcho{A: i, B: "y"}, &out); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st2 := p.client.Stats()
+	st2 := client.Stats()
 	if st2.InternHits < 4 {
 		t.Fatalf("InternHits = %d after repeated same-type calls", st2.InternHits)
 	}
 	// Interning must shrink repeat requests: later identical calls cost
 	// fewer bytes than the first (which shipped the descriptor + target).
-	perCall := (st2.BytesV2 - st.BytesV2) / 5
-	if perCall >= st.BytesV2 {
-		t.Fatalf("repeat call bytes %d not below first-call bytes %d", perCall, st.BytesV2)
+	perCall := (st2.Bytes - st.Bytes) / 5
+	if perCall >= st.Bytes {
+		t.Fatalf("repeat call bytes %d not below first-call bytes %d", perCall, st.Bytes)
 	}
-}
-
-func TestV2FallbackToLegacyPeer(t *testing.T) {
-	server := newV2ServerORB(t)
-	server.SetWireV2(false) // a pre-v2 peer: hello hits OBJECT_NOT_EXIST
-	client := New()
-	defer client.Close()
-
-	var out rawEcho
-	if err := client.Invoke(context.Background(), server.Ref("obj"), "echo",
-		rawEcho{A: 7, B: "legacy"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.A != 7 {
-		t.Fatalf("echo over v1 fallback: %+v", out)
-	}
-	st := client.Stats()
-	if st.V2Conns != 0 {
-		t.Fatalf("V2Conns = %d against a legacy peer", st.V2Conns)
-	}
-	if st.BytesV1 == 0 || st.BytesV2 != 0 {
-		t.Fatalf("byte accounting: v1=%d v2=%d", st.BytesV1, st.BytesV2)
-	}
-	if !client.knownLegacy(server.Addr()) {
-		t.Fatal("failed probe not cached")
-	}
-	// More invocations must not re-probe (stay on v1, keep working).
-	for i := 0; i < 3; i++ {
-		if err := client.Invoke(context.Background(), server.Ref("obj"), "echo",
-			rawEcho{A: i}, &out); err != nil {
-			t.Fatal(err)
+	w = d.writes()
+	for i, b := range w[1:] {
+		if bytes.HasPrefix(b, []byte(wireMagic)) {
+			t.Fatalf("write %d repeats the connection preface", i+1)
 		}
 	}
-	// DropConn clears the verdict: an upgraded peer gets probed afresh.
-	client.DropConn(server.Addr())
-	if client.knownLegacy(server.Addr()) {
-		t.Fatal("DropConn kept the legacy verdict")
-	}
-	server.SetWireV2(true)
-	if err := client.Invoke(context.Background(), server.Ref("obj"), "echo",
-		rawEcho{A: 9}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if client.Stats().V2Conns != 1 {
-		t.Fatal("upgraded peer not re-negotiated to v2")
-	}
-}
-
-func TestV2DisabledClient(t *testing.T) {
-	server := newV2ServerORB(t)
-	client := New()
-	defer client.Close()
-	client.SetWireV2(false) // client kill switch: no probe at all
-
-	var out rawEcho
-	if err := client.Invoke(context.Background(), server.Ref("obj"), "echo",
-		rawEcho{A: 3}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if st := client.Stats(); st.V2Conns != 0 || st.BytesV2 != 0 {
-		t.Fatalf("disabled client still spoke v2: %+v", st)
+	if n := d.dials.Load(); n != 1 {
+		t.Fatalf("%d connections dialed, want 1", n)
 	}
 }
 
@@ -192,33 +197,35 @@ func TestV2ChunkedReply(t *testing.T) {
 }
 
 func TestV2BulkCompression(t *testing.T) {
-	p := newV2Pair(t)
-	probe := New()
-	defer probe.Close()
+	server := newV2ServerORB(t)
+	ref := server.Ref("obj")
+	// Reply bytes are counted as the client reads them: by the time
+	// Invoke returns, the client has read the whole reply.
+	var plainD, bulkD countingDialer
+	plain := New(WithDialer(plainD.dial))
+	defer plain.Close()
+	bulk := New(WithDialer(bulkD.dial))
+	defer bulk.Close()
 
 	// The same highly compressible reply with and without WithBulk.
 	var plainOut, bulkOut []byte
-	if err := probe.Invoke(context.Background(), p.ref, "text", []byte("2000"), &plainOut); err != nil {
+	if err := plain.Invoke(context.Background(), ref, "text", []byte("2000"), &plainOut); err != nil {
 		t.Fatal(err)
 	}
-	plainBytes := serverV2Bytes(p.server)
-	if err := p.client.Invoke(WithBulk(context.Background()), p.ref, "text", []byte("2000"), &bulkOut); err != nil {
+	if err := bulk.Invoke(WithBulk(context.Background()), ref, "text", []byte("2000"), &bulkOut); err != nil {
 		t.Fatal(err)
 	}
-	bulkBytes := serverV2Bytes(p.server) - plainBytes
 	if !bytes.Equal(plainOut, bulkOut) {
 		t.Fatal("bulk reply differs from plain reply")
 	}
-	if p.server.Stats().Compressed == 0 {
+	if server.Stats().Compressed == 0 {
 		t.Fatal("bulk reply was not compressed")
 	}
+	plainBytes, bulkBytes := plainD.read.Load(), bulkD.read.Load()
 	if bulkBytes*2 > plainBytes {
 		t.Fatalf("compressed reply %d bytes vs plain %d: expected <50%%", bulkBytes, plainBytes)
 	}
 }
-
-// serverV2Bytes reads the server ORB's cumulative v2 bytes written.
-func serverV2Bytes(o *ORB) uint64 { return o.Stats().BytesV2 }
 
 func TestV2CancelMidStreamDoesNotWedgeConnection(t *testing.T) {
 	p := newV2Pair(t)
@@ -260,16 +267,13 @@ func TestV2TraceTrailerPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pc.v2 {
-		t.Fatal("pooled connection did not negotiate v2")
-	}
 	args, _ := Marshal(rawEcho{A: 2})
 	_, meta, err := pc.roundTrip(ctx, "obj", "echo", args, 0xDEC0DE)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta.Trace != 0xDEC0DE {
-		t.Fatalf("trace trailer not echoed over v2: %x", meta.Trace)
+		t.Fatalf("trace trailer not echoed: %x", meta.Trace)
 	}
 }
 
@@ -277,9 +281,17 @@ func TestV2TraceTrailerPropagates(t *testing.T) {
 // echoes, large streamed blobs, bulk compressed texts, oneways — over one
 // pooled connection under the race detector.
 func TestV2PipeliningHammer(t *testing.T) {
-	p := newV2Pair(t)
+	server := newV2ServerORB(t)
+	var d countingDialer
+	client := New(WithDialer(d.dial))
+	defer client.Close()
+	p := v2pair{client: client, server: server, ref: server.Ref("obj")}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
+	// One call first pools the connection the workers then share.
+	if err := p.client.Invoke(ctx, p.ref, "echo", rawEcho{}, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	const workers = 8
 	var wg sync.WaitGroup
@@ -331,32 +343,33 @@ func TestV2PipeliningHammer(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// Everything above multiplexed over exactly one negotiated connection.
-	if st := p.client.Stats(); st.V2Conns != 1 {
-		t.Fatalf("V2Conns = %d, want 1", st.V2Conns)
+	// Everything above multiplexed over exactly one connection.
+	if n := d.dials.Load(); n != 1 {
+		t.Fatalf("%d connections dialed, want 1", n)
 	}
 }
 
+// TestV2OnewayBatchAndInterning sends a burst of same-typed oneways and
+// checks that all but the first reuse the interned target and
+// descriptor, one frame per Write.
 func TestV2OnewayBatchAndInterning(t *testing.T) {
 	p := newV2Pair(t)
 	ctx := context.Background()
-	ins := make([]any, 16)
-	for i := range ins {
-		ins[i] = rawEcho{A: i, B: "batch"}
+	for i := 0; i < 16; i++ {
+		if err := p.client.InvokeOneway(ctx, p.ref, "echo", rawEcho{A: i, B: "batch"}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.client.InvokeOnewayBatch(ctx, p.ref, "echo", ins); err != nil {
-		t.Fatal(err)
-	}
-	// Round trip after the batch proves FIFO delivery and a live conn.
+	// Round trip after the burst proves a live conn.
 	var out rawEcho
 	if err := p.client.Invoke(ctx, p.ref, "echo", rawEcho{A: -1}, &out); err != nil {
 		t.Fatal(err)
 	}
 	st := p.client.Stats()
 	if st.InternHits < 14 {
-		t.Fatalf("batch did not hit the descriptor table: hits=%d", st.InternHits)
+		t.Fatalf("burst did not hit the descriptor table: hits=%d", st.InternHits)
 	}
-	if st.Writes > 3 {
-		t.Fatalf("batch coalescing regressed: %d writes", st.Writes)
+	if st.Writes != 17 {
+		t.Fatalf("%d writes for 17 requests", st.Writes)
 	}
 }

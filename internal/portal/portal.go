@@ -14,7 +14,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptrace"
 	"net/url"
 	"strconv"
 	"strings"
@@ -46,6 +48,18 @@ type Client struct {
 	pumpDone  chan struct{}
 	streaming bool // delivery is currently riding an open SSE stream
 
+	// Own responses that arrive before their WaitResponse (see dispatch),
+	// also guarded by pumpMu.
+	commands   int                  // Command calls whose POST has not returned
+	issued     map[uint64]time.Time // seq -> when Command returned it, until waited for
+	early      []earlyResponse      // held responses, oldest first
+	earlyTimer *time.Timer          // flushes held responses nobody claimed
+
+	// eventMu serializes onEvent calls from the pump and the early-
+	// response timer. It guards no other state and is never taken while
+	// pumpMu or mu is held.
+	eventMu sync.Mutex
+
 	lastEventID atomic.Uint64 // newest SSE id processed (resume token)
 }
 
@@ -63,6 +77,7 @@ func New(baseURL string, opts ...Option) *Client {
 		base:    baseURL,
 		hc:      http.DefaultClient,
 		pending: make(map[uint64]chan *wire.Message),
+		issued:  make(map[uint64]time.Time),
 	}
 	for _, o := range opts {
 		o(c)
@@ -220,12 +235,19 @@ func (c *Client) get(ctx context.Context, path string, out any) error {
 	return c.do(req, out)
 }
 
+// maxDrain bounds how much of an unread response body do discards so the
+// connection can go back to the keep-alive pool.
+const maxDrain = 64 << 10
+
 func (c *Client) do(req *http.Request, out any) error {
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(req)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxDrain))
+		resp.Body.Close()
+	}()
 	if resp.StatusCode/100 != 2 {
 		return decodeAPIError(resp)
 	}
@@ -233,6 +255,35 @@ func (c *Client) do(req *http.Request, out any) error {
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 	return nil
+}
+
+// send issues req once more on a fresh connection when it failed on a
+// reused keep-alive connection before any response byte arrived. That is
+// how a server closing an idle connection just as the request goes out
+// shows, and the HTTP client retries only idempotent requests by itself.
+// The same rule covers every method, as browsers apply it to POST.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
+	var reused, answered atomic.Bool
+	trace := &httptrace.ClientTrace{
+		GotConn:              func(i httptrace.GotConnInfo) { reused.Store(i.Reused) },
+		GotFirstResponseByte: func() { answered.Store(true) },
+	}
+	resp, err := c.hc.Do(req.WithContext(httptrace.WithClientTrace(req.Context(), trace)))
+	if err == nil || !reused.Load() || answered.Load() || req.Context().Err() != nil {
+		return resp, err
+	}
+	retry := req.Clone(req.Context())
+	if req.Body != nil && req.Body != http.NoBody {
+		if req.GetBody == nil {
+			return nil, err // the body is spent and cannot be sent again
+		}
+		body, berr := req.GetBody()
+		if berr != nil {
+			return nil, err
+		}
+		retry.Body = body
+	}
+	return c.hc.Do(retry)
 }
 
 // ClientID returns the server-assigned client id ("" before Login).
@@ -348,12 +399,34 @@ func (c *Client) DisconnectApp(ctx context.Context) error {
 }
 
 // Command submits a command; the response arrives asynchronously (see
-// WaitResponse or the pump). It returns the command sequence number.
+// WaitResponse or the pump). It returns the command sequence number. A
+// response nobody waits for reaches onEvent at most earlyGrace after
+// Command returns (see dispatch).
 func (c *Client) Command(ctx context.Context, op string, params map[string]string) (uint64, error) {
+	c.pumpMu.Lock()
+	c.commands++
+	c.pumpMu.Unlock()
 	var cr server.CommandResponse
 	err := c.post(ctx, "/api/v1/command", server.CommandRequest{
 		ClientID: c.ClientID(), Op: op, Params: params,
 	}, &cr)
+	now := time.Now()
+	c.pumpMu.Lock()
+	c.commands--
+	for seq, at := range c.issued {
+		if now.Sub(at) >= earlyMaxHold {
+			delete(c.issued, seq)
+		}
+	}
+	if err == nil && c.pumping {
+		c.issued[cr.Seq] = now
+	}
+	if len(c.early) > 0 {
+		// Held responses this command was the last hope for go to
+		// onEvent from the timer, not from the caller's goroutine.
+		c.armEarlyTimer(0)
+	}
+	c.pumpMu.Unlock()
 	return cr.Seq, err
 }
 
@@ -481,7 +554,9 @@ func (c *Client) Users(ctx context.Context) ([]string, error) {
 // StartPump begins background polling. Responses and errors matching a
 // WaitResponse call wake that caller; everything else (updates, chat,
 // whiteboard, events, unsolicited responses) goes to onEvent (which may
-// be nil). Safe to call once per client.
+// be nil). onEvent calls never overlap, but a response held for a
+// WaitResponse that never came reaches onEvent from a timer goroutine
+// (see dispatch). Safe to call once per client.
 func (c *Client) StartPump(onEvent func(*wire.Message)) {
 	c.pumpMu.Lock()
 	defer c.pumpMu.Unlock()
@@ -508,6 +583,17 @@ func (c *Client) StopPump() {
 	c.pumpMu.Unlock()
 	close(stop)
 	<-done
+	// Nothing can claim a held response once the pump is gone.
+	c.pumpMu.Lock()
+	held := c.early
+	c.early = nil
+	if c.earlyTimer != nil {
+		c.earlyTimer.Stop()
+	}
+	c.pumpMu.Unlock()
+	for _, e := range held {
+		c.deliver(e.m)
+	}
 }
 
 func (c *Client) pumpLoop(stop, done chan struct{}) {
@@ -705,34 +791,145 @@ func (c *Client) streamOnce(stop chan struct{}, lastID *uint64) (delivered, retr
 	return delivered, true, 0
 }
 
+// An own response with no WaitResponse registered is held while one may
+// still come: for earlyGrace after Command returned its seq, which covers
+// the moment between Command and WaitResponse, or while a Command whose
+// seq is not known yet is in flight, but never longer than earlyMaxHold.
+// At most earlyMax responses are held.
+const (
+	earlyGrace   = 20 * time.Millisecond
+	earlyMaxHold = time.Second
+	earlyMax     = 64
+)
+
+// earlyResponse is an own response that arrived with no WaitResponse
+// registered for it.
+type earlyResponse struct {
+	m  *wire.Message
+	at time.Time
+}
+
+// dispatch routes one pumped message. A response or error for this
+// client goes to the WaitResponse registered for its seq. With none
+// registered, it is held while a WaitResponse may still come for it (see
+// earlyGrace), so a response that outruns Command's return is not lost
+// to onEvent. Everything else, and every held response nobody claims in
+// time, goes to onEvent.
 func (c *Client) dispatch(m *wire.Message) {
-	if m.Kind == wire.KindResponse || m.Kind == wire.KindError {
+	if (m.Kind == wire.KindResponse || m.Kind == wire.KindError) && m.Client == c.ClientID() {
+		now := time.Now()
 		c.pumpMu.Lock()
-		ch, ok := c.pending[m.Seq]
-		if ok && m.Client == c.clientID {
+		if ch, ok := c.pending[m.Seq]; ok {
 			delete(c.pending, m.Seq)
 			c.pumpMu.Unlock()
 			ch <- m
 			return
 		}
+		if _, wait := c.holdUntil(m.Seq, now, now); wait {
+			var evicted []*wire.Message
+			if len(c.early) == earlyMax {
+				evicted = append(evicted, c.early[0].m)
+				c.early = c.early[1:]
+			}
+			c.early = append(c.early, earlyResponse{m: m, at: now})
+			c.armEarlyTimer(0)
+			c.pumpMu.Unlock()
+			c.deliver(evicted...)
+			return
+		}
 		c.pumpMu.Unlock()
+	}
+	c.deliver(m)
+}
+
+// deliver hands messages to onEvent, one call at a time.
+func (c *Client) deliver(ms ...*wire.Message) {
+	if len(ms) == 0 {
+		return
 	}
 	c.pumpMu.Lock()
 	h := c.onEvent
 	c.pumpMu.Unlock()
-	if h != nil {
+	if h == nil {
+		return
+	}
+	c.eventMu.Lock()
+	defer c.eventMu.Unlock()
+	for _, m := range ms {
 		h(m)
 	}
 }
 
+// armEarlyTimer schedules flushEarly after d. Callers hold pumpMu.
+func (c *Client) armEarlyTimer(d time.Duration) {
+	if c.earlyTimer == nil {
+		c.earlyTimer = time.AfterFunc(d, c.flushEarly)
+		return
+	}
+	c.earlyTimer.Reset(d)
+}
+
+// holdUntil reports whether a WaitResponse may still claim the response
+// to seq that arrived at arrived, and until when it may. Callers hold
+// pumpMu.
+func (c *Client) holdUntil(seq uint64, arrived, now time.Time) (time.Time, bool) {
+	until := arrived.Add(earlyMaxHold)
+	if at, ok := c.issued[seq]; ok {
+		if g := at.Add(earlyGrace); g.Before(until) {
+			until = g
+		}
+	} else if c.commands == 0 {
+		return time.Time{}, false // no Command can still return this seq
+	}
+	return until, now.Before(until)
+}
+
+// flushEarly delivers to onEvent the held responses no WaitResponse can
+// claim any more, and rearms itself for the next one still held to
+// expire.
+func (c *Client) flushEarly() {
+	now := time.Now()
+	var unclaimed []*wire.Message
+	var next time.Time
+	c.pumpMu.Lock()
+	keep := c.early[:0]
+	for _, e := range c.early {
+		until, wait := c.holdUntil(e.m.Seq, e.at, now)
+		if !wait {
+			unclaimed = append(unclaimed, e.m)
+			continue
+		}
+		keep = append(keep, e)
+		if next.IsZero() || until.Before(next) {
+			next = until
+		}
+	}
+	clear(c.early[len(keep):])
+	c.early = keep
+	if len(c.early) > 0 {
+		c.armEarlyTimer(next.Sub(now))
+	}
+	c.pumpMu.Unlock()
+	c.deliver(unclaimed...)
+}
+
 // WaitResponse blocks until the response to command seq arrives via the
-// pump (StartPump must be active).
+// pump (StartPump must be active). A response that arrived between
+// Command and WaitResponse is returned at once.
 func (c *Client) WaitResponse(ctx context.Context, seq uint64) (*wire.Message, error) {
 	ch := make(chan *wire.Message, 1)
 	c.pumpMu.Lock()
 	if !c.pumping {
 		c.pumpMu.Unlock()
 		return nil, fmt.Errorf("portal: WaitResponse requires StartPump")
+	}
+	delete(c.issued, seq)
+	for i, e := range c.early {
+		if e.m.Seq == seq {
+			c.early = append(c.early[:i], c.early[i+1:]...)
+			c.pumpMu.Unlock()
+			return e.m, nil
+		}
 	}
 	c.pending[seq] = ch
 	c.pumpMu.Unlock()

@@ -1,11 +1,17 @@
 package portal
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -619,4 +625,186 @@ func TestPortalStreamReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	recv("after")
+}
+
+// holdingTransport holds each command POST's reply until the poll pump
+// has fetched the command's response and dispatched it: the pump's next
+// poll request after the reply that carried the response proves the
+// dispatch finished. Command therefore returns only after its response
+// was dispatched — the order that used to send the response to onEvent
+// and leave Do waiting out its deadline.
+type holdingTransport struct {
+	mu       sync.Mutex
+	seen     map[uint64]bool // response seqs poll replies carried
+	carried  bool            // a poll reply carried the held command's response
+	want     uint64          // seq of the held command
+	released chan struct{}   // closed on the first poll after carried
+}
+
+func (h *holdingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	poll := strings.HasSuffix(req.URL.Path, "/poll")
+	if poll {
+		h.mu.Lock()
+		if h.carried && h.released != nil {
+			close(h.released)
+			h.released = nil
+		}
+		h.mu.Unlock()
+	}
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	switch {
+	case poll:
+		var pr server.PollResponse
+		json.Unmarshal(body, &pr)
+		h.mu.Lock()
+		for _, m := range pr.Messages {
+			if m.Kind == wire.KindResponse {
+				h.seen[m.Seq] = true
+				h.carried = h.carried || m.Seq == h.want
+			}
+		}
+		h.mu.Unlock()
+	case strings.HasSuffix(req.URL.Path, "/command"):
+		var cr server.CommandResponse
+		json.Unmarshal(body, &cr)
+		released := make(chan struct{})
+		h.mu.Lock()
+		h.want, h.carried, h.released = cr.Seq, h.seen[cr.Seq], released
+		h.mu.Unlock()
+		select {
+		case <-released:
+		case <-time.After(10 * time.Second):
+			return nil, errors.New("the pump never dispatched the command's response")
+		}
+	}
+	return resp, nil
+}
+
+// TestDoClaimsResponseBeforeCommandReturns forces a command's response
+// to be dispatched before Command returns: Do must still get it, and
+// onEvent must not. A response nobody waits for still reaches onEvent,
+// and promptly.
+func TestDoClaimsResponseBeforeCommandReturns(t *testing.T) {
+	env := newEnv(t)
+	ctx := context.Background()
+	c := New(env.base, WithHTTPClient(&http.Client{Transport: &holdingTransport{seen: map[uint64]bool{}}}))
+	if err := c.Login(ctx, "alice", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ConnectApp(ctx, env.appID); err != nil {
+		t.Fatal(err)
+	}
+	events := make(chan *wire.Message, 64)
+	c.StartPump(func(m *wire.Message) {
+		if m.Kind == wire.KindResponse {
+			events <- m
+		}
+	})
+	defer c.StopPump()
+
+	wctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	resp, err := c.Do(wctx, "status", nil)
+	if err != nil || resp.Kind != wire.KindResponse {
+		t.Fatalf("Do = %v, %v", resp, err)
+	}
+	seq, err := c.Command(ctx, "status", nil) // nobody waits for this one
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := time.Now()
+	select {
+	case m := <-events:
+		if m.Seq != seq {
+			t.Fatalf("onEvent got response %d, want only the unwaited %d (Do's was %d)", m.Seq, seq, resp.Seq)
+		}
+		if d := time.Since(returned); d > 100*time.Millisecond {
+			t.Fatalf("the unwaited response reached onEvent %v after Command returned", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the response nobody waited for never reached onEvent")
+	}
+}
+
+// TestPortalRetriesStaleKeepAlive cuts the client's idle keep-alive
+// connection: the next POST fails on it before any response byte, is
+// sent once more on a fresh connection, and runs exactly once.
+func TestPortalRetriesStaleKeepAlive(t *testing.T) {
+	env := newEnv(t)
+	var chats atomic.Int32
+	h := env.srv.HTTPHandler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/chat") {
+			chats.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ctx := context.Background()
+	c := New(ts.URL, WithHTTPClient(&http.Client{Transport: &http.Transport{}}))
+	if err := c.Login(ctx, "alice", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ConnectApp(ctx, env.appID); err != nil {
+		t.Fatal(err)
+	}
+	ts.CloseClientConnections()
+	if err := c.Chat(ctx, "after the cut"); err != nil {
+		t.Fatalf("Chat on a cut keep-alive connection: %v", err)
+	}
+	if n := chats.Load(); n != 1 {
+		t.Fatalf("the server ran the chat %d times, want 1", n)
+	}
+}
+
+// TestPortalKeepAlive checks that sequential calls whose responses are
+// not decoded still reuse one TCP connection.
+func TestPortalKeepAlive(t *testing.T) {
+	env := newEnv(t)
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(env.srv.HTTPHandler())
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+
+	ctx := context.Background()
+	c := New(ts.URL, WithHTTPClient(&http.Client{Transport: &http.Transport{}}))
+	if err := c.Login(ctx, "alice", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ConnectApp(ctx, env.appID); err != nil {
+		t.Fatal(err)
+	}
+	const n = 10
+	for i := 0; i < n; i++ {
+		if err := c.Chat(ctx, "hello"); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Whiteboard(ctx, []byte{1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.DisconnectApp(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Logout(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := conns.Load(); got != 1 {
+		t.Fatalf("%d sequential calls opened %d connections, want 1", 2*n+4, got)
+	}
 }

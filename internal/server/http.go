@@ -426,19 +426,17 @@ type RelayStats struct {
 	Failures    uint64 `json:"failures"`
 }
 
-// WireStats aggregates the substrate ORB's wire-level counters. Writes
-// below Invocations+Oneways means frame coalescing is saving syscalls;
-// the v2 block shows protocol-v2 adoption (negotiated connections,
-// per-version bytes, descriptor-cache effectiveness, compressed frames).
+// WireStats aggregates the substrate ORB's wire-level counters: requests
+// sent and what they cost in write syscalls and bytes, replies served,
+// total bytes written in both roles, descriptor-cache effectiveness and
+// compressed frames.
 type WireStats struct {
 	Invocations uint64 `json:"invocations"`
 	Oneways     uint64 `json:"oneways"`
 	Writes      uint64 `json:"writes"`
 	BytesOut    uint64 `json:"bytesOut"`
 	Replies     uint64 `json:"replies"`
-	V2Conns     uint64 `json:"v2Conns"`
-	BytesV1     uint64 `json:"bytesV1"`
-	BytesV2     uint64 `json:"bytesV2"`
+	Bytes       uint64 `json:"bytes"`
 	InternDefs  uint64 `json:"internDefs"`
 	InternHits  uint64 `json:"internHits"`
 	Compressed  uint64 `json:"compressed"`

@@ -1,14 +1,14 @@
 package wire
 
-// Descriptor interning: the v2 answer to gob re-shipping type descriptors
-// on every message.
+// Descriptor interning: the ORB protocol's answer to gob re-shipping type
+// descriptors on every message.
 //
 // A gob-encoded value is a self-contained stream: zero or more type-
 // descriptor segments followed by exactly one value segment. The
 // descriptor segments depend only on the Go type, so on a long-lived
 // connection they are pure repetition — for the small control messages
 // that dominate DISCOVER's inter-server traffic they are most of the
-// bytes. v2 splits each encoded value at the descriptor/value boundary:
+// bytes. The protocol splits each encoded value at the descriptor/value boundary:
 // the first value of a given descriptor prefix travels whole and defines
 // a varint id for the prefix (DEF); every later value with the same
 // prefix travels as the id plus the value segment alone (REF), and the
@@ -20,8 +20,8 @@ package wire
 // Splitting requires walking gob's low-level message framing (byte count,
 // then a signed type id — negative ids introduce descriptors, the single
 // positive id introduces the value). Nothing inside segments is parsed,
-// and a payload that does not split cleanly simply travels raw, so the
-// scheme degrades to v1 behaviour rather than failing.
+// and a payload that does not split cleanly simply travels raw, whole and
+// self-describing, rather than failing.
 
 import (
 	"errors"

@@ -6,14 +6,10 @@ import "encoding/binary"
 // after its fixed fields: the sampled-request trace id and, on replies,
 // the remote servant's dispatch time.
 //
-// The block rides as a *trailer* so that it is backward compatible by
-// construction: the seed protocol's decoders parse a frame's fixed fields
-// by offset and ignore any bytes that follow, so a legacy peer that
-// receives a trailer-bearing frame simply never sees it. Negotiation is
-// implicit and per-request — a servant echoes trace metadata only when the
-// request carried it, and a caller that gets a meta-less reply to a
-// meta-bearing request knows the peer is legacy and folds servant time
-// into its RPC span.
+// The block rides as a *trailer* after a payload's fixed fields, and only
+// on sampled requests: an untraced request carries no trailer and costs
+// nothing. A servant echoes trace metadata only when the request carried
+// it.
 type TraceMeta struct {
 	Trace        uint64 // trace id; 0 means "no metadata"
 	ServantNanos uint64 // remote dispatch time, replies only
@@ -41,7 +37,7 @@ func AppendTraceMeta(dst []byte, m TraceMeta) []byte {
 
 // ParseTraceMeta reads a trailer from rest, the unparsed bytes that remain
 // after a frame's fixed fields. ok is false when no (or an unrecognized)
-// trailer is present — the legacy-peer case.
+// trailer is present.
 func ParseTraceMeta(rest []byte) (TraceMeta, bool) {
 	if len(rest) < traceMetaLen ||
 		string(rest[:4]) != traceMetaMagic || rest[4] != traceMetaVersion {

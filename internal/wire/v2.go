@@ -1,20 +1,19 @@
 package wire
 
-// Protocol v2 framing: the varint-packed, multiplexed frame layer the ORB
-// switches a connection to after a successful version handshake. WIRE.md
-// is the normative specification; the constants and byte layouts here are
-// cross-checked against its tables by scripts/wiredrift.
+// ORB protocol framing (version 2, preface "DWP2"): the varint-packed,
+// multiplexed frame layer every ORB connection speaks after its 4-byte
+// preface. WIRE.md is the normative specification; the constants and
+// byte layouts here are cross-checked against its tables by
+// scripts/wiredrift.
 //
-// A v2 frame is
+// A frame is
 //
 //	type(uint8) flags(uint8) stream(uvarint) length(uvarint) payload
 //
-// where stream identifies the request the frame belongs to (the v1
-// request id becomes the v2 stream id) and length counts payload bytes.
-// Compared with the v1 framing (fixed 4-byte big-endian length prefix,
-// one frame per message, no interleaving), v2 headers cost 4-6 bytes for
-// small frames and, because replies may be split into CHUNK frames,
-// several streams can interleave on one connection.
+// where stream identifies the request the frame belongs to (the request
+// id) and length counts payload bytes. Headers cost 4-6 bytes for small
+// frames and, because replies may be split into CHUNK frames, several
+// streams can interleave on one connection.
 
 import (
 	"bufio"
@@ -69,8 +68,9 @@ const (
 	v2FlagAll = V2FlagCompressed | V2FlagOneway | V2FlagBulk
 )
 
-// v2 sizing. MaxFrameSize carries over from v1 and bounds a single
-// payload; the stream constants bound the new multiplexing machinery.
+// v2 sizing. MaxFrameSize bounds a single payload, as on the
+// length-prefixed channels; the stream constants bound the multiplexing
+// machinery.
 const (
 	// V2ChunkSize is the slice size for streamed reply bodies: a reply
 	// body larger than this leaves the server as CHUNK frames so other
@@ -85,7 +85,7 @@ const (
 	V2StreamWindow = 256 << 10
 
 	// MaxStreamBody bounds one reassembled streamed body, mirroring the
-	// v1 per-frame bound.
+	// per-frame bound.
 	MaxStreamBody = MaxFrameSize
 
 	// MaxConnStreamBudget bounds the total bytes a connection may hold

@@ -1,8 +1,8 @@
-// Package wire defines the message envelope, codecs, and both wire
-// protocol generations shared by every DISCOVER communication channel.
-// WIRE.md at the repository root is the normative byte-level
-// specification of everything here; scripts/wiredrift cross-checks its
-// tables against this package's constants.
+// Package wire defines the message envelope, codecs and framing shared
+// by every DISCOVER communication channel. WIRE.md at the repository root
+// is the normative byte-level specification of everything here;
+// scripts/wiredrift cross-checks its tables against this package's
+// constants.
 //
 // The original DISCOVER prototype shipped serialized Java objects and let
 // clients discriminate message types with reflection. Here the envelope is
@@ -14,21 +14,15 @@
 //   - BinaryCodec, the analogue of the paper's "more optimized, custom
 //     protocol using TCP sockets" (compact, hand-rolled field encoding).
 //
-// # Protocol v1
+// # Two framings for two channels
 //
-// v1 frames a stream with a fixed 4-byte big-endian length prefix
-// (WriteFrame, ReadFrame, Conn) and carries one complete message per
-// frame. Inter-server request/reply payloads are gob-encoded per call,
-// which re-ships type descriptors on every message — the dominant cost
-// for the small control messages that make up most federation traffic.
-// An optional TraceMeta trailer ("DTRC") rides after any payload; see
-// AppendTraceMeta and ParseTraceMeta.
+// The application↔server and client↔server channels frame a stream with
+// a fixed 4-byte big-endian length prefix (WriteFrame, ReadFrame, Conn)
+// and carry one complete message per frame.
 //
-// # Protocol v2
-//
-// v2 is negotiated per connection (the handshake lives in internal/orb;
-// this package supplies the mechanics) and replaces the framing and the
-// per-message descriptor cost:
+// The ORB's peer-to-peer protocol (internal/orb speaks it; this package
+// supplies the mechanics) is built for many small gob-encoded calls in
+// flight at once:
 //
 //   - Varint-packed frame headers carrying an explicit frame type and a
 //     stream id, so frames from concurrent requests interleave on one
@@ -43,9 +37,8 @@
 //     head-of-line-block small concurrent invocations.
 //   - Optional per-frame compression for bulk payloads (CompressPayload,
 //     DecompressPayload), flagged by V2FlagCompressed.
-//
-// The DTRC trailer carries over to v2 unchanged, as trailing bytes of
-// REQUEST, REPLY, and END payloads.
+//   - An optional TraceMeta trailer ("DTRC") after REQUEST, REPLY and END
+//     payloads; see AppendTraceMeta and ParseTraceMeta.
 package wire
 
 import (

@@ -1,13 +1,14 @@
 // Command wiredrift keeps WIRE.md honest. It extracts the wire-contract
 // constants from source:
 //
-//   - v2 frame types and flags from internal/wire/v2.go
+//   - frame types and flags from internal/wire/v2.go
 //     (`V2Frame... V2FrameType = 0x..`, `V2Flag... uint8 = 0x..`),
-//   - v1 message types, reply statuses and system error codes from
-//     internal/orb/proto.go (`msg... = N`, `reply... = N`,
-//     `Code... = "..."`),
-//   - v2 payload tags from internal/orb/proto2.go
-//     (`targetRef/targetDef = 0x..`, `blobRaw/blobDef/blobRef = 0x..`),
+//   - the connection preface, reply statuses, system error codes and
+//     payload tags from internal/orb/proto.go (`wireMagic = "..."`,
+//     `reply... = N`, `Code... = "..."`, `targetRef/targetDef = 0x..`,
+//     `blobRaw/blobDef/blobRef = 0x..`),
+//   - the trace trailer magic from internal/wire/meta.go
+//     (`traceMetaMagic = "..."`),
 //   - envelope response statuses from internal/wire/wire.go
 //     (`Status... int32 = N`) and the ordered Kind iota block,
 //
@@ -15,8 +16,7 @@
 // appear as a `| `value` | `ConstName` |` row with the matching value,
 // and every documented row must name a constant that exists in source
 // with that value. Drift in either direction fails, so the normative
-// spec cannot rot silently. The protocol magics ("DORB", "DWP2",
-// "DTRC") must also appear in the doc.
+// spec cannot rot silently.
 //
 // Usage: go run ./scripts/wiredrift [repo-root]   (default ".")
 package main
@@ -34,14 +34,14 @@ import (
 var (
 	frameRe  = regexp.MustCompile(`(V2Frame\w+)\s+V2FrameType = (0x[0-9a-fA-F]{2})`)
 	flagRe   = regexp.MustCompile(`(V2Flag\w+)\s+uint8\s*= (0x[0-9a-fA-F]{2})`)
-	msgRe    = regexp.MustCompile(`(?m)^\t(msg[A-Z]\w*)\s*= ([0-9]+)`)
+	magicRe  = regexp.MustCompile(`(?m)^(?:const |\t)(wireMagic|traceMetaMagic)\s*= "([^"]+)"`)
 	replyRe  = regexp.MustCompile(`(?m)^\t(reply[A-Z]\w*)\s*= ([0-9]+)`)
 	codeRe   = regexp.MustCompile(`(?m)^\t(Code\w+)\s*= "([^"]+)"`)
 	tagRe    = regexp.MustCompile(`(?m)^\t(targetRef|targetDef|blobRaw|blobDef|blobRef)\s*= (0x[0-9a-fA-F]{2})`)
 	statusRe = regexp.MustCompile(`(Status\w+)\s+int32 = ([0-9]+)`)
 	kindRe   = regexp.MustCompile(`(?m)^\t(Kind\w+|kindSentinel)`)
 	// Doc rows: | `value` | `ConstName` | ...
-	rowRe = regexp.MustCompile("(?m)^\\| `([^`]+)` \\| `((?:V2Frame|V2Flag|msg|reply|Code|Status|Kind|targetRef|targetDef|blobRaw|blobDef|blobRef)\\w*)` \\|")
+	rowRe = regexp.MustCompile("(?m)^\\| `([^`]+)` \\| `((?:V2Frame|V2Flag|wireMagic|traceMetaMagic|reply|Code|Status|Kind|targetRef|targetDef|blobRaw|blobDef|blobRef)\\w*)` \\|")
 )
 
 func main() {
@@ -51,8 +51,8 @@ func main() {
 	}
 	v2Src := mustRead(filepath.Join(root, "internal", "wire", "v2.go"))
 	wireSrc := mustRead(filepath.Join(root, "internal", "wire", "wire.go"))
+	metaSrc := mustRead(filepath.Join(root, "internal", "wire", "meta.go"))
 	protoSrc := mustRead(filepath.Join(root, "internal", "orb", "proto.go"))
-	proto2Src := mustRead(filepath.Join(root, "internal", "orb", "proto2.go"))
 	doc := mustRead(filepath.Join(root, "WIRE.md"))
 
 	// name -> normalized wire value, from source.
@@ -64,10 +64,11 @@ func main() {
 	}
 	collect(v2Src, frameRe)
 	collect(v2Src, flagRe)
-	collect(protoSrc, msgRe)
+	collect(protoSrc, magicRe)
+	collect(metaSrc, magicRe)
 	collect(protoSrc, replyRe)
 	collect(protoSrc, codeRe)
-	collect(proto2Src, tagRe)
+	collect(protoSrc, tagRe)
 	collect(wireSrc, statusRe)
 
 	// The Kind block assigns values by iota order; kindSentinel ends it
@@ -104,9 +105,9 @@ func main() {
 			drift = append(drift, fmt.Sprintf("documented constant missing from source: %s = %s", name, v))
 		}
 	}
-	for _, magic := range []string{"DORB", "DWP2", "DTRC"} {
-		if !strings.Contains(doc, magic) {
-			drift = append(drift, fmt.Sprintf("protocol magic %q not mentioned in WIRE.md", magic))
+	for _, magic := range []string{"wireMagic", "traceMetaMagic"} {
+		if _, ok := code[magic]; !ok {
+			drift = append(drift, fmt.Sprintf("protocol magic %s not found in source", magic))
 		}
 	}
 
