@@ -331,13 +331,15 @@ func (g *Group) Relays() []string {
 	return out
 }
 
-// snapshot returns the current member set.
-func (g *Group) snapshot() []*member {
+// snapshot returns copies of the current members: callers read their
+// mode and sub-group after the lock is released, while SetEnabled and
+// JoinSub keep writing the originals under it.
+func (g *Group) snapshot() []member {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]*member, 0, len(g.members))
+	out := make([]member, 0, len(g.members))
 	for _, m := range g.members {
-		out = append(out, m)
+		out = append(out, *m)
 	}
 	return out
 }

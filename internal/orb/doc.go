@@ -18,7 +18,13 @@
 //     which layered a minimal trader over the naming service.
 //
 // Argument marshalling uses encoding/gob, mirroring the prototype's use of
-// Java object serialization over IIOP.
+// Java object serialization over IIOP. Marshal and Unmarshal cache gob
+// engines per process: idle encoders by Go type and idle decoders by
+// descriptor prefix, each already past the type's descriptors, encode and
+// decode the value segment alone with the same bytes a new encoder writes.
+// Only static prefixes (wire.StaticGobPrefix) are cached, with 256 keys
+// per cache, prefixes up to 4 KiB, values up to 16 KiB and 4 idle engines
+// per key; anything else, and anything past the caps, takes a new engine.
 //
 // # Wire protocol
 //

@@ -6,10 +6,8 @@ package orb
 // the normative spec of both.
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -439,21 +437,4 @@ func WithBulk(ctx context.Context) context.Context {
 func IsBulk(ctx context.Context) bool {
 	b, _ := ctx.Value(bulkKey{}).(bool)
 	return b
-}
-
-// Marshal gob-encodes an invocation argument or result.
-func Marshal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("orb: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal gob-decodes an invocation argument or result.
-func Unmarshal(p []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(v); err != nil {
-		return fmt.Errorf("orb: unmarshal: %w", err)
-	}
-	return nil
 }

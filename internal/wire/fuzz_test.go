@@ -106,8 +106,9 @@ func FuzzV2Frame(f *testing.F) {
 	})
 }
 
-// FuzzSplitGobValue hardens the descriptor-boundary walk and the
-// receiver-side interning against hostile DEF payloads.
+// FuzzSplitGobValue hardens the descriptor-boundary walk, the interface
+// walk over descriptors and the receiver-side interning against hostile
+// DEF payloads.
 func FuzzSplitGobValue(f *testing.F) {
 	var buf bytes.Buffer
 	gob.NewEncoder(&buf).Encode(struct{ A int }{7})
@@ -120,6 +121,10 @@ func FuzzSplitGobValue(f *testing.F) {
 		descLen, err := SplitGobValue(data)
 		if err == nil && (descLen < 0 || descLen >= len(data)) {
 			t.Fatalf("descLen %d of %d accepted", descLen, len(data))
+		}
+		StaticGobPrefix(data) // must not panic regardless of input
+		if err == nil {
+			StaticGobPrefix(data[:descLen])
 		}
 		defs := NewInternDefs()
 		if derr := defs.Define(1, data); derr == nil {

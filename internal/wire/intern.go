@@ -115,6 +115,125 @@ func SplitGobValue(full []byte) (descLen int, err error) {
 	return 0, errGobSplit
 }
 
+// gobInterfaceID is the type id gob predefines for interface values.
+const gobInterfaceID = 8
+
+// wireTypeLayouts gives, for each field of gob's wireType in declaration
+// order (ArrayT, SliceT, StructT, MapT, GobEncoderT, BinaryMarshalerT,
+// TextMarshalerT), the fields of the struct it points to, one byte each:
+// c CommonType, t type id, n int, f []fieldType.
+var wireTypeLayouts = [...]string{"ctn", "ct", "cf", "ctt", "c", "c", "c"}
+
+// StaticGobPrefix reports whether a descriptor prefix (the bytes
+// SplitGobValue measures) names no interface type. Only an interface
+// value can carry type definitions inside a value segment, so a gob
+// decoder that has read a static prefix learns nothing more from the
+// value segments decoded against it, and an encoder that has sent it
+// writes each later value of that type exactly as a new encoder writes
+// its value segment. Anything that does not parse as descriptor
+// segments reports false.
+func StaticGobPrefix(prefix []byte) bool {
+	r := gobReader{b: prefix}
+	for len(r.b) > 0 {
+		cnt := r.uint()
+		if r.bad || cnt > uint64(len(r.b)) {
+			return false
+		}
+		seg := gobReader{b: r.b[:cnt]}
+		r.b = r.b[cnt:]
+		if seg.int() >= 0 || seg.bad {
+			return false
+		}
+		wireType := seg.fields(func(i int) bool {
+			return i < len(wireTypeLayouts) && seg.static(wireTypeLayouts[i])
+		})
+		if !wireType || len(seg.b) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// gobReader walks gob's low-level encoding; any malformed read sets bad
+// and yields zero.
+type gobReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *gobReader) uint() uint64 {
+	v, n, err := gobUint(r.b)
+	if err != nil {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *gobReader) int() int64 {
+	v, n, err := gobInt(r.b)
+	if err != nil {
+		r.bad = true
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// fields walks one struct encoding — field-number deltas, each followed
+// by its field, up to the zero terminator — handing each field number to
+// field, and reports whether every field was accepted.
+func (r *gobReader) fields(field func(i int) bool) bool {
+	i := -1
+	for {
+		d := r.uint()
+		switch {
+		case r.bad || d > uint64(len(wireTypeLayouts)):
+			return false
+		case d == 0:
+			return true
+		}
+		i += int(d)
+		if !field(i) {
+			return false
+		}
+	}
+}
+
+// static walks one struct with the given layout and reports whether it
+// is well formed and none of its type ids is the interface type.
+func (r *gobReader) static(layout string) bool {
+	return r.fields(func(i int) bool {
+		if i >= len(layout) {
+			return false
+		}
+		switch layout[i] {
+		case 'c':
+			return r.static("sn") // CommonType{Name, Id}
+		case 's':
+			if n := r.uint(); n > uint64(len(r.b)) {
+				r.bad = true
+			} else {
+				r.b = r.b[n:]
+			}
+		case 'n':
+			r.int()
+		case 't':
+			if r.int() == gobInterfaceID {
+				return false
+			}
+		case 'f':
+			for n := r.uint(); n > 0 && !r.bad; n-- {
+				if !r.static("st") { // fieldType{Name, Id}
+					return false
+				}
+			}
+		}
+		return !r.bad
+	})
+}
+
 // InternTable is the sender half of descriptor interning: it maps
 // descriptor prefixes to the ids this connection has assigned. One table
 // per connection and direction, guarded by the sender's write lock.

@@ -7,8 +7,10 @@ import (
 	"encoding/gob"
 	"errors"
 	"io"
+	"net/url"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestV2HeaderRoundTrip(t *testing.T) {
@@ -184,6 +186,50 @@ func TestSplitGobValue(t *testing.T) {
 		if _, err := SplitGobValue(b); err == nil {
 			t.Fatalf("accepted malformed stream %x", b)
 		}
+	}
+}
+
+type staticInner struct {
+	Name string
+	Next *staticInner
+}
+
+// TestStaticGobPrefix checks the interface walk over every wireType
+// shape: arrays, slices, structs, maps and GobEncoder/BinaryMarshaler
+// types are static; an interface anywhere, at any depth, is not.
+func TestStaticGobPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		v      any
+		static bool
+	}{
+		{internSmall{A: 1, B: "x"}, true},
+		{struct{ A [3]int32 }{}, true},
+		{struct{ M map[string][]byte }{M: map[string][]byte{"k": {1}}}, true},
+		{struct{ P *staticInner }{P: &staticInner{Name: "r", Next: &staticInner{}}}, true},
+		{struct{ T time.Time }{T: time.Unix(1, 2)}, true},
+		{struct{ U *url.URL }{U: &url.URL{Host: "h"}}, true},
+		{struct{ X any }{X: 1}, false},
+		{struct{ M map[string]any }{M: map[string]any{"k": 1}}, false},
+		{struct{ K map[any]int }{K: map[any]int{1: 1}}, false},
+		{struct{ L []any }{L: []any{"s"}}, false},
+		{struct{ A [2]any }{}, false},
+		{struct{ In struct{ Y []map[int]any } }{}, false},
+	} {
+		full := gobBytes(t, tc.v)
+		n, err := SplitGobValue(full)
+		if err != nil {
+			t.Fatalf("%T: %v", tc.v, err)
+		}
+		if got := StaticGobPrefix(full[:n]); got != tc.static {
+			t.Errorf("%T: StaticGobPrefix = %v, want %v", tc.v, got, tc.static)
+		}
+		// A prefix with its last segment cut short is malformed.
+		if StaticGobPrefix(full[:n-1]) {
+			t.Errorf("%T: truncated prefix reported static", tc.v)
+		}
+	}
+	if !StaticGobPrefix(nil) {
+		t.Error("empty prefix (predefined types) must be static")
 	}
 }
 

@@ -59,6 +59,13 @@ go test -race -count=1 -run 'TestGossipConvergenceSmoke|TestMergeConvergesUnderA
 go test -race -count=1 -run 'TestC1CollabChaos|TestCollabMergeConvergesUnderAnyOrder|TestChurnHammer|TestCollabAntiResurrectionGuard|TestCollabEvictionSplicesFromJournal|TestCollabSnapshotRestoreRoundtrip' \
     ./internal/experiments/ ./internal/collab/
 
+# Codec smoke: the ORB's process-wide gob engine caches — the
+# many-goroutine hammer, the differential fuzz seeds, byte identity and
+# the cap test — rerun uncached under the race detector; the hammer
+# exists for -race, and ten rounds give interleavings a chance to vary.
+go test -race -count=10 -run 'TestCodecHammer|FuzzUnmarshal|TestCodecByteIdentity|TestCodecCacheBound' \
+    ./internal/orb/
+
 # Durability smoke: the storage fuzz/property pair (WAL crash-point fuzz,
 # archive replay determinism) and the server kill-recover path rerun
 # uncached under the race detector.
