@@ -97,7 +97,8 @@ type Handler interface {
 	// new registration (serverIP:port#count in the DISCOVER scheme) and
 	// may reject the application.
 	AssignAppID(reg Registration) (string, error)
-	// AppRegistered fires once all three channels are attached.
+	// AppRegistered fires once all three channels are attached, before
+	// the application receives its final registration ack.
 	AppRegistered(ep *AppEndpoint)
 	// AppClosed fires when an application's channels shut down.
 	AppClosed(appID string, err error)
@@ -323,6 +324,11 @@ func (d *Daemon) attachChannel(wc *wire.Conn, hello *wire.Message) {
 	}
 	d.mu.Unlock()
 
+	// The handler runs before the final ack, so Dial returning means the
+	// application is registered and connectable.
+	if complete {
+		d.handler.AppRegistered(ep)
+	}
 	if err := wc.Send(&wire.Message{Kind: wire.KindRegisterAck, App: ep.id, Seq: hello.Seq}); err != nil {
 		ep.shutdown(err)
 		return
@@ -333,7 +339,6 @@ func (d *Daemon) attachChannel(wc *wire.Conn, hello *wire.Message) {
 			defer d.wg.Done()
 			ep.responseLoop()
 		}()
-		d.handler.AppRegistered(ep)
 	}
 }
 

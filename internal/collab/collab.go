@@ -10,7 +10,8 @@
 //
 // Groups can span servers: the middleware substrate joins a *relay member*
 // per peer server, so an update crosses the WAN once per server rather
-// than once per remote client — the traffic reduction of §5.2.3.
+// than once per remote client — the traffic reduction of §5.2.3 — and
+// not at all to a server with no present member.
 //
 // Group state (whiteboard, chat, membership) is a replicated CRDT op log
 // (see replog.go): every durable mutation is an immutable op keyed by
@@ -333,15 +334,28 @@ func (g *Group) Relays() []string {
 
 // snapshot returns copies of the current members: callers read their
 // mode and sub-group after the lock is released, while SetEnabled and
-// JoinSub keep writing the originals under it.
-func (g *Group) snapshot() []member {
+// JoinSub keep writing the originals under it. With listening set, relay
+// members of servers that have no present member in the converged
+// membership fold are left out.
+func (g *Group) snapshot(listening bool) []member {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	out := make([]member, 0, len(g.members))
 	for _, m := range g.members {
+		if listening && m.relay && g.log.present[m.id[len("relay/"):]] == 0 {
+			continue
+		}
 		out = append(out, *m)
 	}
 	return out
+}
+
+// Listening reports whether the named server has at least one present
+// member in the group's converged membership fold.
+func (g *Group) Listening(serverName string) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.log.present[serverName] > 0
 }
 
 // BroadcastUpdate delivers a global application update to every member:
@@ -349,8 +363,19 @@ func (g *Group) snapshot() []member {
 // private) and every relay. except suppresses one member (typically the
 // relay the message arrived from, to prevent echo).
 func (g *Group) BroadcastUpdate(m *wire.Message, except string) int {
+	return g.broadcast(g.snapshot(false), m, except)
+}
+
+// BroadcastToListeners is BroadcastUpdate for traffic that is not
+// replicated: it skips the relay of every server with no present member,
+// so an update crosses the WAN only to servers where someone listens.
+func (g *Group) BroadcastToListeners(m *wire.Message, except string) int {
+	return g.broadcast(g.snapshot(true), m, except)
+}
+
+func (g *Group) broadcast(members []member, m *wire.Message, except string) int {
 	n := 0
-	for _, mem := range g.snapshot() {
+	for _, mem := range members {
 		if mem.id == except {
 			continue
 		}
@@ -365,7 +390,7 @@ func (g *Group) BroadcastUpdate(m *wire.Message, except string) int {
 // which replicate between servers but are not client-visible traffic.
 func (g *Group) RelayBroadcast(m *wire.Message, exceptServer string) int {
 	n := 0
-	for _, mem := range g.snapshot() {
+	for _, mem := range g.snapshot(false) {
 		if !mem.relay || mem.id == "relay/"+exceptServer {
 			continue
 		}
@@ -377,8 +402,9 @@ func (g *Group) RelayBroadcast(m *wire.Message, exceptServer string) int {
 
 // ShareResponse delivers a client's command response. The requester
 // always receives it; if the requester has collaboration enabled it is
-// also broadcast to the requester's sub-group peers (enabled ones) and to
-// relays.
+// also broadcast to the requester's sub-group peers (enabled ones) and,
+// like BroadcastToListeners, to the relays of servers with a present
+// member.
 func (g *Group) ShareResponse(requester string, m *wire.Message) int {
 	g.mu.Lock()
 	req, ok := g.members[requester]
@@ -398,7 +424,7 @@ func (g *Group) ShareResponse(requester string, m *wire.Message) int {
 	if !share {
 		return n
 	}
-	for _, mem := range g.snapshot() {
+	for _, mem := range g.snapshot(true) {
 		if mem.id == requester {
 			continue
 		}
@@ -439,7 +465,7 @@ func (g *Group) ShareView(from string, m *wire.Message) int {
 		return 0
 	}
 	n := 0
-	for _, mem := range g.snapshot() {
+	for _, mem := range g.snapshot(false) {
 		if mem.id == from {
 			continue
 		}

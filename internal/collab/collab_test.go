@@ -206,6 +206,8 @@ func TestRelayMembers(t *testing.T) {
 	g, sinks := setupGroup(t)
 	relay := &sink{}
 	g.JoinRelay("caltech", relay.deliver)
+	// caltech has a present member, so shared responses reach its relay.
+	g.ApplyOps([]Op{{Origin: "caltech", Seq: 1, Clock: 1, Kind: OpJoin, Client: "caltech/c9"}})
 	if rs := g.Relays(); len(rs) != 1 || rs[0] != "caltech" {
 		t.Fatalf("Relays = %v", rs)
 	}

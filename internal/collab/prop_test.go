@@ -2,6 +2,7 @@ package collab
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"discover/internal/wire"
@@ -10,6 +11,9 @@ import (
 // Model-based test of delivery sets: after a random sequence of
 // join/leave/mode/sub-group operations, BroadcastUpdate, ShareResponse and
 // ShareView must deliver to exactly the member sets the paper specifies.
+// Relay servers gain and lose members through replicated membership ops;
+// BroadcastToListeners and ShareResponse reach a relay only while its
+// server has a present member.
 func TestDeliverySetsMatchModel(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	clientPool := []string{"c1", "c2", "c3", "c4", "c5"}
@@ -25,10 +29,13 @@ func TestDeliverySetsMatchModel(t *testing.T) {
 		}
 		members := map[string]*member{} // clients
 		relays := map[string]*sink{}
+		listening := map[string]bool{} // relay server -> has a present member
+		var clock uint64
+		seqs := map[string]uint64{}
 
 		// Random membership mutations.
 		for step := 0; step < 40; step++ {
-			switch r.Intn(6) {
+			switch r.Intn(7) {
 			case 0:
 				id := clientPool[r.Intn(len(clientPool))]
 				if _, in := members[id]; !in {
@@ -75,6 +82,16 @@ func TestDeliverySetsMatchModel(t *testing.T) {
 				name := relayPool[r.Intn(len(relayPool))]
 				g.LeaveRelay(name)
 				delete(relays, name)
+			case 6:
+				name := relayPool[r.Intn(len(relayPool))]
+				kind := OpJoin
+				if listening[name] {
+					kind = OpLeave
+				}
+				clock++
+				seqs[name]++
+				g.ApplyOps([]Op{{Origin: name, Seq: seqs[name], Clock: clock, Kind: kind, Client: name + "/c"}})
+				listening[name] = kind == OpJoin
 			}
 		}
 
@@ -111,6 +128,22 @@ func TestDeliverySetsMatchModel(t *testing.T) {
 			}
 		}
 
+		// 1b. BroadcastToListeners: the same, minus relays of servers with
+		// no present member.
+		before = snapshot()
+		g.BroadcastToListeners(wire.NewUpdate("app", 2), except)
+		after = snapshot()
+		for id := range after {
+			wantDelta := 1
+			if server, relay := strings.CutPrefix(id, "relay/"); id == except || (relay && !listening[server]) {
+				wantDelta = 0
+			}
+			if after[id]-before[id] != wantDelta {
+				t.Fatalf("trial %d: BroadcastToListeners delta for %s = %d, want %d",
+					trial, id, after[id]-before[id], wantDelta)
+			}
+		}
+
 		// 2. ShareResponse from a random member (if any).
 		if len(members) > 0 {
 			var requester string
@@ -138,7 +171,7 @@ func TestDeliverySetsMatchModel(t *testing.T) {
 			for name := range relays {
 				id := "relay/" + name
 				want := 0
-				if req.enabled {
+				if req.enabled && listening[name] {
 					want = 1
 				}
 				if after[id]-before[id] != want {

@@ -137,6 +137,7 @@ type opLog struct {
 
 	origins map[string]*originLog
 	members map[string]*memberFold
+	present map[string]int // per-origin count of present members in the fold
 
 	clock    uint64
 	nextSeq  uint64
@@ -173,6 +174,7 @@ func newOpLog(self string, memCap int) *opLog {
 		memCap:  memCap,
 		origins: make(map[string]*originLog),
 		members: make(map[string]*memberFold),
+		present: make(map[string]int),
 	}
 }
 
@@ -328,6 +330,7 @@ func (l *opLog) foldMember(op Op) {
 		}
 	}
 	f.winClock, f.winOrigin, f.winSeq = op.Clock, op.Origin, op.Seq
+	was := f.present
 	switch op.Kind {
 	case OpJoin:
 		f.present = true
@@ -337,6 +340,22 @@ func (l *opLog) foldMember(op Op) {
 	case OpSub:
 		f.present = true
 		f.sub = op.Sub
+	}
+	if f.present != was {
+		l.countPresent(f.origin, f.present)
+	}
+}
+
+// countPresent moves one member of origin across the present/absent
+// boundary. Origins with no present member leave the map, so it holds at
+// most one entry per domain with a member in the group.
+func (l *opLog) countPresent(origin string, present bool) {
+	if present {
+		l.present[origin]++
+		return
+	}
+	if l.present[origin]--; l.present[origin] <= 0 {
+		delete(l.present, origin)
 	}
 }
 
@@ -669,6 +688,7 @@ func (l *opLog) snapshotLog() LogSnapshot {
 func (l *opLog) restoreLog(snap LogSnapshot) {
 	l.origins = make(map[string]*originLog)
 	l.members = make(map[string]*memberFold)
+	l.present = make(map[string]int)
 	l.order = nil
 	l.retained = 0
 	l.nextSeq = snap.NextSeq
@@ -694,6 +714,9 @@ func (l *opLog) restoreLog(snap LogSnapshot) {
 		l.members[f.Origin+"/"+f.Client] = &memberFold{
 			winClock: f.WinClock, winOrigin: f.WinOrigin, winSeq: f.WinSeq,
 			present: f.Present, origin: f.Origin, client: f.Client, sub: f.Sub,
+		}
+		if f.Present {
+			l.countPresent(f.Origin, true)
 		}
 	}
 	sort.Slice(snap.Ops, func(i, j int) bool { return snap.Ops[i].ApplySeq < snap.Ops[j].ApplySeq })

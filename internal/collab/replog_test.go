@@ -129,6 +129,68 @@ func TestCollabMergeConvergesUnderAnyOrder(t *testing.T) {
 	}
 }
 
+// checkPresence asserts the relay gate's per-origin present counts equal
+// a recount of the converged membership fold.
+func checkPresence(t *testing.T, label string, g *Group) {
+	t.Helper()
+	want := map[string]int{}
+	for _, m := range g.ConvergedMembers() {
+		want[m.Origin]++
+	}
+	g.mu.Lock()
+	got := make(map[string]int, len(g.log.present))
+	for origin, n := range g.log.present {
+		got[origin] = n
+	}
+	g.mu.Unlock()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: present counts %v, fold recount %v", label, got, want)
+	}
+	for o := 0; o < 4; o++ {
+		origin := fmt.Sprintf("d%d", o)
+		if g.Listening(origin) != (want[origin] > 0) {
+			t.Errorf("%s: Listening(%s) = %v with %d present", label, origin, g.Listening(origin), want[origin])
+		}
+	}
+}
+
+// TestCollabPresenceCountsMatchFold is the relay gate's invariant: under
+// any delivery order of membership ops (a leave arriving before the join
+// it overrides is an LWW reorder), through eviction, WAL-style replay and
+// a snapshot round trip, the per-origin present counts equal a recount
+// of ConvergedMembers. Eight seeds.
+func TestCollabPresenceCountsMatchFold(t *testing.T) {
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ops := genOps(rng, 4, 20)
+		shuffled := append([]Op(nil), ops...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+
+		g := NewHub(WithOrigin("home"), WithMemCap(8)).Group("app#1")
+		for i, op := range shuffled {
+			g.ApplyOps([]Op{op})
+			checkPresence(t, fmt.Sprintf("seed %d after op %d", seed, i), g)
+		}
+		_, upTo, _ := g.LogDeltas(map[string]uint64{})
+		g.LogApplyUpTo(upTo)
+		g.NoteJoin("local") // evict the now-synced prefix past the cap
+		checkPresence(t, fmt.Sprintf("seed %d evicted", seed), g)
+
+		restored := NewHub(WithOrigin("home")).Group("app#1")
+		restored.RestoreLog(g.SnapshotLog())
+		checkPresence(t, fmt.Sprintf("seed %d snapshot round trip", seed), restored)
+		if !reflect.DeepEqual(restored.ConvergedMembers(), g.ConvergedMembers()) {
+			t.Errorf("seed %d: restored fold %v != %v", seed, restored.ConvergedMembers(), g.ConvergedMembers())
+		}
+
+		replayed := NewHub(WithOrigin("home")).Group("app#1")
+		for _, op := range shuffled {
+			replayed.RestoreOp(op)
+		}
+		checkPresence(t, fmt.Sprintf("seed %d journal replay", seed), replayed)
+	}
+}
+
 // TestCollabAntiResurrectionGuard pins the eviction invariant: an op at
 // or below the synced watermark whose memory copy was evicted must not
 // re-apply as fresh (it would double-count into the hash).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"discover/internal/app"
 	"discover/internal/appproto"
+	"discover/internal/netsim"
 	"discover/internal/orb"
 	"discover/internal/policy"
 	"discover/internal/server"
@@ -25,6 +27,12 @@ type testNet struct {
 	namingRef orb.ObjRef
 	naming    *orb.Naming
 	domains   map[string]*domain
+
+	// wan, when set, routes every domain's ORB dials through a netsim
+	// network, each domain at its own site (see newWANNet).
+	wan    *netsim.Network
+	siteMu sync.Mutex
+	siteOf map[string]netsim.Site // ORB listen addr -> site
 }
 
 type domain struct {
@@ -67,11 +75,28 @@ func (n *testNet) addDomain(name string, mode UpdateMode) *domain {
 	srv.Auth().SetUserSecret("alice", "pw")
 	srv.Auth().SetUserSecret("bob", "pw")
 
-	o := orb.New()
+	var opts []orb.Option
+	if n.wan != nil {
+		opts = append(opts, orb.WithDialer(func(ctx context.Context, network, addr string) (net.Conn, error) {
+			n.siteMu.Lock()
+			to, ok := n.siteOf[addr]
+			n.siteMu.Unlock()
+			if !ok {
+				to = "trader"
+			}
+			return n.wan.DialContext(ctx, netsim.Site(name), to, network, addr)
+		}))
+	}
+	o := orb.New(opts...)
 	if err := o.Listen("127.0.0.1:0"); err != nil {
 		n.t.Fatal(err)
 	}
 	n.t.Cleanup(func() { o.Close() })
+	if n.wan != nil {
+		n.siteMu.Lock()
+		n.siteOf[o.Addr()] = netsim.Site(name)
+		n.siteMu.Unlock()
+	}
 
 	sub, err := New(Config{
 		Server:        srv,
@@ -490,36 +515,79 @@ func TestRemotePrivilegeDenied(t *testing.T) {
 	}
 }
 
-func TestUnsubscribeStopsTraffic(t *testing.T) {
+// TestLastMemberLeaveStopsUpdates: once a domain's last member
+// disconnects, the host relays no further application updates there.
+func TestLastMemberLeaveStopsUpdates(t *testing.T) {
 	n := newTestNet(t)
 	a := n.addDomain("rutgers", Push)
 	b := n.addDomain("caltech", Push)
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
+	appID := as.AppID()
 
 	sess, _ := b.srv.Login(context.Background(), "alice", "pw")
-	if _, err := b.srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+	if _, err := b.srv.ConnectApp(context.Background(), sess, appID); err != nil {
 		t.Fatal(err)
 	}
-	// Receive at least one update, then unsubscribe.
+	// Everything the host relays to caltech lands in caltech's local
+	// fan-out; an observer joined there by hand (no join op, so the host
+	// does not count it) sees it all.
+	var mu sync.Mutex
+	var seen []*wire.Message
+	b.srv.Hub().Group(appID).Join("observer", func(m *wire.Message) {
+		mu.Lock()
+		seen = append(seen, m)
+		mu.Unlock()
+	})
+	updates := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		k := 0
+		for _, m := range seen {
+			if m.Kind == wire.KindUpdate {
+				k++
+			}
+		}
+		return k
+	}
+	// Receive at least one update, then the last member leaves.
 	waitFor(t, 5*time.Second, func() bool {
 		as.RunPhase()
-		return len(sess.Buffer.Drain(0)) > 0
+		return updates() > 0
 	})
-	if err := b.sub.Unsubscribe(as.AppID()); err != nil {
+	b.srv.DisconnectApp(context.Background(), sess)
+	// Each phase's update is handled before the next phase's drained
+	// marker, so after one more phase nothing sent before the leave is
+	// still unqueued at the host.
+	as.RunPhase()
+	host, _ := a.srv.Hub().Lookup(appID)
+	aliceA, _ := a.srv.Login(context.Background(), "alice", "pw")
+	if _, err := a.srv.ConnectApp(context.Background(), aliceA, appID); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
-	sess.Buffer.Drain(0) // clear in-flight
+	fence := func(text string) {
+		t.Helper()
+		if err := a.srv.Chat(context.Background(), aliceA, text); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(seen) > 0 && seen[len(seen)-1].Text == text
+		})
+	}
+	fence("before")
+	before := updates()
 	for i := 0; i < 10; i++ {
 		as.RunPhase()
 	}
-	time.Sleep(100 * time.Millisecond)
-	for _, m := range sess.Buffer.Drain(0) {
-		if m.Kind == wire.KindUpdate {
-			t.Error("update delivered after unsubscribe")
-			break
-		}
+	as.RunPhase() // the tenth update is queued before this returns
+	fence("after")
+	if got := updates() - before; got != 0 {
+		t.Errorf("%d updates reached caltech after its last member left", got)
+	}
+	if host.Listening("caltech") {
+		t.Error("host still counts caltech as listening")
 	}
 }
 

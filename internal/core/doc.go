@@ -30,8 +30,8 @@
 // drives a per-peer relay sender that drains up to Config.RelayBatch
 // queued messages per wakeup into a single oneway deliverBatch
 // invocation (peers that predate batching are detected once and served
-// per-message). Updates cross the WAN once per remote server and fan out
-// locally.
+// per-message). Updates cross the WAN once per remote server that has a
+// member in the application's group, and fan out locally.
 //
 // # Failure handling
 //

@@ -31,6 +31,19 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess.Buffer.Drain(0) // discard connect-time traffic
+	// The host's app-registered event is a oneway that can land at any
+	// point after the application registered, so it is dropped by
+	// identity rather than counted against either path.
+	drain := func() []*wire.Message {
+		var out []*wire.Message
+		for _, m := range sess.Buffer.Drain(0) {
+			if m.Kind == wire.KindEvent && m.Op == "app-registered" && m.App == appID {
+				continue
+			}
+			out = append(out, m)
+		}
+		return out
+	}
 
 	msgs := make([]*wire.Message, 6)
 	for i := range msgs {
@@ -48,7 +61,7 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	viaDeliver := sess.Buffer.Drain(0)
+	viaDeliver := drain()
 
 	// Same messages as one deliverBatch.
 	items := make([]deliverItem, len(msgs))
@@ -59,7 +72,7 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 		deliverBatchReq{Items: items, From: "rutgers"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	viaBatch := sess.Buffer.Drain(0)
+	viaBatch := drain()
 
 	if len(viaDeliver) != len(msgs) {
 		t.Fatalf("deliver path delivered %d messages, want %d", len(viaDeliver), len(msgs))

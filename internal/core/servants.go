@@ -135,10 +135,6 @@ func (s *Substrate) serverServant() orb.Servant {
 		"subscribe": orb.Handler(func(r subscribeReq) (subscribeResp, error) {
 			return subscribeResp{}, s.acceptSubscription(r)
 		}),
-		"unsubscribe": orb.Handler(func(r subscribeReq) (subscribeResp, error) {
-			s.srv.UnsubscribeRelay(r.App, r.Peer)
-			return subscribeResp{}, nil
-		}),
 		"ping": orb.Handler(func(pingReq) (pingResp, error) {
 			return pingResp{Name: s.srv.Name()}, nil
 		}),

@@ -112,8 +112,11 @@ type Substrate struct {
 	relays  map[string]*relaySender // by peer name (host side, push mode)
 	polls   map[string]*poller      // by app id (subscriber side, poll mode)
 	subs    map[string]bool         // app ids subscribed (push mode)
+	named   map[string]bool         // app ids with a naming (un)bind pending: true = bind
 	offerID string
 	closed  bool
+
+	namingMu sync.Mutex // one naming bind or unbind at a time (syncName)
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -183,6 +186,7 @@ func New(cfg Config) (*Substrate, error) {
 		relays: make(map[string]*relaySender),
 		polls:  make(map[string]*poller),
 		subs:   make(map[string]bool),
+		named:  make(map[string]bool),
 		stop:   make(chan struct{}),
 	}
 	s.fanWorkers.Store(int64(cfg.FanoutWorkers))
@@ -888,59 +892,62 @@ func (s *Substrate) Subscribe(ctx context.Context, appID string) error {
 	}
 }
 
-// Unsubscribe reverses Subscribe.
-func (s *Substrate) Unsubscribe(appID string) error {
-	switch s.cfg.Mode {
-	case Push:
-		s.mu.Lock()
-		delete(s.subs, appID)
-		s.mu.Unlock()
-		p, err := s.peerFor(appID)
-		if err != nil {
-			return err
-		}
-		return s.invokePeer(nil, p, p.serverRef(), "unsubscribe", subscribeReq{
-			App: appID, Peer: s.srv.Name(),
-		}, nil)
-	default:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if pl, ok := s.polls[appID]; ok {
-			pl.close()
-			delete(s.polls, appID)
-		}
-		return nil
+// ExportApp installs a local application's CorbaProxy servant. The
+// server calls it before the application becomes listable, so a peer
+// that lists it can reach it. The naming binding follows off the
+// registration path (see syncName).
+func (s *Substrate) ExportApp(appID string) {
+	s.orb.Register(ProxyKey(appID), s.proxyServant(appID))
+	s.syncName(appID, true)
+}
+
+// WithdrawApp removes a closed local application's CorbaProxy servant
+// and its naming binding.
+func (s *Substrate) WithdrawApp(appID string) {
+	s.orb.Unregister(ProxyKey(appID))
+	s.syncName(appID, false)
+}
+
+// syncName records whether an application should be bound in the naming
+// service and applies that in a tracked goroutine, so no application
+// registration waits on a naming round trip. The goroutines take turns
+// and each applies the latest recorded state, so a bind that runs after
+// a later unbind cannot leave a stale binding behind.
+func (s *Substrate) syncName(appID string, bound bool) {
+	if s.naming == nil {
+		return
 	}
+	s.mu.Lock()
+	s.named[appID] = bound
+	s.mu.Unlock()
+	s.goTracked(func() {
+		s.namingMu.Lock()
+		defer s.namingMu.Unlock()
+		s.mu.Lock()
+		bound, pending := s.named[appID]
+		delete(s.named, appID)
+		s.mu.Unlock()
+		if !pending {
+			return // an earlier turn already applied the latest state
+		}
+		ctx, cancel := s.rpcCtx()
+		defer cancel()
+		if !bound {
+			s.naming.Unbind(ctx, appID)
+			return
+		}
+		if err := s.naming.Rebind(ctx, appID, s.orb.Ref(ProxyKey(appID))); err != nil {
+			s.cfg.Logf("core %s: naming bind %s: %v", s.srv.Name(), appID, err)
+		}
+	})
 }
 
 // NotifyEvent disseminates a control-channel event: with gossip enabled
 // it publishes the new local snapshot into the epidemic directory (each
 // remote domain synthesizes the event when the delta reaches it) instead
 // of the O(peers) oneway broadcast; otherwise it fans the event out to
-// every peer. Either way it also reacts to the local server's own
-// application lifecycle events by installing or removing the
-// application's CorbaProxy servant and naming binding.
+// every peer.
 func (s *Substrate) NotifyEvent(ev *wire.Message) {
-	if ev.Client == s.srv.Name() {
-		switch ev.Op {
-		case "app-registered":
-			s.orb.Register(ProxyKey(ev.App), s.proxyServant(ev.App))
-			if s.naming != nil {
-				ctx, cancel := s.rpcCtx()
-				if err := s.naming.Rebind(ctx, ev.App, s.orb.Ref(ProxyKey(ev.App))); err != nil {
-					s.cfg.Logf("core %s: naming bind %s: %v", s.srv.Name(), ev.App, err)
-				}
-				cancel()
-			}
-		case "app-closed":
-			s.orb.Unregister(ProxyKey(ev.App))
-			if s.naming != nil {
-				ctx, cancel := s.rpcCtx()
-				s.naming.Unbind(ctx, ev.App)
-				cancel()
-			}
-		}
-	}
 	if s.gossip != nil {
 		apps, users := s.gossipSnapshot()
 		s.gossip.PublishNow(apps, users)

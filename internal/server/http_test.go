@@ -352,7 +352,8 @@ func (statsFed) RemoteLock(context.Context, string, string, bool) (bool, string,
 }
 func (statsFed) ForwardCollab(context.Context, string, *wire.Message) error { return nil }
 func (statsFed) Subscribe(context.Context, string) error                    { return nil }
-func (statsFed) Unsubscribe(string) error                                   { return nil }
+func (statsFed) ExportApp(string)                                           {}
+func (statsFed) WithdrawApp(string)                                         {}
 func (statsFed) NotifyEvent(*wire.Message)                                  {}
 func (statsFed) RelayStats() []RelayStats {
 	return []RelayStats{{Peer: "caltech", Delivered: 70, Dropped: 2, Batches: 3, Invocations: 4}}

@@ -69,8 +69,10 @@ func (s *Server) edgeSpan(ctx context.Context, op string) {
 
 // ConnectApp performs level-two authorization for a session and joins it
 // to the application's collaboration group. For remote applications the
-// authorization happens at the host server through the substrate and a
-// relay subscription is established.
+// authorization happens at the host server through the substrate, a
+// relay subscription is established, and the join op reaches the host
+// before ConnectApp returns: a nil error means the host relays the
+// application's updates to this server.
 func (s *Server) ConnectApp(ctx context.Context, sess *session.Session, appID string) (auth.Capability, error) {
 	var cap auth.Capability
 	if ServerOfApp(appID) == s.cfg.Name {
@@ -106,7 +108,14 @@ func (s *Server) ConnectApp(ctx context.Context, sess *session.Session, appID st
 	g.Join(sess.ClientID, func(m *wire.Message) { sess.Buffer.Push(m) })
 	// Membership is replicated group state: append the join op and push
 	// it toward the rest of the federation's replicas.
-	s.disseminateMembership(ctx, appID, g, g.NoteJoin(sess.ClientID))
+	if err := s.disseminateMembership(ctx, appID, g, g.NoteJoin(sess.ClientID)); err != nil {
+		// The host may not count this server as listening: undo the join.
+		// Anti-entropy carries the leave op to wherever the join landed.
+		g.Leave(sess.ClientID)
+		g.NoteLeave(sess.ClientID)
+		sess.Disconnect()
+		return auth.Capability{}, err
+	}
 	return cap, nil
 }
 
@@ -114,12 +123,12 @@ func (s *Server) ConnectApp(ctx context.Context, sess *session.Session, appID st
 // to peer-server replicas: at the host server straight to the relays, at
 // a member server through the host. Membership ops are replica traffic,
 // not client-visible messages, so they never enter local FIFOs.
-func (s *Server) disseminateMembership(ctx context.Context, appID string, g *collab.Group, m *wire.Message) {
+func (s *Server) disseminateMembership(ctx context.Context, appID string, g *collab.Group, m *wire.Message) error {
 	if ServerOfApp(appID) == s.cfg.Name {
 		g.RelayBroadcast(m, "")
-		return
+		return nil
 	}
-	s.collabForward(ctx, appID, m)
+	return s.collabForward(ctx, appID, m)
 }
 
 // DisconnectApp leaves the application's collaboration group and releases
@@ -226,13 +235,14 @@ func (s *Server) LockOp(ctx context.Context, sess *session.Session, acquire bool
 // collabForward sends a collaboration message originated by a local
 // client toward the rest of a cross-server group. ctx bounds the remote
 // forward and carries the telemetry trace, if any.
-func (s *Server) collabForward(ctx context.Context, appID string, m *wire.Message) {
+func (s *Server) collabForward(ctx context.Context, appID string, m *wire.Message) error {
 	if ServerOfApp(appID) == s.cfg.Name {
-		return // local group's relays already received it
+		return nil // local group's relays already received it
 	}
 	if fed := s.federation(); fed != nil {
-		fed.ForwardCollab(ctx, appID, m)
+		return fed.ForwardCollab(ctx, appID, m)
 	}
+	return nil
 }
 
 // collabGroup resolves the session's live collaboration group and checks

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"testing"
 
+	"discover/internal/collab"
 	"discover/internal/wire"
 )
 
@@ -22,6 +24,10 @@ func TestLoginAsserted(t *testing.T) {
 	}
 }
 
+// TestRelaySubscriptionAndRemoteDelivery checks the host's relay leg:
+// updates reach a peer's relay only while that peer has a present member
+// in the group's converged membership fold, while replicated group
+// traffic and responses for the peer's clients reach it regardless.
 func TestRelaySubscriptionAndRemoteDelivery(t *testing.T) {
 	d := deploy(t)
 	appID := d.app.AppID()
@@ -33,12 +39,48 @@ func TestRelaySubscriptionAndRemoteDelivery(t *testing.T) {
 		relayed = append(relayed, m)
 		mu.Unlock()
 	}
+	countKind := func(kind wire.Kind) int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, m := range relayed {
+			if m.Kind == kind {
+				n++
+			}
+		}
+		return n
+	}
 	if err := d.srv.SubscribeRelay(appID, "caltech", deliver); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.srv.SubscribeRelay("nosuch#1", "caltech", deliver); err == nil {
 		t.Error("relay subscription for unknown app succeeded")
 	}
+
+	// No caltech member yet: an update skips the relay, but a chat op (a
+	// replicated group op) still reaches it.
+	alice := d.login(t, "alice")
+	d.connect(t, alice)
+	(*daemonHandler)(d.srv).HandleUpdate(appID, wire.NewUpdate(appID, 1))
+	if n := countKind(wire.KindUpdate); n != 0 {
+		t.Errorf("relay of a server with no member received %d updates, want 0", n)
+	}
+	if err := d.srv.Chat(context.Background(), alice, "hello caltech"); err != nil {
+		t.Fatal(err)
+	}
+	if n := countKind(wire.KindChat); n != 1 {
+		t.Errorf("relay received %d chat ops, want 1", n)
+	}
+
+	// A caltech client joins, the way ConnectApp's forward delivers it.
+	caltech := collab.NewHub(collab.WithOrigin("caltech")).Group(appID)
+	d.srv.DeliverCollabFromPeer(appID, caltech.NoteJoin("caltech/client-9"), "caltech")
+	if !d.srv.Hub().Group(appID).Listening("caltech") {
+		t.Fatal("caltech join op did not make caltech listening")
+	}
+	mu.Lock()
+	relayed = nil
+	mu.Unlock()
 
 	// A phase produces one update; the relay receives exactly one copy.
 	if _, err := d.app.RunPhase(); err != nil {
@@ -82,14 +124,16 @@ func TestRelaySubscriptionAndRemoteDelivery(t *testing.T) {
 		t.Error("remote requester's response never reached its relay")
 	}
 
-	d.srv.UnsubscribeRelay(appID, "caltech")
+	// Its last member leaves: updates to caltech stop.
+	d.srv.DeliverCollabFromPeer(appID, caltech.NoteLeave("caltech/client-9"), "caltech")
 	mu.Lock()
 	n = len(relayed)
 	mu.Unlock()
+	(*daemonHandler)(d.srv).HandleUpdate(appID, wire.NewUpdate(appID, 2))
 	d.app.RunPhase()
 	mu.Lock()
 	if len(relayed) != n {
-		t.Error("relay received traffic after unsubscribe")
+		t.Error("relay received traffic after its server's last member left")
 	}
 	mu.Unlock()
 }

@@ -65,8 +65,8 @@ var ErrPeerUnavailable error = &codedError{
 // Methods on the client request path take the request context: it bounds
 // the remote invocation (the substrate derives its RPC deadline from it)
 // and carries the telemetry trace when the request was sampled at the
-// HTTP edge. Background paths (unsubscribe, events) run detached from
-// any client request and take no context.
+// HTTP edge. Background paths (application export, events) run detached
+// from any client request and take no context.
 type Federation interface {
 	// RemoteApps lists applications at peer servers the user may access.
 	RemoteApps(ctx context.Context, user string) []AppInfo
@@ -78,12 +78,16 @@ type Federation interface {
 	// RemoteLock relays a lock request to the app's host server.
 	RemoteLock(ctx context.Context, appID, owner string, acquire bool) (granted bool, holder string, err error)
 	// ForwardCollab relays a collaboration message (chat, whiteboard,
-	// view share) to the app's host server for group-wide fan-out.
+	// view share, membership op) to the app's host server for group-wide
+	// fan-out. It returns once the host has applied the message.
 	ForwardCollab(ctx context.Context, appID string, m *wire.Message) error
 	// Subscribe asks the app's host server to relay the app's group
-	// traffic to this server (idempotent); Unsubscribe reverses it.
+	// traffic to this server (idempotent).
 	Subscribe(ctx context.Context, appID string) error
-	Unsubscribe(appID string) error
+	// ExportApp makes a newly registered local application reachable by
+	// peer servers; WithdrawApp reverses it when the application closes.
+	ExportApp(appID string)
+	WithdrawApp(appID string)
 	// NotifyEvent fans a control-channel event out to all peers.
 	NotifyEvent(ev *wire.Message)
 }
@@ -464,11 +468,6 @@ func (s *Server) SubscribeRelay(appID, peer string, deliver collab.DeliverFunc) 
 	return nil
 }
 
-// UnsubscribeRelay removes a peer relay.
-func (s *Server) UnsubscribeRelay(appID, peer string) {
-	s.hub.Group(appID).LeaveRelay(peer)
-}
-
 // DeliverRemoteMessage fans a message relayed from the app's host server
 // out to this server's local clients — the second hop of the substrate's
 // one-message-per-server collaboration scheme.
@@ -608,6 +607,12 @@ func (d *daemonHandler) AppRegistered(ep *appproto.AppEndpoint) {
 	}
 	s.auth.RegisterApp(ep.ID(), auth.NewACL(entries...))
 
+	// Peers can reach the application before it becomes listable, so a
+	// client that saw it listed can always connect.
+	fed := s.federation()
+	if fed != nil {
+		fed.ExportApp(ep.ID())
+	}
 	proxy := newLocalProxy(s, ep)
 	s.mu.Lock()
 	s.proxies[ep.ID()] = proxy
@@ -618,7 +623,7 @@ func (d *daemonHandler) AppRegistered(ep *appproto.AppEndpoint) {
 	ev := wire.NewEvent(s.cfg.Name, "app-registered", ep.ID())
 	ev.App = ep.ID()
 	s.HandleControlEvent(ev)
-	if fed := s.federation(); fed != nil {
+	if fed != nil {
 		fed.NotifyEvent(ev)
 	}
 }
@@ -638,13 +643,16 @@ func (d *daemonHandler) AppClosed(appID string, err error) {
 	s.hub.Drop(appID)
 	s.cfg.Logf("server %s: application %s closed (%v)", s.cfg.Name, appID, err)
 	if fed := s.federation(); fed != nil {
+		fed.WithdrawApp(appID)
 		fed.NotifyEvent(ev)
 	}
 }
 
 // HandleUpdate archives a periodic update at the host server, records it
 // in the database under the application owner, and broadcasts it to the
-// collaboration group — local members and one relay per peer server.
+// collaboration group — local members and one relay per peer server with
+// a present member. Updates are not replicated, so a server where nobody
+// listens gets none.
 func (d *daemonHandler) HandleUpdate(appID string, m *wire.Message) {
 	s := d.srv()
 	s.store.ApplicationLog(appID).Append("", m)
@@ -667,7 +675,7 @@ func (d *daemonHandler) HandleUpdate(appID string, m *wire.Message) {
 			s.db.Table("updates").Insert(reg.Owner, fields, readers)
 		}
 	}
-	s.hub.Group(appID).BroadcastUpdate(m, "")
+	s.hub.Group(appID).BroadcastToListeners(m, "")
 }
 
 // HandleResponse routes an application's response: if the requester is a

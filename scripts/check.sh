@@ -59,6 +59,14 @@ go test -race -count=1 -run 'TestGossipConvergenceSmoke|TestMergeConvergesUnderA
 go test -race -count=1 -run 'TestC1CollabChaos|TestCollabMergeConvergesUnderAnyOrder|TestChurnHammer|TestCollabAntiResurrectionGuard|TestCollabEvictionSplicesFromJournal|TestCollabSnapshotRestoreRoundtrip' \
     ./internal/experiments/ ./internal/collab/
 
+# Relay gate: a host relays application updates only to domains whose
+# converged membership fold has a present member, while replicated ops
+# reach every subscribed domain. Structural (exact relay delivery counts
+# over a four-domain netsim federation), so twenty uncached race-enabled
+# rounds must all pass; the presence-count property test rides along.
+go test -race -count=20 -run 'TestRelayGateFollowsMembership|TestCollabPresenceCountsMatchFold' \
+    ./internal/core/ ./internal/collab/
+
 # Codec smoke: the ORB's process-wide gob engine caches — the
 # many-goroutine hammer, the differential fuzz seeds, byte identity and
 # the cap test — rerun uncached under the race detector; the hammer
