@@ -182,11 +182,9 @@ func BenchmarkE3ProtocolTradeoff(b *testing.B) {
 
 // twoDomains builds a two-domain federation with no WAN latency (the
 // benches measure protocol cost; the harness adds latency).
-func twoDomains(b *testing.B, mode core.UpdateMode) *experiments.Federation {
+func twoDomains(b *testing.B) *experiments.Federation {
 	b.Helper()
 	fed, err := experiments.NewFederation(experiments.FederationConfig{
-		Mode:         mode,
-		PollInterval: 5 * time.Millisecond,
 		Domains: []struct {
 			Name string
 			Site netsim.Site
@@ -203,7 +201,7 @@ func twoDomains(b *testing.B, mode core.UpdateMode) *experiments.Federation {
 // host-side fan-out to local members plus one relay push per peer server
 // (§5.2.3).
 func BenchmarkE4CollabTraffic(b *testing.B) {
-	fed := twoDomains(b, core.Push)
+	fed := twoDomains(b)
 	host, edge := fed.Domains[0], fed.Domains[1]
 	as, err := experiments.AttachApp(host, "collab", 1)
 	if err != nil {
@@ -237,7 +235,7 @@ func BenchmarkE4CollabTraffic(b *testing.B) {
 // for a local client and for a client at a peer server (§7).
 func BenchmarkE5RemoteVsLocal(b *testing.B) {
 	run := func(b *testing.B, remote bool) {
-		fed := twoDomains(b, core.Push)
+		fed := twoDomains(b)
 		host, edge := fed.Domains[0], fed.Domains[1]
 		as, err := experiments.AttachApp(host, "lat", 1, appproto.WithUpdateEvery(1000000))
 		if err != nil {
@@ -285,7 +283,7 @@ func BenchmarkE5RemoteVsLocal(b *testing.B) {
 // BenchmarkE6DiscoveryAuth measures warm trader discovery and remote
 // level-two authorization (§7).
 func BenchmarkE6DiscoveryAuth(b *testing.B) {
-	fed := twoDomains(b, core.Push)
+	fed := twoDomains(b)
 	host, edge := fed.Domains[0], fed.Domains[1]
 	as, err := experiments.AttachApp(host, "auth", 1)
 	if err != nil {
@@ -379,7 +377,7 @@ func BenchmarkE9DistributedLocking(b *testing.B) {
 		}
 	})
 	b.Run("relayed", func(b *testing.B) {
-		fed := twoDomains(b, core.Push)
+		fed := twoDomains(b)
 		host, edge := fed.Domains[0], fed.Domains[1]
 		as, err := experiments.AttachApp(host, "lock", 1)
 		if err != nil {
@@ -479,8 +477,12 @@ func BenchmarkA2CodecAblation(b *testing.B) {
 		wire.Param{Key: "m.energy", Value: "3.14159"},
 		wire.Param{Key: "p.source_freq", Value: "0.05"},
 	)
-	for _, codec := range []wire.Codec{wire.BinaryCodec{}, wire.NewGobCodec()} {
-		b.Run(codec.Name(), func(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		codec wire.Codec
+	}{{"binary", wire.BinaryCodec{}}, {"gob", wire.NewGobCodec()}} {
+		codec := tc.codec
+		b.Run(tc.name, func(b *testing.B) {
 			enc, err := codec.Encode(nil, msg)
 			if err != nil {
 				b.Fatal(err)
@@ -563,9 +565,7 @@ func BenchmarkOnewayVsTwoWay(b *testing.B) {
 func BenchmarkRelayBatching(b *testing.B) {
 	run := func(b *testing.B, relayBatch int) {
 		fed, err := experiments.NewFederation(experiments.FederationConfig{
-			Mode:         core.Push,
-			PollInterval: 5 * time.Millisecond,
-			RelayBatch:   relayBatch,
+			RelayBatch: relayBatch,
 			Domains: []struct {
 				Name string
 				Site netsim.Site
@@ -655,7 +655,6 @@ func BenchmarkRemoteAppsFanout(b *testing.B) {
 		domains = append(domains, experiments.DomainAt(fmt.Sprintf("d%d", i+1), sites[i]))
 	}
 	fed, err := experiments.NewFederation(experiments.FederationConfig{
-		Mode:    core.Push,
 		Domains: domains,
 		Topology: func(t *netsim.Topology) {
 			for i, si := range sites {
@@ -705,11 +704,13 @@ func BenchmarkRemoteAppsFanout(b *testing.B) {
 }
 
 // BenchmarkA3PollVsPush measures end-to-end propagation of one update
-// between two servers in each mode (§5.2.3 design choice).
+// between two servers in each design (§5.2.3 design choice): the
+// substrate's push to a connected edge client, and the experiment-local
+// log poller that stands in for the prototype's polling.
 func BenchmarkA3PollVsPush(b *testing.B) {
-	run := func(b *testing.B, mode core.UpdateMode) {
-		fed := twoDomains(b, mode)
-		host, edge := fed.Domains[0], fed.Domains[1]
+	setup := func(b *testing.B) (host, edge *experiments.Domain, as *appproto.Session) {
+		fed := twoDomains(b)
+		host, edge = fed.Domains[0], fed.Domains[1]
 		as, err := experiments.AttachApp(host, "prop", 1)
 		if err != nil {
 			b.Fatal(err)
@@ -718,6 +719,10 @@ func BenchmarkA3PollVsPush(b *testing.B) {
 		if err := edge.Sub.DiscoverPeers(); err != nil {
 			b.Fatal(err)
 		}
+		return host, edge, as
+	}
+	b.Run("push", func(b *testing.B) {
+		_, edge, as := setup(b)
 		sess, err := experiments.LoginLocal(edge, "alice")
 		if err != nil {
 			b.Fatal(err)
@@ -725,10 +730,8 @@ func BenchmarkA3PollVsPush(b *testing.B) {
 		if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 			b.Fatal(err)
 		}
-		var expect uint64
 		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			expect++
+		for expect := uint64(1); expect <= uint64(b.N); expect++ {
 			if _, err := as.RunPhase(); err != nil {
 				b.Fatal(err)
 			}
@@ -741,7 +744,19 @@ func BenchmarkA3PollVsPush(b *testing.B) {
 				}
 			}
 		}
-	}
-	b.Run("push", func(b *testing.B) { run(b, core.Push) })
-	b.Run("poll-5ms", func(b *testing.B) { run(b, core.Poll) })
+	})
+	b.Run("poll-5ms", func(b *testing.B) {
+		host, edge, as := setup(b)
+		p := experiments.StartLogPoller(host, edge, as.AppID(), 5*time.Millisecond)
+		b.Cleanup(p.Stop)
+		b.ResetTimer()
+		for expect := uint64(1); expect <= uint64(b.N); expect++ {
+			if _, err := as.RunPhase(); err != nil {
+				b.Fatal(err)
+			}
+			if err := p.WaitUpdate(context.Background(), expect); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

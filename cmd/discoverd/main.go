@@ -18,7 +18,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"discover"
 )
@@ -35,8 +34,6 @@ func main() {
 	daemonAddr := flag.String("daemon", "127.0.0.1:7000", "application daemon listen address")
 	orbAddr := flag.String("orb", "127.0.0.1:0", "middleware ORB listen address")
 	traderAddr := flag.String("trader", "", "trader endpoint to join (empty = standalone)")
-	mode := flag.String("mode", "push", "update propagation between servers: push or poll")
-	pollEvery := flag.Duration("poll-interval", 100*time.Millisecond, "poll mode interval")
 	site := flag.String("site", "", "site property advertised in the trader offer")
 	userDir := flag.String("userdir", "", "centralized user directory address (often the trader address)")
 	tlsSelf := flag.Bool("tls-self-signed", false, "serve the portal over HTTPS with an ephemeral certificate")
@@ -59,7 +56,6 @@ func main() {
 		DaemonAddr:    *daemonAddr,
 		ORBAddr:       *orbAddr,
 		TraderAddr:    *traderAddr,
-		PollInterval:  *pollEvery,
 		Users:         map[string]string{},
 		RecordUpdates: true,
 
@@ -72,14 +68,6 @@ func main() {
 		DataDir:          *dataDir,
 		SnapshotEvery:    *snapEvery,
 		WalSyncEvery:     *walSync,
-	}
-	switch *mode {
-	case "push":
-		cfg.Mode = discover.Push
-	case "poll":
-		cfg.Mode = discover.Poll
-	default:
-		log.Fatalf("discoverd: unknown -mode %q", *mode)
 	}
 	if *site != "" {
 		cfg.Props = map[string]string{"site": *site}

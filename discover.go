@@ -52,14 +52,6 @@ type (
 	AppConfig = app.Config
 	// Client is a web-portal client.
 	Client = portal.Client
-	// UpdateMode selects push or poll propagation between servers.
-	UpdateMode = core.UpdateMode
-)
-
-// Update propagation modes.
-const (
-	Push = core.Push
-	Poll = core.Poll
 )
 
 // ---------------------------------------------------------------------------
@@ -132,10 +124,6 @@ type DomainConfig struct {
 	// TraderAddr joins the federation at this trader ("" = standalone
 	// centralized server, the paper's baseline).
 	TraderAddr string
-	// Mode selects Push or Poll update propagation (default Push).
-	Mode UpdateMode
-	// PollInterval tunes Poll mode.
-	PollInterval time.Duration
 	// DiscoverHops follows that many trader links during peer discovery
 	// (0 = the joined trader only; see orb.Trader.AddLink).
 	DiscoverHops int
@@ -198,7 +186,7 @@ type DomainConfig struct {
 	// GossipFanout is how many peers each round contacts (0 = default 3).
 	GossipFanout int
 	// TraceSampleEvery samples one in every N portal requests for
-	// distributed tracing (GET /api/trace/{id}); 0 disables sampling.
+	// distributed tracing (GET /api/v1/trace/{id}); 0 disables sampling.
 	// The tracer is process-wide, so the last domain started in a
 	// process wins.
 	TraceSampleEvery int
@@ -303,8 +291,6 @@ func StartDomain(cfg DomainConfig) (*Domain, error) {
 			TraderRef:     traderRef,
 			NamingRef:     namingRef,
 			Props:         cfg.Props,
-			Mode:          cfg.Mode,
-			PollInterval:  cfg.PollInterval,
 			DiscoverHops:  cfg.DiscoverHops,
 			GossipEnabled: cfg.GossipEnabled,
 			GossipPeriod:  cfg.GossipPeriod,

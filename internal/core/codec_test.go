@@ -30,7 +30,6 @@ func TestServantTypesCodecByteIdentity(t *testing.T) {
 		lockResp{Granted: true, Holder: "caltech/client-1"}, collabReq{Msg: msg, From: "caltech"}, collabResp{},
 		collabSyncReq{From: "caltech", VV: vv}, collabSyncResp{Ops: ops, VV: vv},
 		collabPushReq{From: "caltech", Ops: ops, VV: vv}, collabPushResp{},
-		pollReq{SinceSeq: 4, From: "caltech"}, pollResp{Msgs: []*wire.Message{msg}, LastSeq: 5},
 		deliverReq{App: "rutgers#1", Msg: msg, From: "rutgers"}, deliverResp{},
 		deliverBatchReq{Items: []deliverItem{{App: "rutgers#1", Msg: msg}}, From: "rutgers"}, deliverBatchResp{},
 		eventReq{Ev: msg, From: "rutgers"}, eventResp{},

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,9 +14,11 @@ import (
 
 	"discover/internal/app"
 	"discover/internal/appproto"
+	"discover/internal/auth"
 	"discover/internal/netsim"
 	"discover/internal/orb"
 	"discover/internal/policy"
+	"discover/internal/portal"
 	"discover/internal/server"
 	"discover/internal/wire"
 )
@@ -62,7 +66,7 @@ func newTestNet(t *testing.T) *testNet {
 	}
 }
 
-func (n *testNet) addDomain(name string, mode UpdateMode) *domain {
+func (n *testNet) addDomain(name string) *domain {
 	n.t.Helper()
 	srv, err := server.New(server.Config{Name: name, RecordUpdates: true, Logf: func(string, ...any) {}})
 	if err != nil {
@@ -103,8 +107,6 @@ func (n *testNet) addDomain(name string, mode UpdateMode) *domain {
 		ORB:           o,
 		TraderRef:     n.traderRef,
 		NamingRef:     n.namingRef,
-		Mode:          mode,
-		PollInterval:  20 * time.Millisecond,
 		DiscoverEvery: 200 * time.Millisecond,
 		Logf:          func(string, ...any) {},
 	})
@@ -174,9 +176,9 @@ func waitFor(t *testing.T, timeout time.Duration, step func() bool) {
 
 func TestDiscoveryViaTrader(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
-	c := n.addDomain("utexas", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
+	c := n.addDomain("utexas")
 	n.discoverAll()
 
 	for _, d := range []*domain{a, b, c} {
@@ -194,8 +196,8 @@ func TestDiscoveryViaTrader(t *testing.T) {
 
 func TestSubstrateCloseWithdrawsOffer(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	n.discoverAll()
 	if len(a.sub.Peers()) != 1 {
 		t.Fatal("setup failed")
@@ -219,8 +221,8 @@ func TestSubstrateCloseWithdrawsOffer(t *testing.T) {
 
 func TestGlobalAppListMergesDomains(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	n.attachApp(a, "wave-a", defaultUsers())
 	n.attachApp(b, "wave-b", defaultUsers())
 	n.discoverAll()
@@ -248,7 +250,7 @@ func TestGlobalAppListMergesDomains(t *testing.T) {
 
 func TestNamingBindingForProxies(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
+	a := n.addDomain("rutgers")
 	as := n.attachApp(a, "wave", defaultUsers())
 	waitFor(t, 2*time.Second, func() bool {
 		_, err := n.naming.Resolve(as.AppID())
@@ -269,11 +271,11 @@ func TestNamingBindingForProxies(t *testing.T) {
 	})
 }
 
-// remoteSteeringTest exercises the full remote path in the given mode.
-func remoteSteeringTest(t *testing.T, mode UpdateMode) {
+// remoteSteeringTest exercises the full remote path.
+func remoteSteeringTest(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", mode) // host domain
-	b := n.addDomain("caltech", mode) // client's local domain
+	a := n.addDomain("rutgers") // host domain
+	b := n.addDomain("caltech") // client's local domain
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -347,13 +349,12 @@ func remoteSteeringTest(t *testing.T, mode UpdateMode) {
 	}
 }
 
-func TestRemoteSteeringPushMode(t *testing.T) { remoteSteeringTest(t, Push) }
-func TestRemoteSteeringPollMode(t *testing.T) { remoteSteeringTest(t, Poll) }
+func TestRemoteSteeringPushMode(t *testing.T) { remoteSteeringTest(t) }
 
 func TestDistributedLockMutualExclusion(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -398,8 +399,8 @@ func TestDistributedLockMutualExclusion(t *testing.T) {
 
 func TestCrossServerCollaboration(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -452,8 +453,8 @@ func TestCrossServerCollaboration(t *testing.T) {
 
 func TestControlChannelEvents(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	n.discoverAll()
 
 	// A logged-in client at caltech hears about an app joining rutgers.
@@ -472,8 +473,8 @@ func TestControlChannelEvents(t *testing.T) {
 
 func TestRemoteUsers(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	n.attachApp(b, "wave", defaultUsers())
 	n.discoverAll()
 	b.srv.Login(context.Background(), "bob", "pw")
@@ -492,8 +493,8 @@ func TestRemoteUsers(t *testing.T) {
 
 func TestRemotePrivilegeDenied(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 
@@ -515,12 +516,68 @@ func TestRemotePrivilegeDenied(t *testing.T) {
 	}
 }
 
+// TestRemoteRefusalsKeepTheirCode steers from caltech's portal into a
+// rutgers-hosted application. The host's refusals must reach the client
+// with the code the host gives them, not as 500 internal: 409 lock_held
+// while a rutgers client holds the lock, and 403 forbidden once the
+// host's ACL stops granting steer to a client that connected with it.
+func TestRemoteRefusalsKeepTheirCode(t *testing.T) {
+	n := newTestNet(t)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
+	as := n.attachApp(a, "wave", defaultUsers())
+	n.discoverAll()
+	appID := as.AppID()
+	ctx := context.Background()
+
+	holder, _ := a.srv.Login(ctx, "alice", "pw")
+	if _, err := a.srv.ConnectApp(ctx, holder, appID); err != nil {
+		t.Fatal(err)
+	}
+	if granted, _, err := a.srv.LockOp(ctx, holder, true); err != nil || !granted {
+		t.Fatalf("host lock: %v %v", granted, err)
+	}
+
+	ts := httptest.NewServer(b.srv.HTTPHandler())
+	defer ts.Close()
+	c := portal.New(ts.URL)
+	if err := c.Login(ctx, "alice", "pw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ConnectApp(ctx, appID); err != nil {
+		t.Fatal(err)
+	}
+	wantRefusal := func(err error, status int, code server.ErrCode) {
+		t.Helper()
+		var ae *portal.APIError
+		if !errors.As(err, &ae) || ae.Status != status || ae.Code != string(code) {
+			t.Errorf("remote refusal = %v, want %d %s", err, status, code)
+		}
+	}
+	_, err := c.SetParam(ctx, "source_freq", 0.3)
+	wantRefusal(err, http.StatusConflict, server.CodeLockHeld)
+
+	if _, _, err := a.srv.LockOp(ctx, holder, false); err != nil {
+		t.Fatal(err)
+	}
+	if granted, _, err := c.AcquireLock(ctx); err != nil || !granted {
+		t.Fatalf("remote lock: %v %v", granted, err)
+	}
+	acl, ok := a.srv.Auth().ACL(appID)
+	if !ok {
+		t.Fatal("host has no ACL for the application")
+	}
+	acl.Grant("alice", auth.Monitor)
+	_, err = c.SetParam(ctx, "source_freq", 0.3)
+	wantRefusal(err, http.StatusForbidden, server.CodeForbidden)
+}
+
 // TestLastMemberLeaveStopsUpdates: once a domain's last member
 // disconnects, the host relays no further application updates there.
 func TestLastMemberLeaveStopsUpdates(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -603,9 +660,9 @@ func TestLastMemberLeaveStopsUpdates(t *testing.T) {
 func TestFederationChaos(t *testing.T) {
 	n := newTestNet(t)
 	domains := []*domain{
-		n.addDomain("d0", Push),
-		n.addDomain("d1", Push),
-		n.addDomain("d2", Push),
+		n.addDomain("d0"),
+		n.addDomain("d1"),
+		n.addDomain("d2"),
 	}
 	apps := []*appproto.Session{
 		n.attachApp(domains[0], "chaos-a", defaultUsers()),
@@ -705,7 +762,7 @@ func TestFederationChaos(t *testing.T) {
 	})
 
 	// Restart d2 under the same name and re-federate.
-	d2b := n.addDomain("d2", Push)
+	d2b := n.addDomain("d2")
 	n.discoverAll()
 
 	waitDone := make(chan struct{})
@@ -834,8 +891,8 @@ func TestLinkedTraderDiscovery(t *testing.T) {
 // applications stay listed — marked unavailable — from the cache.
 func TestPeerFailureHandledCleanly(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -912,8 +969,8 @@ func TestPeerFailureHandledCleanly(t *testing.T) {
 // RESOURCE_POLICY error, and its consumption is accounted.
 func TestResourcePolicyThrottlesPeer(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -949,8 +1006,8 @@ func TestResourcePolicyThrottlesPeer(t *testing.T) {
 // and denied.
 func TestCollabMeterExemptionValidated(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -979,50 +1036,6 @@ func TestCollabMeterExemptionValidated(t *testing.T) {
 	var re *orb.RemoteError
 	if !errors.As(err, &re) || re.Code != CodePolicy {
 		t.Errorf("forged join error = %v, want code %s", err, CodePolicy)
-	}
-}
-
-func TestPollModeFiltersForeignResponses(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers", Poll)
-	b := n.addDomain("caltech", Poll)
-	c := n.addDomain("utexas", Poll)
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
-	appID := as.AppID()
-
-	sb, _ := b.srv.Login(context.Background(), "alice", "pw")
-	sc, _ := c.srv.Login(context.Background(), "bob", "pw")
-	if _, err := b.srv.ConnectApp(context.Background(), sb, appID); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.srv.ConnectApp(context.Background(), sc, appID); err != nil {
-		t.Fatal(err)
-	}
-	if granted, _, _ := b.srv.LockOp(context.Background(), sb, true); !granted {
-		t.Fatal("lock")
-	}
-	if _, err := b.srv.SubmitCommand(context.Background(), sb, "set_param", []wire.Param{
-		{Key: "name", Value: "source_freq"}, {Key: "value", Value: "0.19"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var got bool
-	waitFor(t, 5*time.Second, func() bool {
-		as.RunPhase()
-		for _, m := range sb.Buffer.Drain(0) {
-			if m.Kind == wire.KindResponse && m.Op == "set_param" {
-				got = true
-			}
-		}
-		return got
-	})
-	// utexas's client must not see alice's response (responses are scoped
-	// to the requester's server; updates are shared).
-	for _, m := range sc.Buffer.Drain(0) {
-		if m.Kind == wire.KindResponse && m.Client == sb.ClientID {
-			t.Error("foreign response leaked through poll filter")
-		}
 	}
 }
 
@@ -1107,9 +1120,9 @@ func TestDirCacheSingleFlightAndStates(t *testing.T) {
 // coherent recovery after rebirth.
 func TestDirectoryChaosConcurrentListings(t *testing.T) {
 	n := newTestNet(t)
-	d0 := n.addDomain("d0", Push)
-	d1 := n.addDomain("d1", Push)
-	d2 := n.addDomain("d2", Push)
+	d0 := n.addDomain("d0")
+	d1 := n.addDomain("d1")
+	d2 := n.addDomain("d2")
 	n.attachApp(d1, "stable-1", defaultUsers())
 	n.attachApp(d2, "stable-2", defaultUsers())
 	n.discoverAll()
@@ -1201,7 +1214,7 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 
 	// A reborn d2 re-federates under the same name; its new application
 	// becomes visible and available through the invalidated cache.
-	d2b := n.addDomain("d2", Push)
+	d2b := n.addDomain("d2")
 	reborn := n.attachApp(d2b, "reborn", defaultUsers())
 	n.discoverAll()
 	waitFor(t, 10*time.Second, func() bool {

@@ -12,7 +12,8 @@
 //   - CorbaProxy (level two, one servant per local application, object key
 //     "CorbaProxy/<appID>", also bound in the naming service under the
 //     application id): forward commands, relay lock requests, fan
-//     collaboration messages out, and serve update polls.
+//     collaboration messages out, and serve the replicated collaboration
+//     log's anti-entropy exchange.
 //
 // A Control servant carries the fourth inter-server channel: error and
 // system events plus pushed group traffic (the Salamander-style
@@ -25,13 +26,14 @@
 //
 // # Update propagation
 //
-// Both designs of §5.2.3 are implemented and selectable by Config.Mode:
-// Poll has the subscriber's stubs poll the host's application log, Push
-// drives a per-peer relay sender that drains up to Config.RelayBatch
-// queued messages per wakeup into a single oneway deliverBatch
-// invocation (peers that predate batching are detected once and served
-// per-message). Updates cross the WAN once per remote server that has a
-// member in the application's group, and fan out locally.
+// Of the two designs of §5.2.3, the substrate implements push: a
+// subscribing server asks the host once, and the host's per-peer relay
+// sender drains up to Config.RelayBatch queued messages per wakeup into a
+// single oneway deliverBatch invocation on the subscriber's Control
+// servant. Updates cross the WAN once per remote server that has a member
+// in the application's group, and fan out locally. The prototype's
+// polling design survives only as the losing arm of experiment A3
+// (internal/experiments).
 //
 // # Failure handling
 //

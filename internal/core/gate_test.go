@@ -33,10 +33,10 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 	const phases = 10
 	ctx := context.Background()
 	n := newWANNet(t, 2*time.Millisecond)
-	h := n.addDomain("h", Push)
+	h := n.addDomain("h")
 	peers := map[string]*domain{}
 	for _, name := range []string{"p1", "p2", "p3"} {
-		peers[name] = n.addDomain(name, Push)
+		peers[name] = n.addDomain(name)
 	}
 	as := n.attachApp(h, "wave", defaultUsers())
 	n.discoverAll()
@@ -190,8 +190,8 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 func TestDialReturnsConnectableApp(t *testing.T) {
 	ctx := context.Background()
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	n.discoverAll()
 	sess, err := b.srv.Login(ctx, "alice", "pw")
 	if err != nil {
@@ -223,8 +223,8 @@ func TestDialReturnsConnectableApp(t *testing.T) {
 func TestConnectAppReturnsJoinForwardError(t *testing.T) {
 	ctx := context.Background()
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()

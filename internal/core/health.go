@@ -72,7 +72,8 @@ type breakerError struct {
 func (e *breakerError) Error() string     { return e.msg }
 func (e *breakerError) ErrorCode() string { return e.code }
 
-// Failure-detector defaults (Config can override each).
+// Failure-detector defaults. Config can override each but
+// DefaultSuspectAfter, which is fixed.
 const (
 	DefaultHeartbeatEvery = 2 * time.Second
 	DefaultProbeTimeout   = 2 * time.Second
@@ -102,25 +103,20 @@ type peerHealth struct {
 // callbacks run after the table lock is released, so they may call back
 // into the substrate freely.
 type healthTable struct {
-	mu           sync.Mutex
-	peers        map[string]*peerHealth
-	suspectAfter int
-	downAfter    int
-	onDown       func(name, addr string)
-	onRecovered  func(name, addr string)
+	mu          sync.Mutex
+	peers       map[string]*peerHealth
+	downAfter   int
+	onDown      func(name, addr string)
+	onRecovered func(name, addr string)
 }
 
-func newHealthTable(suspectAfter, downAfter int) *healthTable {
-	if suspectAfter <= 0 {
-		suspectAfter = DefaultSuspectAfter
-	}
+func newHealthTable(downAfter int) *healthTable {
 	if downAfter <= 0 {
 		downAfter = DefaultDownAfter
 	}
 	return &healthTable{
-		peers:        make(map[string]*peerHealth),
-		suspectAfter: suspectAfter,
-		downAfter:    downAfter,
+		peers:     make(map[string]*peerHealth),
+		downAfter: downAfter,
 	}
 }
 
@@ -187,7 +183,7 @@ func (h *healthTable) reportFailure(name, addr string, err error) {
 				p.recovered = make(chan struct{})
 			}
 			fire = h.onDown
-		} else if p.consecFails >= h.suspectAfter {
+		} else if p.consecFails >= DefaultSuspectAfter {
 			p.state = PeerSuspect
 		}
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestHealthTableBreakerLifecycle(t *testing.T) {
 	var downs, recoveries []string
-	h := newHealthTable(1, 3)
+	h := newHealthTable(3)
 	h.onDown = func(name, addr string) { downs = append(downs, name) }
 	h.onRecovered = func(name, addr string) { recoveries = append(recoveries, name) }
 
@@ -107,7 +107,7 @@ func TestHealthTableBreakerLifecycle(t *testing.T) {
 }
 
 func TestHealthTableKeepThroughMiss(t *testing.T) {
-	h := newHealthTable(1, 3)
+	h := newHealthTable(3)
 	h.discoverySeen("p", "addr:1")
 
 	// First missed round: kept, marked suspect.
@@ -148,7 +148,7 @@ func TestHealthTableKeepThroughMiss(t *testing.T) {
 }
 
 func TestHealthTableHeartbeatRTT(t *testing.T) {
-	h := newHealthTable(1, 3)
+	h := newHealthTable(3)
 	h.heartbeatOK("p", "addr:1", 1500*time.Microsecond)
 	snap := h.snapshot()
 	if len(snap) != 1 || snap[0].HeartbeatRTTMicros != 1500 {

@@ -86,20 +86,11 @@ func (s *Substrate) pingPeer(p peerInfo) (time.Duration, error) {
 func (s *Substrate) appsHostedAt(peer string) []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	seen := make(map[string]bool)
+	var out []string
 	for appID := range s.subs {
 		if server.ServerOfApp(appID) == peer {
-			seen[appID] = true
+			out = append(out, appID)
 		}
-	}
-	for appID := range s.polls {
-		if server.ServerOfApp(appID) == peer {
-			seen[appID] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for appID := range seen {
-		out = append(out, appID)
 	}
 	return out
 }

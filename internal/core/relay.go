@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sync/atomic"
 	"time"
 
@@ -83,9 +82,11 @@ func (r *relaySender) deliverFunc(appID string) func(*wire.Message) {
 		case r.queue <- relayItem{app: appID, msg: m, at: time.Now()}:
 		case <-r.done:
 		default:
-			// Queue full: drop, as with slow clients. The peer catches up
-			// from the application log if it cares (pollUpdates). Counted
-			// so shedding is visible in GET /api/stats.
+			// Queue full: drop, as with slow clients. Nothing re-sends
+			// the message: replicated collaboration ops come back with
+			// the periodic anti-entropy exchange (reassertSubscriptions),
+			// updates and responses are lost. Counted so shedding is
+			// visible in GET /api/v1/stats.
 			r.dropped.Add(1)
 		}
 	}
@@ -206,81 +207,5 @@ func (r *relaySender) close() {
 	case <-r.done:
 	default:
 		close(r.done)
-	}
-}
-
-// poller is the subscriber-side poll path for one remote application: it
-// periodically pulls new group traffic from the host's application log
-// and feeds it to the local fan-out, filtering responses addressed to
-// other servers' clients.
-type poller struct {
-	sub     *Substrate
-	peer    peerInfo
-	appID   string
-	lastSeq uint64
-	scratch []*wire.Message
-	done    chan struct{}
-}
-
-func newPoller(s *Substrate, peer peerInfo, appID string, every time.Duration) *poller {
-	p := &poller{sub: s, peer: peer, appID: appID, done: make(chan struct{})}
-	s.wg.Add(1)
-	go p.loop(every)
-	return p
-}
-
-func (p *poller) loop(every time.Duration) {
-	defer p.sub.wg.Done()
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-p.done:
-			return
-		case <-ticker.C:
-			p.pollOnce()
-		}
-	}
-}
-
-// pollOnce pulls one batch and dispatches it through the batched local
-// fan-out (one group lookup per poll, not per message).
-func (p *poller) pollOnce() {
-	if p.sub.health.allow(p.peer.name) != nil {
-		return // breaker open: skip the round, the prober decides recovery
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), p.sub.cfg.RPCTimeout)
-	defer cancel()
-	var resp pollResp
-	// Polls are bulk exchanges: a busy application's accumulated update
-	// batch is large and compressible.
-	err := p.sub.orb.Invoke(orb.WithBulk(ctx), p.sub.proxyRef(p.peer, p.appID), "pollUpdates",
-		pollReq{SinceSeq: p.lastSeq, From: p.sub.srv.Name()}, &resp)
-	p.sub.observePeer(p.peer, err)
-	if err != nil {
-		p.sub.cfg.Logf("core %s: poll %s: %v", p.sub.srv.Name(), p.appID, err)
-		return
-	}
-	p.lastSeq = resp.LastSeq
-	self := p.sub.srv.Name()
-	keep := p.scratch[:0]
-	for _, m := range resp.Msgs {
-		switch m.Kind {
-		case wire.KindResponse, wire.KindError:
-			if server.ServerOfClient(m.Client) != self {
-				continue // another server's client
-			}
-		}
-		keep = append(keep, m)
-	}
-	p.sub.srv.DeliverRemoteBatch(p.appID, keep, p.peer.name)
-	p.scratch = keep[:0]
-}
-
-func (p *poller) close() {
-	select {
-	case <-p.done:
-	default:
-		close(p.done)
 	}
 }

@@ -17,8 +17,8 @@ import (
 // connected client session in the same order.
 func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 	appID := as.AppID()
@@ -107,8 +107,8 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 // as exactly 4 ORB invocations (32+32+32+4).
 func TestRelayBatchInvocationCount(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	n.addDomain("caltech")
 	n.discoverAll()
 
 	var peer peerInfo
@@ -183,7 +183,7 @@ func TestRelayQueueFullDrops(t *testing.T) {
 // and the sender keeps running (backing off) instead of spinning or dying.
 func TestRelayBackoffOnDeadPeer(t *testing.T) {
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
+	a := n.addDomain("rutgers")
 
 	// 127.0.0.1:1 is essentially guaranteed connection-refused.
 	r := newRelaySender(a.sub, peerInfo{name: "ghost", addr: "127.0.0.1:1"})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sort"
 
 	"discover/internal/collab"
@@ -75,14 +76,6 @@ type (
 		VV   map[string]uint64
 	}
 	collabPushResp struct{}
-	pollReq        struct {
-		SinceSeq uint64
-		From     string // polling server, for resource accounting
-	}
-	pollResp struct {
-		Msgs    []*wire.Message
-		LastSeq uint64
-	}
 )
 
 // Wire types for the Control channel.
@@ -133,7 +126,7 @@ func (s *Substrate) serverServant() orb.Servant {
 			return privilegeResp{Privilege: s.srv.PrivilegeName(r.User, r.App)}, nil
 		}),
 		"subscribe": orb.Handler(func(r subscribeReq) (subscribeResp, error) {
-			return subscribeResp{}, s.acceptSubscription(r)
+			return subscribeResp{}, refusal(s.acceptSubscription(r))
 		}),
 		"ping": orb.Handler(func(pingReq) (pingResp, error) {
 			return pingResp{Name: s.srv.Name()}, nil
@@ -203,6 +196,24 @@ func (s *Substrate) meter(principal string, bytes int) error {
 	return &orb.RemoteError{Code: CodePolicy, Msg: principal + " exceeded its access policy"}
 }
 
+// refusal gives a host-side refusal its API error code before it crosses
+// the ORB, so the requesting server answers its client with the code the
+// host would have answered (409 lock_held, 403 forbidden, ...) instead of
+// an unclassified APPLICATION error. Registry codes are lowercase and so
+// never collide with the ORB's own uppercase codes; an error the registry
+// cannot classify crosses unchanged.
+func refusal(err error) error {
+	var re *orb.RemoteError
+	if err == nil || errors.As(err, &re) {
+		return err
+	}
+	code := server.CodeOf(err)
+	if code == server.CodeInternal {
+		return err
+	}
+	return &orb.RemoteError{Code: string(code), Msg: err.Error()}
+}
+
 // proxyServant is the CorbaProxy for one local application: the
 // application's gateway for all other servers.
 func (s *Substrate) proxyServant(appID string) orb.Servant {
@@ -211,7 +222,7 @@ func (s *Substrate) proxyServant(appID string) orb.Servant {
 			if err := s.meter(server.ServerOfClient(r.Cmd.Client), r.Cmd.ApproxSize()); err != nil {
 				return commandResp{}, err
 			}
-			return commandResp{}, s.srv.EnqueueLocalCommand(appID, r.Cmd)
+			return commandResp{}, refusal(s.srv.EnqueueLocalCommand(appID, r.Cmd))
 		}),
 		"lock": orb.Handler(func(r lockReq) (lockResp, error) {
 			if err := s.meter(server.ServerOfClient(r.Owner), 0); err != nil {
@@ -219,7 +230,7 @@ func (s *Substrate) proxyServant(appID string) orb.Servant {
 			}
 			granted, holder, err := s.srv.LockRequest(appID, r.Owner, r.Acquire)
 			if err != nil {
-				return lockResp{}, err
+				return lockResp{}, refusal(err)
 			}
 			return lockResp{Granted: granted, Holder: holder}, nil
 		}),
@@ -253,33 +264,7 @@ func (s *Substrate) proxyServant(appID string) orb.Servant {
 			s.srv.CollabApply(appID, r.Ops, r.VV, r.From)
 			return collabPushResp{}, nil
 		}),
-		"pollUpdates": orb.Handler(func(r pollReq) (pollResp, error) {
-			if err := s.meter(r.From, 0); err != nil {
-				return pollResp{}, err
-			}
-			return s.pollUpdates(appID, r.SinceSeq), nil
-		}),
 	}
-}
-
-// pollUpdates serves the poll-mode propagation path (§5.2.3: "the
-// CorbaProxy objects poll each other for updates and responses"). It
-// returns group traffic from the application log after SinceSeq.
-// Responses are included only for clients of no particular server —
-// pollers filter on their own clients.
-func (s *Substrate) pollUpdates(appID string, since uint64) pollResp {
-	log := s.srv.Archive().ApplicationLog(appID)
-	entries := log.Since(since)
-	resp := pollResp{LastSeq: since}
-	for _, e := range entries {
-		resp.LastSeq = e.Seq
-		switch e.Msg.Kind {
-		case wire.KindUpdate, wire.KindChat, wire.KindWhiteboard,
-			wire.KindViewShare, wire.KindResponse, wire.KindError:
-			resp.Msgs = append(resp.Msgs, e.Msg)
-		}
-	}
-	return resp
 }
 
 // sortAppInfos keeps merged app lists deterministic for clients.

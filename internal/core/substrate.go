@@ -19,17 +19,8 @@ import (
 	"discover/internal/wire"
 )
 
-// UpdateMode selects how group traffic crosses servers.
-type UpdateMode int
-
-const (
-	// Push delivers host-side group messages to subscribed peers over the
-	// control channel as they happen (one message per peer server).
-	Push UpdateMode = iota
-	// Poll has the subscribing server's CorbaProxy stubs poll the host
-	// periodically — the mode the paper's prototype used.
-	Poll
-)
+// rpcTimeout is the per-invocation budget of every remote operation.
+const rpcTimeout = 10 * time.Second
 
 // Config wires a Substrate to its server and discovery services.
 type Config struct {
@@ -39,24 +30,19 @@ type Config struct {
 	NamingRef     orb.ObjRef // the shared naming service (optional)
 	Props         map[string]string
 	OfferTTL      time.Duration // trader lease (default 60s)
-	Mode          UpdateMode
-	RelayBatch    int                // max messages per push invocation (default 32; 1 disables batching)
-	PollInterval  time.Duration      // poll mode update interval (default 100ms)
-	DiscoverEvery time.Duration      // peer re-discovery period (default 5s)
-	DiscoverHops  int                // trader links to follow during discovery (default 0)
-	RPCTimeout    time.Duration      // per-invocation budget (default 10s)
-	Accounting    *policy.Accountant // per-peer resource policies (§6.3); nil = metering only
+	RelayBatch    int           // max messages per push invocation (default 32; 1 disables batching)
+	DiscoverEvery time.Duration // peer re-discovery period (default 5s)
+	DiscoverHops  int           // trader links to follow during discovery (default 0)
 	Logf          func(format string, args ...any)
 
-	// Failure detection (see health.go). A dead peer is detected after
-	// DownAfter consecutive peer-failure outcomes — from regular traffic
-	// or from the heartbeat prober, whichever accumulates them first —
-	// after which operations against it fail fast with ErrPeerDown until
-	// a recovery probe succeeds.
-	DialTimeout    time.Duration // TCP connect budget, below RPCTimeout (default 2s)
+	// Failure detection (see health.go). A peer turns suspect after
+	// DefaultSuspectAfter consecutive peer-failure outcomes and dead after
+	// DownAfter — from regular traffic or from the heartbeat prober,
+	// whichever accumulates them first — after which operations against
+	// it fail fast with ErrPeerDown until a recovery probe succeeds.
+	DialTimeout    time.Duration // TCP connect budget, below the 10s RPC budget (default 2s)
 	HeartbeatEvery time.Duration // control-channel heartbeat period (default 2s)
 	ProbeTimeout   time.Duration // heartbeat/recovery probe budget (default DialTimeout)
-	SuspectAfter   int           // consecutive failures before suspect (default 1)
 	DownAfter      int           // consecutive failures before down (default 3)
 
 	// Directory fan-out and caching (see fanout.go, dircache.go).
@@ -109,9 +95,8 @@ type Substrate struct {
 
 	mu      sync.Mutex
 	peers   map[string]peerInfo     // by server name
-	relays  map[string]*relaySender // by peer name (host side, push mode)
-	polls   map[string]*poller      // by app id (subscriber side, poll mode)
-	subs    map[string]bool         // app ids subscribed (push mode)
+	relays  map[string]*relaySender // by peer name (host side)
+	subs    map[string]bool         // app ids subscribed (subscriber side)
 	named   map[string]bool         // app ids with a naming (un)bind pending: true = bind
 	offerID string
 	closed  bool
@@ -144,14 +129,8 @@ func New(cfg Config) (*Substrate, error) {
 	if cfg.RelayBatch <= 0 {
 		cfg.RelayBatch = DefaultRelayBatch
 	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 100 * time.Millisecond
-	}
 	if cfg.DiscoverEvery <= 0 {
 		cfg.DiscoverEvery = 5 * time.Second
-	}
-	if cfg.RPCTimeout <= 0 {
-		cfg.RPCTimeout = 10 * time.Second
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
@@ -165,9 +144,6 @@ func New(cfg Config) (*Substrate, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if cfg.Accounting == nil {
-		cfg.Accounting = policy.NewAccountant()
-	}
 	if cfg.FanoutWorkers <= 0 {
 		cfg.FanoutWorkers = DefaultFanoutWorkers
 	}
@@ -179,12 +155,11 @@ func New(cfg Config) (*Substrate, error) {
 		cfg:    cfg,
 		srv:    cfg.Server,
 		orb:    cfg.ORB,
-		acct:   cfg.Accounting,
-		health: newHealthTable(cfg.SuspectAfter, cfg.DownAfter),
+		acct:   policy.NewAccountant(),
+		health: newHealthTable(cfg.DownAfter),
 		dir:    newDirCache(cfg.Server.Name(), cfg.DirCacheTTL),
 		peers:  make(map[string]peerInfo),
 		relays: make(map[string]*relaySender),
-		polls:  make(map[string]*poller),
 		subs:   make(map[string]bool),
 		named:  make(map[string]bool),
 		stop:   make(chan struct{}),
@@ -262,9 +237,6 @@ func (s *Substrate) Close() {
 	for _, r := range s.relays {
 		r.close()
 	}
-	for _, p := range s.polls {
-		p.close()
-	}
 	s.mu.Unlock()
 	close(s.stop)
 	if s.gossip != nil {
@@ -279,7 +251,7 @@ func (s *Substrate) Close() {
 }
 
 func (s *Substrate) rpcCtx() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), s.cfg.RPCTimeout)
+	return context.WithTimeout(context.Background(), rpcTimeout)
 }
 
 // boundCtx derives the per-invocation budget from the caller's context —
@@ -289,7 +261,7 @@ func (s *Substrate) boundCtx(ctx context.Context) (context.Context, context.Canc
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return context.WithTimeout(ctx, s.cfg.RPCTimeout)
+	return context.WithTimeout(ctx, rpcTimeout)
 }
 
 // goTracked runs fn on a goroutine tracked by the substrate's WaitGroup,
@@ -346,9 +318,6 @@ func (s *Substrate) maintenanceLoop() {
 // subscribe operation is idempotent at the host. A non-empty peer limits
 // the pass to applications hosted there (recovery reassertion).
 func (s *Substrate) reassertSubscriptions(peer string) {
-	if s.cfg.Mode != Push {
-		return
-	}
 	s.mu.Lock()
 	apps := make([]string, 0, len(s.subs))
 	for appID := range s.subs {
@@ -829,11 +798,8 @@ func (s *Substrate) SyncCollabApp(ctx context.Context, appID string) error {
 // GossipNow drives directory rounds.
 func (s *Substrate) CollabSyncNow() {
 	s.mu.Lock()
-	apps := make([]string, 0, len(s.subs)+len(s.polls))
+	apps := make([]string, 0, len(s.subs))
 	for appID := range s.subs {
-		apps = append(apps, appID)
-	}
-	for appID := range s.polls {
 		apps = append(apps, appID)
 	}
 	s.mu.Unlock()
@@ -846,50 +812,35 @@ func (s *Substrate) CollabSyncNow() {
 }
 
 // Subscribe arranges for the application's group traffic to reach this
-// server: a push relay at the host (Push mode) or a local poller (Poll
-// mode). Idempotent.
+// server: the host pushes it over a relay to our Control servant.
+// Idempotent.
 func (s *Substrate) Subscribe(ctx context.Context, appID string) error {
 	p, err := s.peerFor(appID)
 	if err != nil {
 		return err
 	}
-	switch s.cfg.Mode {
-	case Push:
-		s.mu.Lock()
-		if s.subs[appID] {
-			s.mu.Unlock()
-			return nil
-		}
-		s.mu.Unlock()
-		err := s.invokePeer(ctx, p, p.serverRef(), "subscribe", subscribeReq{
-			App: appID, Peer: s.srv.Name(), PeerAddr: s.orb.Addr(),
-		}, nil)
-		if err != nil {
-			return err
-		}
-		s.mu.Lock()
-		s.subs[appID] = true
-		s.mu.Unlock()
-		// First subscription: pull the group's replicated log so
-		// latecomer clients replay history locally, with no per-client
-		// catch-up invocations against the host.
-		if err := s.SyncCollabApp(ctx, appID); err != nil {
-			s.cfg.Logf("core %s: collab sync %s: %v", s.srv.Name(), appID, err)
-		}
-		return nil
-	default: // Poll
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.closed {
-			return fmt.Errorf("core: substrate closed")
-		}
-		if _, ok := s.polls[appID]; ok {
-			return nil
-		}
-		pl := newPoller(s, p, appID, s.cfg.PollInterval)
-		s.polls[appID] = pl
+	s.mu.Lock()
+	subscribed := s.subs[appID]
+	s.mu.Unlock()
+	if subscribed {
 		return nil
 	}
+	err = s.invokePeer(ctx, p, p.serverRef(), "subscribe", subscribeReq{
+		App: appID, Peer: s.srv.Name(), PeerAddr: s.orb.Addr(),
+	}, nil)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	s.subs[appID] = true
+	s.mu.Unlock()
+	// First subscription: pull the group's replicated log so latecomer
+	// clients replay history locally, with no per-client catch-up
+	// invocations against the host.
+	if err := s.SyncCollabApp(ctx, appID); err != nil {
+		s.cfg.Logf("core %s: collab sync %s: %v", s.srv.Name(), appID, err)
+	}
+	return nil
 }
 
 // ExportApp installs a local application's CorbaProxy servant. The

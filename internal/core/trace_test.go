@@ -26,8 +26,8 @@ func spanByHop(rec telemetry.TraceRecord) map[string][]telemetry.Span {
 func TestTracePropagationAcrossFederation(t *testing.T) {
 	telemetry.Reset()
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push) // host
-	b := n.addDomain("caltech", Push) // edge
+	a := n.addDomain("rutgers") // host
+	b := n.addDomain("caltech") // edge
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 
@@ -81,8 +81,8 @@ func TestTracePropagationAcrossFederation(t *testing.T) {
 func TestRelayHistogramsPopulated(t *testing.T) {
 	telemetry.Reset()
 	n := newTestNet(t)
-	a := n.addDomain("rutgers", Push)
-	b := n.addDomain("caltech", Push)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
 	n.discoverAll()
 

@@ -6,7 +6,6 @@ import (
 	"net"
 	"time"
 
-	"discover/internal/core"
 	"discover/internal/netsim"
 	"discover/internal/orb"
 	"discover/internal/wire"
@@ -156,9 +155,10 @@ func RunA2(iters int) (Result, error) {
 	return res, nil
 }
 
-// RunA3 compares the two cross-server propagation designs: control-channel
-// push against the prototype's CorbaProxy polling, on delivery latency and
-// on idle WAN traffic.
+// RunA3 compares the two cross-server propagation designs: the
+// substrate's control-channel push against the prototype's CorbaProxy
+// polling (rebuilt for this experiment alone, see LogPoller), on delivery
+// latency and on idle WAN traffic.
 func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 	if updates <= 0 {
 		updates = 10
@@ -171,10 +171,8 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 	}
 	res := Result{ID: "A3", Title: "Update propagation: push vs poll (§5.2.3)"}
 
-	run := func(mode core.UpdateMode) (lat time.Duration, idleMsgs uint64, err error) {
+	run := func(poll bool) (lat time.Duration, idleMsgs uint64, err error) {
 		fed, err := NewFederation(FederationConfig{
-			Mode:         mode,
-			PollInterval: pollInterval,
 			Domains: []struct {
 				Name string
 				Site netsim.Site
@@ -194,35 +192,50 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 		if err := edge.Sub.DiscoverPeers(); err != nil {
 			return 0, 0, err
 		}
-		sess, err := LoginLocal(edge, "alice")
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
-			return 0, 0, err
+
+		// arrived waits until update seq reached the edge: for push, in
+		// a connected edge client's buffer (the host relays it there);
+		// for poll, in what the edge's poller pulled from the host's log.
+		var arrived func(seq uint64) bool
+		if poll {
+			p := StartLogPoller(host, edge, as.AppID(), pollInterval)
+			defer p.Stop()
+			arrived = func(seq uint64) bool {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+				defer cancel()
+				return p.WaitUpdate(ctx, seq) == nil
+			}
+		} else {
+			sess, err := LoginLocal(edge, "alice")
+			if err != nil {
+				return 0, 0, err
+			}
+			if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+				return 0, 0, err
+			}
+			arrived = func(seq uint64) bool {
+				deadline := time.Now().Add(30 * time.Second)
+				for time.Now().Before(deadline) {
+					for _, m := range sess.Buffer.DrainWait(0, 5*time.Millisecond) {
+						if m.Kind == wire.KindUpdate && m.Seq >= seq {
+							return true
+						}
+					}
+				}
+				return false
+			}
 		}
 
-		// Latency: one update generated at the host; time until the edge
-		// client's buffer holds it.
+		// Latency: one update generated at the host; time until it
+		// arrives at the edge.
 		var total time.Duration
-		var expect uint64
-		for u := 0; u < updates; u++ {
-			expect++
+		for seq := uint64(1); seq <= uint64(updates); seq++ {
 			start := time.Now()
 			if _, err := as.RunPhase(); err != nil {
 				return 0, 0, err
 			}
-			deadline := time.Now().Add(30 * time.Second)
-			got := false
-			for !got && time.Now().Before(deadline) {
-				for _, m := range sess.Buffer.DrainWait(0, 5*time.Millisecond) {
-					if m.Kind == wire.KindUpdate && m.Seq >= expect {
-						got = true
-					}
-				}
-			}
-			if !got {
-				return 0, 0, fmt.Errorf("experiments: update %d never propagated", expect)
+			if !arrived(seq) {
+				return 0, 0, fmt.Errorf("experiments: update %d never propagated", seq)
 			}
 			total += time.Since(start)
 		}
@@ -235,11 +248,11 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 		return lat, idleMsgs, nil
 	}
 
-	pushLat, pushIdle, err := run(core.Push)
+	pushLat, pushIdle, err := run(false)
 	if err != nil {
 		return res, err
 	}
-	pollLat, pollIdle, err := run(core.Poll)
+	pollLat, pollIdle, err := run(true)
 	if err != nil {
 		return res, err
 	}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"discover/internal/appproto"
-	"discover/internal/core"
 	"discover/internal/netsim"
 	"discover/internal/portal"
 	"discover/internal/session"
@@ -26,7 +25,7 @@ import (
 //
 //	(the centralized baseline).
 func collabDeployment(peerToPeer bool, k, updates int, rtt time.Duration) (wan netsim.DirStats, elapsed time.Duration, err error) {
-	cfg := FederationConfig{Mode: core.Push}
+	cfg := FederationConfig{}
 	cfg.Topology = func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) }
 	cfg.Domains = []struct {
 		Name string
@@ -185,7 +184,6 @@ func RunE5(iters int, rtt time.Duration) (Result, error) {
 	res := Result{ID: "E5", Title: "Remote vs local application latency/throughput (§7)"}
 
 	fed, err := NewFederation(FederationConfig{
-		Mode: core.Push,
 		Domains: []struct {
 			Name string
 			Site netsim.Site
@@ -276,7 +274,6 @@ func RunE6(iters int) (Result, error) {
 	res := Result{ID: "E6", Title: "Discovery and remote authentication overheads (§7)"}
 
 	fed, err := NewFederation(FederationConfig{
-		Mode: core.Push,
 		Domains: []struct {
 			Name string
 			Site netsim.Site
@@ -377,7 +374,7 @@ func RunE7(totalClients, updates int) (Result, error) {
 	}
 	run := func(servers int) (loadResult, error) {
 		var lr loadResult
-		cfg := FederationConfig{Mode: core.Push}
+		cfg := FederationConfig{}
 		for i := 0; i < servers; i++ {
 			cfg.Domains = append(cfg.Domains, DomainAt(fmt.Sprintf("s%d", i), netsim.Site(fmt.Sprintf("site%d", i))))
 		}

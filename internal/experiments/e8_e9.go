@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"discover/internal/core"
 	"discover/internal/netsim"
 	"discover/internal/session"
 	"discover/internal/wire"
@@ -109,7 +108,6 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 	res := Result{ID: "E9", Title: "Distributed locking at the host server (§5.2.4)"}
 
 	fed, err := NewFederation(FederationConfig{
-		Mode: core.Push,
 		Domains: []struct {
 			Name string
 			Site netsim.Site

@@ -95,8 +95,6 @@ type FederationConfig struct {
 		Site netsim.Site
 	}
 	Topology     func(*netsim.Topology) // optional WAN shaping
-	Mode         core.UpdateMode
-	PollInterval time.Duration
 	FifoCapacity int
 	RelayBatch   int // max messages per relay push invocation (0 = default)
 
@@ -260,8 +258,6 @@ func (f *Federation) addDomain(name string, site netsim.Site, cfg FederationConf
 		ORB:            o,
 		TraderRef:      orb.ObjRef{Addr: f.Trader.Addr(), Key: orb.TraderKey},
 		NamingRef:      orb.ObjRef{Addr: f.Trader.Addr(), Key: orb.NamingKey},
-		Mode:           cfg.Mode,
-		PollInterval:   cfg.PollInterval,
 		RelayBatch:     cfg.RelayBatch,
 		DialTimeout:    cfg.DialTimeout,
 		HeartbeatEvery: cfg.HeartbeatEvery,

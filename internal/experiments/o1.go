@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"discover/internal/core"
 	"discover/internal/netsim"
 	"discover/internal/server"
 	"discover/internal/telemetry"
@@ -36,7 +35,6 @@ func RunO1(rtt time.Duration) (Result, error) {
 	defer telemetry.Default().SetSampleEvery(0)
 
 	fed, err := NewFederation(FederationConfig{
-		Mode: core.Push,
 		Domains: []struct {
 			Name string
 			Site netsim.Site
@@ -73,7 +71,7 @@ func RunO1(rtt time.Duration) (Result, error) {
 			ClientID: sess.ClientID, Op: op, Params: params,
 		})
 		t0 := time.Now()
-		resp, err := client.Post(edge.BaseURL()+"/api/command", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(edge.BaseURL()+"/api/v1/command", "application/json", bytes.NewReader(body))
 		elapsed := time.Since(t0)
 		if err != nil {
 			return server.CommandResponse{}, 0, err
@@ -111,13 +109,13 @@ func RunO1(rtt time.Duration) (Result, error) {
 
 	// Fetch the finished trace through the portal, as an operator would.
 	var rec telemetry.TraceRecord
-	tresp, err := client.Get(edge.BaseURL() + "/api/trace/" + cr.TraceID)
+	tresp, err := client.Get(edge.BaseURL() + "/api/v1/trace/" + cr.TraceID)
 	if err != nil {
 		return res, err
 	}
 	defer tresp.Body.Close()
 	if tresp.StatusCode != http.StatusOK {
-		return res, fmt.Errorf("GET /api/trace/%s -> %d", cr.TraceID, tresp.StatusCode)
+		return res, fmt.Errorf("GET /api/v1/trace/%s -> %d", cr.TraceID, tresp.StatusCode)
 	}
 	if err := json.NewDecoder(tresp.Body).Decode(&rec); err != nil {
 		return res, err

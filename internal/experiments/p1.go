@@ -252,7 +252,6 @@ func deployP1(n int, rtt time.Duration) (*p1Fed, error) {
 		domains = append(domains, DomainAt(fmt.Sprintf("d%d", i+1), sites[i]))
 	}
 	fed, err := NewFederation(FederationConfig{
-		Mode:    core.Push,
 		Domains: domains,
 		Topology: func(t *netsim.Topology) {
 			for i, si := range sites {

@@ -41,7 +41,6 @@ func RunR1(rtt time.Duration) (Result, error) {
 		downAfter    = 3
 	)
 	fed, err := NewFederation(FederationConfig{
-		Mode: core.Push,
 		Domains: []struct {
 			Name string
 			Site netsim.Site

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"discover/internal/core"
 	"discover/internal/netsim"
 	"discover/internal/session"
 	"discover/internal/storage"
@@ -56,7 +55,6 @@ func RunR2(dataDir string, events int) (Result, error) {
 	}
 
 	fedCfg := FederationConfig{
-		Mode: core.Push,
 		Domains: []struct {
 			Name string
 			Site netsim.Site

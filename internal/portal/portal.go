@@ -161,8 +161,8 @@ func IsLockConflict(err error) bool {
 	return errors.As(err, &ae) && ae.Status == http.StatusConflict
 }
 
-// statusCode maps an HTTP status to a registry code, for responses from
-// servers predating the envelope (legacy {"error":"..."} bodies).
+// statusCode maps an HTTP status to a registry code, for error responses
+// that carry no envelope (such as the mux's own 404 and 405).
 func statusCode(status int) string {
 	switch status {
 	case http.StatusBadRequest:
@@ -184,29 +184,16 @@ func statusCode(status int) string {
 	}
 }
 
-// decodeAPIError turns a non-2xx response into an *APIError, accepting
-// both the /api/v1 envelope and the legacy flat {"error":"message"}.
+// decodeAPIError turns a non-2xx response into an *APIError from the
+// uniform error envelope, falling back to the status alone when the body
+// carries none.
 func decodeAPIError(resp *http.Response) error {
 	ae := &APIError{Status: resp.StatusCode}
-	var env struct {
-		Error json.RawMessage `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&env); err == nil && len(env.Error) > 0 {
-		var body struct {
-			Code         string `json:"code"`
-			Message      string `json:"message"`
-			RetryAfterMS int64  `json:"retry_after_ms"`
-		}
-		if err := json.Unmarshal(env.Error, &body); err == nil && body.Code != "" {
-			ae.Code = body.Code
-			ae.Message = body.Message
-			ae.RetryAfter = time.Duration(body.RetryAfterMS) * time.Millisecond
-		} else {
-			var msg string
-			if json.Unmarshal(env.Error, &msg) == nil {
-				ae.Message = msg
-			}
-		}
+	var env server.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&env); err == nil {
+		ae.Code = string(env.Error.Code)
+		ae.Message = env.Error.Message
+		ae.RetryAfter = time.Duration(env.Error.RetryAfterMS) * time.Millisecond
 	}
 	if ae.Code == "" {
 		ae.Code = statusCode(resp.StatusCode)
@@ -447,15 +434,16 @@ func (c *Client) Status(ctx context.Context) (uint64, error) {
 	return c.Command(ctx, "status", nil)
 }
 
-// Poll drains up to max messages, long-polling up to wait.
+// Poll drains up to max messages (0 = all), long-polling up to wait,
+// through GET /api/v1/session/{id}/events.
 func (c *Client) Poll(ctx context.Context, max int, wait time.Duration) ([]*wire.Message, error) {
-	var pr server.PollResponse
-	path := fmt.Sprintf("/api/v1/poll?client=%s&max=%d&waitms=%d",
-		url.QueryEscape(c.ClientID()), max, wait.Milliseconds())
-	if err := c.get(ctx, path, &pr); err != nil {
+	var er server.EventsResponse
+	path := fmt.Sprintf("/api/v1/session/%s/events?max=%d&wait=%s",
+		url.PathEscape(c.ClientID()), max, wait)
+	if err := c.get(ctx, path, &er); err != nil {
 		return nil, err
 	}
-	return pr.Messages, nil
+	return er.Messages, nil
 }
 
 // AcquireLock requests the steering lock; granted=false reports the
@@ -596,14 +584,10 @@ func (c *Client) StopPump() {
 	}
 }
 
+// pumpLoop is StartPump's delivery body: long-poll the events route
+// until stop is closed.
 func (c *Client) pumpLoop(stop, done chan struct{}) {
 	defer close(done)
-	c.pumpRun(stop)
-}
-
-// pumpRun is the polling delivery body, shared by StartPump and the
-// streaming loop's pre-v6 fallback. It returns when stop is closed.
-func (c *Client) pumpRun(stop chan struct{}) {
 	for {
 		select {
 		case <-stop:
@@ -642,9 +626,8 @@ const streamBackoffMax = 2 * time.Second
 // The loop reconnects automatically, presenting the last event id it
 // processed as a resume token so the server splices the gap from its
 // replay ring (or reports the loss as an events-lost marker, which is
-// delivered to onEvent like any other event). Against a server that
-// predates the streaming edge (404/405 on the stream route) it degrades
-// permanently to the polling pump. StopPump stops either mode.
+// delivered to onEvent like any other event). Any failed attempt, a 404
+// included, is retried with backoff. StopPump stops either mode.
 func (c *Client) StreamEvents(onEvent func(*wire.Message)) {
 	c.pumpMu.Lock()
 	defer c.pumpMu.Unlock()
@@ -665,8 +648,8 @@ func (c *Client) StreamEvents(onEvent func(*wire.Message)) {
 func (c *Client) LastEventID() uint64 { return c.lastEventID.Load() }
 
 // Streaming reports whether delivery currently rides an open SSE stream
-// (false before the first connect, after falling back to polling, or
-// between reconnect attempts).
+// (false before the first connect, under StartPump, or between reconnect
+// attempts).
 func (c *Client) Streaming() bool {
 	c.pumpMu.Lock()
 	defer c.pumpMu.Unlock()
@@ -690,13 +673,7 @@ func (c *Client) streamLoop(stop, done chan struct{}) {
 			return
 		default:
 		}
-		delivered, retry, wait := c.streamOnce(stop, &lastID)
-		if !retry {
-			// The domain has no streaming edge (pre-v6 server): degrade to
-			// the poll pump for the rest of this session.
-			c.pumpRun(stop)
-			return
-		}
+		delivered, wait := c.streamOnce(stop, &lastID)
 		if delivered {
 			backoff = 100 * time.Millisecond
 		}
@@ -715,10 +692,9 @@ func (c *Client) streamLoop(stop, done chan struct{}) {
 }
 
 // streamOnce opens one stream connection and consumes it until it ends.
-// delivered reports whether any event arrived (resets the backoff), retry
-// whether the stream route is worth another attempt, and wait a server-
-// supplied floor on the reconnect delay (shed retry hints).
-func (c *Client) streamOnce(stop chan struct{}, lastID *uint64) (delivered, retry bool, wait time.Duration) {
+// delivered reports whether any event arrived (resets the backoff), and
+// wait a server-supplied floor on the reconnect delay (shed retry hints).
+func (c *Client) streamOnce(stop chan struct{}, lastID *uint64) (delivered bool, wait time.Duration) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -732,27 +708,19 @@ func (c *Client) streamOnce(stop chan struct{}, lastID *uint64) (delivered, retr
 	u := c.base + "/api/v1/session/" + url.PathEscape(c.ClientID()) + "/stream"
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return false, true, 0
+		return false, 0
 	}
 	if *lastID > 0 {
 		req.Header.Set("Last-Event-ID", strconv.FormatUint(*lastID, 10))
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return false, true, 0
+		return false, 0
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode == http.StatusNotFound || resp.StatusCode == http.StatusMethodNotAllowed:
-		// The mux itself rejected the route: a server from before the
-		// streaming edge existed. (A dead session is 401, not 404.)
-		return false, false, 0
-	case resp.StatusCode != http.StatusOK:
-		err := decodeAPIError(resp)
-		if d, ok := RetryAfter(err); ok {
-			return false, true, d
-		}
-		return false, true, 0
+	if resp.StatusCode != http.StatusOK {
+		d, _ := RetryAfter(decodeAPIError(resp))
+		return false, d
 	}
 
 	c.setStreaming(true)
@@ -788,7 +756,7 @@ func (c *Client) streamOnce(stop chan struct{}, lastID *uint64) (delivered, retr
 	}
 	// The server closed the stream: a shed after buffer-overflow, a
 	// drain, or a network fault. Reconnect with the resume token.
-	return delivered, true, 0
+	return delivered, 0
 }
 
 // An own response with no WaitResponse registered is held while one may

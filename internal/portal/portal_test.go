@@ -524,48 +524,6 @@ func TestPortalStreamEvents(t *testing.T) {
 	}
 }
 
-// TestPortalStreamFallback points StreamEvents at a domain whose edge
-// predates the streaming route (the mux 404s it). The portal must degrade
-// to the poll pump transparently: same dispatch semantics, Streaming()
-// stays false, StopPump still tears it down.
-func TestPortalStreamFallback(t *testing.T) {
-	env := newEnv(t)
-	// A pre-v6 edge: every /stream route is unknown to the mux.
-	legacy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/stream") {
-			http.NotFound(w, r)
-			return
-		}
-		env.srv.HTTPHandler().ServeHTTP(w, r)
-	}))
-	defer legacy.Close()
-
-	ctx := context.Background()
-	c := New(legacy.URL)
-	if err := c.Login(ctx, "alice", "pw"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ConnectApp(ctx, env.appID); err != nil {
-		t.Fatal(err)
-	}
-	c.StreamEvents(nil)
-	defer c.StopPump()
-
-	// The command round trip works over the polling fallback.
-	wctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	if granted, _, err := c.AcquireLock(ctx); err != nil || !granted {
-		t.Fatalf("AcquireLock = %v, %v", granted, err)
-	}
-	resp, err := c.Do(wctx, "set_param", map[string]string{"name": "source_freq", "value": "0.19"})
-	if err != nil || resp.Kind != wire.KindResponse {
-		t.Fatalf("Do over fallback: %v, %v", resp, err)
-	}
-	if c.Streaming() {
-		t.Error("Streaming() = true against a server with no stream route")
-	}
-}
-
 // TestPortalStreamReconnects severs the live SSE connection out from
 // under the portal and proves the auto-reconnect loop resumes delivery:
 // events published after the cut still arrive, spliced by the resume
@@ -642,7 +600,7 @@ type holdingTransport struct {
 }
 
 func (h *holdingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	poll := strings.HasSuffix(req.URL.Path, "/poll")
+	poll := strings.HasSuffix(req.URL.Path, "/events")
 	if poll {
 		h.mu.Lock()
 		if h.carried && h.released != nil {
@@ -663,7 +621,7 @@ func (h *holdingTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 	resp.Body = io.NopCloser(bytes.NewReader(body))
 	switch {
 	case poll:
-		var pr server.PollResponse
+		var pr server.EventsResponse
 		json.Unmarshal(body, &pr)
 		h.mu.Lock()
 		for _, m := range pr.Messages {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -13,9 +14,9 @@ import (
 )
 
 // The contract tests pin the /api/v1 surface: every route answers on its
-// versioned path AND its legacy /api alias (which must carry Deprecation
-// headers), and every non-2xx response is the uniform error envelope
-// with a registered code whose HTTP status matches the registry mapping.
+// versioned path and nowhere else under /api, and every non-2xx response
+// is the uniform error envelope with a registered code whose HTTP status
+// matches the registry mapping.
 
 func newContractServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
@@ -97,9 +98,6 @@ func TestContractEveryRoute(t *testing.T) {
 		route := rt.Method + " " + rt.Path
 
 		v1 := doRoute(t, ts.URL, rt, APIVersion)
-		if v1.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: /api/v1 response carries a Deprecation header", route)
-		}
 		if rt.Open || rt.Path == "/logout" {
 			// Open routes bypass admission control; logout is idempotent
 			// (200 for an unknown client id). A 4xx from bad probe input
@@ -122,18 +120,13 @@ func TestContractEveryRoute(t *testing.T) {
 			}
 		}
 
-		legacy := doRoute(t, ts.URL, rt, "/api")
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: legacy alias missing Deprecation: true", route)
+		// No unversioned alias: GET /api/apps, POST /api/login and every
+		// other /api path outside /api/v1 are unknown to the mux.
+		unversioned := doRoute(t, ts.URL, rt, "/api")
+		if unversioned.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: unversioned /api path answered %d, want 404", route, unversioned.StatusCode)
 		}
-		wantLink := "<" + APIVersion + rt.Path + `>; rel="successor-version"`
-		if got := legacy.Header.Get("Link"); got != wantLink {
-			t.Errorf("%s: legacy Link = %q, want %q", route, got, wantLink)
-		}
-		if legacy.StatusCode != v1.StatusCode {
-			t.Errorf("%s: legacy status %d != v1 status %d", route, legacy.StatusCode, v1.StatusCode)
-		}
-		legacy.Body.Close()
+		unversioned.Body.Close()
 	}
 }
 
@@ -169,7 +162,7 @@ func TestContractShardHammer(t *testing.T) {
 					return
 				}
 				for j := 0; j < 3; j++ {
-					resp, err := http.Get(ts.URL + "/api/v1/poll?client=" + lr.ClientID)
+					resp, err := http.Get(ts.URL + "/api/v1/session/" + url.PathEscape(lr.ClientID) + "/events")
 					if err != nil {
 						errs <- err
 						return
@@ -226,12 +219,12 @@ func TestContractRateLimitShedsWithRetryHint(t *testing.T) {
 	}
 
 	// The single burst token admits one poll; the next must shed.
-	resp, err := http.Get(ts.URL + "/api/v1/poll?client=" + lr.ClientID)
+	resp, err := http.Get(ts.URL + "/api/v1/session/" + url.PathEscape(lr.ClientID) + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	resp, err = http.Get(ts.URL + "/api/v1/poll?client=" + lr.ClientID)
+	resp, err = http.Get(ts.URL + "/api/v1/session/" + url.PathEscape(lr.ClientID) + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +288,7 @@ func TestContractDrainingSheds(t *testing.T) {
 	if !srv.Draining() {
 		t.Fatal("Draining() false after BeginDrain")
 	}
-	resp, err := http.Get(ts.URL + "/api/v1/poll?client=" + lr.ClientID)
+	resp, err := http.Get(ts.URL + "/api/v1/session/" + url.PathEscape(lr.ClientID) + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

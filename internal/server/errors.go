@@ -3,8 +3,10 @@ package server
 import (
 	"errors"
 	"net/http"
+	"slices"
 
 	"discover/internal/auth"
+	"discover/internal/orb"
 )
 
 // The portal edge speaks one error contract: every non-2xx response body
@@ -140,11 +142,18 @@ type codedError struct {
 func (e *codedError) Error() string     { return e.msg }
 func (e *codedError) ErrorCode() string { return string(e.code) }
 
-// codeOf classifies err into the registry.
-func codeOf(err error) ErrCode {
+// CodeOf classifies err into the registry. A refusal a peer classified
+// before it crossed the ORB (an *orb.RemoteError carrying a registry
+// code) keeps that code; any other remote error is classified like a
+// local one.
+func CodeOf(err error) ErrCode {
 	var c Coder
 	if errors.As(err, &c) {
 		return ErrCode(c.ErrorCode())
+	}
+	var re *orb.RemoteError
+	if errors.As(err, &re) && slices.Contains(ErrorCodes(), ErrCode(re.Code)) {
+		return ErrCode(re.Code)
 	}
 	switch {
 	case errors.Is(err, auth.ErrBadSecret), errors.Is(err, auth.ErrUnknownUser),

@@ -17,18 +17,17 @@ import (
 	"discover/internal/wire"
 )
 
-// The HTTP API is the web-portal surface of the paper's servlets. It is
-// deliberately request/response (poll-and-pull): clients poll
-// /api/v1/poll to drain their server-side FIFO buffer, exactly the
-// commodity-HTTP trade-off §6.2 discusses. Bodies are JSON — the modern
-// stand-in for the prototype's serialized Java objects over HTTP
-// GET/POST.
+// The HTTP API is the web-portal surface of the paper's servlets. Bodies
+// are JSON — the modern stand-in for the prototype's serialized Java
+// objects over HTTP GET/POST. Clients receive their server-side FIFO
+// buffer over an SSE stream (/session/{id}/stream), or long-poll it
+// (/session/{id}/events) where streaming is not possible: the
+// commodity-HTTP trade-off §6.2 discusses.
 //
-// The surface is versioned: the contract lives under /api/v1 (API.md
-// documents every route), and the original unversioned /api paths remain
-// as exact aliases that answer with a Deprecation header pointing at
-// their successor. Session-facing routes pass through edge admission
-// (admission.go) before their handler runs.
+// Every route lives under /api/v1 (API.md documents each); only the
+// operator endpoints /metrics and /debug/pprof sit outside it.
+// Session-facing routes pass through edge admission (admission.go)
+// before their handler runs.
 
 // API request/response bodies.
 type (
@@ -69,10 +68,6 @@ type (
 	CommandResponse struct {
 		Seq     uint64 `json:"seq"`
 		TraceID string `json:"traceId,omitempty"`
-	}
-	// PollResponse drains the client's FIFO buffer.
-	PollResponse struct {
-		Messages []*wire.Message `json:"messages"`
 	}
 	// LockRequestBody acquires or releases the steering lock.
 	LockRequestBody struct {
@@ -206,7 +201,6 @@ func (s *Server) Routes() []apiRoute {
 		{Method: "POST", Path: "/connect", handler: s.handleConnect},
 		{Method: "POST", Path: "/disconnect", handler: s.handleDisconnect},
 		{Method: "POST", Path: "/command", handler: s.handleCommand},
-		{Method: "GET", Path: "/poll", handler: s.handlePoll},
 		{Method: "GET", Path: "/session/{id}/events", handler: s.handleSessionEvents},
 		{Method: "GET", Path: "/session/{id}/stream", Stream: true, handler: s.handleSessionStream},
 		{Method: "POST", Path: "/lock", handler: s.handleLock},
@@ -226,18 +220,9 @@ func (s *Server) Routes() []apiRoute {
 	}
 }
 
-// withDeprecation marks a legacy-alias response before delegating.
-func withDeprecation(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h(w, r)
-	}
-}
-
 // HTTPHandler returns the server's web API: every route mounted under
-// /api/v1, a deprecated alias per route under the legacy /api prefix,
-// and the unversioned operator endpoints (/metrics, /debug/pprof).
+// /api/v1, plus the unversioned operator endpoints (/metrics,
+// /debug/pprof).
 func (s *Server) HTTPHandler() http.Handler {
 	mux := http.NewServeMux()
 	retryMS := s.gate.retryAfter.Milliseconds()
@@ -247,7 +232,6 @@ func (s *Server) HTTPHandler() http.Handler {
 			h = s.gate.admit(h, retryMS)
 		}
 		mux.HandleFunc(rt.Method+" "+APIVersion+rt.Path, h)
-		mux.HandleFunc(rt.Method+" /api"+rt.Path, withDeprecation(APIVersion+rt.Path, h))
 	}
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	if s.cfg.EnablePprof {
@@ -578,7 +562,7 @@ func writeErrCode(w http.ResponseWriter, code ErrCode, msg string, retryAfterMS 
 // envelope. Errors carrying their own code (Coder, e.g. the substrate's
 // ErrPeerDown) win; rate/overload codes get the retry hint.
 func (s *Server) writeErr(w http.ResponseWriter, err error) {
-	code := codeOf(err)
+	code := CodeOf(err)
 	var retryMS int64
 	switch code {
 	case CodeRateLimited, CodeOverloaded, CodeShuttingDown, CodePeerSuspect:
@@ -755,24 +739,6 @@ func (s *Server) handleCommand(w http.ResponseWriter, r *http.Request) {
 		resp.TraceID = tr.ID().String()
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handlePoll(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	sess, ok := s.lookupSession(w, q.Get("client"))
-	if !ok {
-		return
-	}
-	max, _ := strconv.Atoi(q.Get("max"))
-	waitMs, _ := strconv.Atoi(q.Get("waitms"))
-	if waitMs > 30000 {
-		waitMs = 30000
-	}
-	msgs := s.Poll(sess, max, waitMs)
-	if msgs == nil {
-		msgs = []*wire.Message{}
-	}
-	writeJSON(w, http.StatusOK, PollResponse{Messages: msgs})
 }
 
 func (s *Server) handleLock(w http.ResponseWriter, r *http.Request) {

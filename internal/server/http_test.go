@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 
 	"discover/internal/wire"
@@ -58,7 +58,7 @@ func deployHTTP(t *testing.T, opts ...func(*Config)) (*testDeployment, *httpClie
 
 func (c *httpClient) login(user, secret string) (LoginResponse, int) {
 	var lr LoginResponse
-	code := c.post("/api/login", LoginRequest{User: user, Secret: secret}, &lr)
+	code := c.post("/api/v1/login", LoginRequest{User: user, Secret: secret}, &lr)
 	return lr, code
 }
 
@@ -82,7 +82,7 @@ func TestHTTPFullSteeringFlow(t *testing.T) {
 
 	// List apps.
 	var apps AppsResponse
-	if code := c.get("/api/apps?client="+lr.ClientID, &apps); code != 200 {
+	if code := c.get("/api/v1/apps?client="+lr.ClientID, &apps); code != 200 {
 		t.Fatalf("apps -> %d", code)
 	}
 	if len(apps.Apps) != 1 || apps.Apps[0].Privilege != "steer" {
@@ -92,7 +92,7 @@ func TestHTTPFullSteeringFlow(t *testing.T) {
 
 	// Connect (level-two auth).
 	var conn ConnectResponse
-	if code := c.post("/api/connect", ConnectRequest{ClientID: lr.ClientID, App: appID}, &conn); code != 200 {
+	if code := c.post("/api/v1/connect", ConnectRequest{ClientID: lr.ClientID, App: appID}, &conn); code != 200 {
 		t.Fatalf("connect -> %d", code)
 	}
 	if conn.Privilege != "steer" {
@@ -101,14 +101,14 @@ func TestHTTPFullSteeringFlow(t *testing.T) {
 
 	// Take the lock.
 	var lock LockResponse
-	c.post("/api/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: true}, &lock)
+	c.post("/api/v1/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: true}, &lock)
 	if !lock.Granted {
 		t.Fatalf("lock = %+v", lock)
 	}
 
 	// Steer.
 	var cmdResp CommandResponse
-	code := c.post("/api/command", CommandRequest{
+	code := c.post("/api/v1/command", CommandRequest{
 		ClientID: lr.ClientID, Op: "set_param",
 		Params: map[string]string{"name": "source_freq", "value": "0.15"},
 	}, &cmdResp)
@@ -122,8 +122,8 @@ func TestHTTPFullSteeringFlow(t *testing.T) {
 		if _, err := d.app.RunPhase(); err != nil {
 			t.Fatal(err)
 		}
-		var pr PollResponse
-		c.get(fmt.Sprintf("/api/poll?client=%s&max=50", lr.ClientID), &pr)
+		var pr EventsResponse
+		c.get("/api/v1/session/"+url.PathEscape(lr.ClientID)+"/events?max=50", &pr)
 		for _, m := range pr.Messages {
 			if m.Kind == wire.KindResponse && m.Op == "set_param" {
 				got = m
@@ -138,11 +138,11 @@ func TestHTTPFullSteeringFlow(t *testing.T) {
 	}
 
 	// Release the lock.
-	c.post("/api/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: false}, &lock)
+	c.post("/api/v1/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: false}, &lock)
 
 	// Replay shows the archived command.
 	var rr ReplayResponse
-	c.get("/api/replay?client="+lr.ClientID+"&from=0", &rr)
+	c.get("/api/v1/replay?client="+lr.ClientID+"&from=0", &rr)
 	found := false
 	for _, e := range rr.Entries {
 		if e.Msg.Op == "set_param" {
@@ -155,29 +155,29 @@ func TestHTTPFullSteeringFlow(t *testing.T) {
 
 	// Records are visible.
 	var recs RecordsResponse
-	c.get("/api/records?client="+lr.ClientID+"&table=responses", &recs)
+	c.get("/api/v1/records?client="+lr.ClientID+"&table=responses", &recs)
 	if len(recs.Records) == 0 {
 		t.Error("no response records")
 	}
 
 	// Disconnect and logout.
-	if code := c.post("/api/disconnect", map[string]string{"clientId": lr.ClientID}, nil); code != 200 {
+	if code := c.post("/api/v1/disconnect", map[string]string{"clientId": lr.ClientID}, nil); code != 200 {
 		t.Errorf("disconnect -> %d", code)
 	}
-	if code := c.post("/api/logout", map[string]string{"clientId": lr.ClientID}, nil); code != 200 {
+	if code := c.post("/api/v1/logout", map[string]string{"clientId": lr.ClientID}, nil); code != 200 {
 		t.Errorf("logout -> %d", code)
 	}
-	if code := c.get("/api/apps?client="+lr.ClientID, nil); code != http.StatusUnauthorized {
+	if code := c.get("/api/v1/apps?client="+lr.ClientID, nil); code != http.StatusUnauthorized {
 		t.Errorf("apps after logout -> %d", code)
 	}
 }
 
 func TestHTTPAuthRequired(t *testing.T) {
 	_, c := deployHTTP(t)
-	if code := c.get("/api/apps?client=forged", nil); code != http.StatusUnauthorized {
+	if code := c.get("/api/v1/apps?client=forged", nil); code != http.StatusUnauthorized {
 		t.Errorf("forged client id -> %d", code)
 	}
-	if code := c.post("/api/command", CommandRequest{ClientID: "forged", Op: "status"}, nil); code != http.StatusUnauthorized {
+	if code := c.post("/api/v1/command", CommandRequest{ClientID: "forged", Op: "status"}, nil); code != http.StatusUnauthorized {
 		t.Errorf("forged command -> %d", code)
 	}
 }
@@ -186,17 +186,17 @@ func TestHTTPPrivilegeEnforcement(t *testing.T) {
 	d, c := deployHTTP(t)
 	lr, _ := c.login("bob", "pw") // monitor only
 	appID := d.app.AppID()
-	if code := c.post("/api/connect", ConnectRequest{ClientID: lr.ClientID, App: appID}, nil); code != 200 {
+	if code := c.post("/api/v1/connect", ConnectRequest{ClientID: lr.ClientID, App: appID}, nil); code != 200 {
 		t.Fatalf("connect -> %d", code)
 	}
-	code := c.post("/api/command", CommandRequest{
+	code := c.post("/api/v1/command", CommandRequest{
 		ClientID: lr.ClientID, Op: "set_param",
 		Params: map[string]string{"name": "source_freq", "value": "0.3"},
 	}, nil)
 	if code != http.StatusForbidden {
 		t.Errorf("monitor steer -> %d, want 403", code)
 	}
-	if code := c.post("/api/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: true}, nil); code != http.StatusForbidden {
+	if code := c.post("/api/v1/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: true}, nil); code != http.StatusForbidden {
 		t.Errorf("monitor lock -> %d, want 403", code)
 	}
 }
@@ -204,8 +204,8 @@ func TestHTTPPrivilegeEnforcement(t *testing.T) {
 func TestHTTPSteerWithoutLockConflicts(t *testing.T) {
 	d, c := deployHTTP(t)
 	lr, _ := c.login("alice", "pw")
-	c.post("/api/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, nil)
-	code := c.post("/api/command", CommandRequest{
+	c.post("/api/v1/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, nil)
+	code := c.post("/api/v1/command", CommandRequest{
 		ClientID: lr.ClientID, Op: "set_param",
 		Params: map[string]string{"name": "source_freq", "value": "0.3"},
 	}, nil)
@@ -219,17 +219,17 @@ func TestHTTPChatCollabWhiteboard(t *testing.T) {
 	a, _ := c.login("alice", "pw")
 	b, _ := c.login("bob", "pw")
 	appID := d.app.AppID()
-	c.post("/api/connect", ConnectRequest{ClientID: a.ClientID, App: appID}, nil)
-	c.post("/api/connect", ConnectRequest{ClientID: b.ClientID, App: appID}, nil)
+	c.post("/api/v1/connect", ConnectRequest{ClientID: a.ClientID, App: appID}, nil)
+	c.post("/api/v1/connect", ConnectRequest{ClientID: b.ClientID, App: appID}, nil)
 
-	if code := c.post("/api/chat", ChatRequest{ClientID: a.ClientID, Text: "hi"}, nil); code != 200 {
+	if code := c.post("/api/v1/chat", ChatRequest{ClientID: a.ClientID, Text: "hi"}, nil); code != 200 {
 		t.Fatalf("chat -> %d", code)
 	}
-	if code := c.post("/api/whiteboard", WhiteboardRequest{ClientID: a.ClientID, Stroke: []byte{1, 2}}, nil); code != 200 {
+	if code := c.post("/api/v1/whiteboard", WhiteboardRequest{ClientID: a.ClientID, Stroke: []byte{1, 2}}, nil); code != 200 {
 		t.Fatalf("whiteboard -> %d", code)
 	}
-	var pr PollResponse
-	c.get("/api/poll?client="+b.ClientID, &pr)
+	var pr EventsResponse
+	c.get("/api/v1/session/"+url.PathEscape(b.ClientID)+"/events", &pr)
 	var chat, wb bool
 	for _, m := range pr.Messages {
 		switch m.Kind {
@@ -246,7 +246,7 @@ func TestHTTPChatCollabWhiteboard(t *testing.T) {
 	// Collaboration mode + sub-group moves.
 	enabled := false
 	sub := "viz"
-	if code := c.post("/api/collab", CollabRequest{ClientID: a.ClientID, Enabled: &enabled, Sub: &sub}, nil); code != 200 {
+	if code := c.post("/api/v1/collab", CollabRequest{ClientID: a.ClientID, Enabled: &enabled, Sub: &sub}, nil); code != 200 {
 		t.Errorf("collab -> %d", code)
 	}
 	if d.srv.Hub().Group(appID).Enabled(a.ClientID) {
@@ -262,12 +262,12 @@ func TestHTTPUsersAndInfo(t *testing.T) {
 	lr, _ := c.login("alice", "pw")
 	c.login("bob", "pw")
 	var ur UsersResponse
-	c.get("/api/users?client="+lr.ClientID, &ur)
+	c.get("/api/v1/users?client="+lr.ClientID, &ur)
 	if len(ur.Users) != 2 {
 		t.Errorf("users = %v", ur.Users)
 	}
 	var ir InfoResponse
-	c.get("/api/info", &ir)
+	c.get("/api/v1/info", &ir)
 	if ir.Name != "rutgers" || ir.Apps != 1 || ir.Sessions != 2 {
 		t.Errorf("info = %+v", ir)
 	}
@@ -276,11 +276,11 @@ func TestHTTPUsersAndInfo(t *testing.T) {
 func TestHTTPStats(t *testing.T) {
 	d, c := deployHTTP(t)
 	lr, _ := c.login("alice", "pw")
-	c.post("/api/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, nil)
-	c.post("/api/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: true}, nil)
+	c.post("/api/v1/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, nil)
+	c.post("/api/v1/lock", LockRequestBody{ClientID: lr.ClientID, Acquire: true}, nil)
 
 	var stats StatsResponse
-	if code := c.get("/api/stats", &stats); code != 200 {
+	if code := c.get("/api/v1/stats", &stats); code != 200 {
 		t.Fatalf("stats -> %d", code)
 	}
 	if stats.Name != "rutgers" || len(stats.Apps) != 1 || len(stats.Sessions) != 1 {
@@ -301,7 +301,7 @@ func TestHTTPStats(t *testing.T) {
 
 func TestHTTPBadBodies(t *testing.T) {
 	_, c := deployHTTP(t)
-	resp, err := http.Post(c.base+"/api/login", "application/json", bytes.NewReader([]byte("{not json")))
+	resp, err := http.Post(c.base+"/api/v1/login", "application/json", bytes.NewReader([]byte("{not json")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestHTTPBadBodies(t *testing.T) {
 		t.Errorf("bad body -> %d", resp.StatusCode)
 	}
 	// Wrong method.
-	resp, err = http.Get(c.base + "/api/login")
+	resp, err = http.Get(c.base + "/api/v1/login")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +323,11 @@ func TestHTTPBadBodies(t *testing.T) {
 func TestHTTPPollLongPollWakesOnPush(t *testing.T) {
 	d, c := deployHTTP(t)
 	lr, _ := c.login("alice", "pw")
-	c.post("/api/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, nil)
-	done := make(chan PollResponse, 1)
+	c.post("/api/v1/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, nil)
+	done := make(chan EventsResponse, 1)
 	go func() {
-		var pr PollResponse
-		c.get("/api/poll?client="+lr.ClientID+"&waitms=3000", &pr)
+		var pr EventsResponse
+		c.get("/api/v1/session/"+url.PathEscape(lr.ClientID)+"/events?wait=3s", &pr)
 		done <- pr
 	}()
 	// Drive one phase so an update lands in the buffer.
@@ -366,13 +366,13 @@ func (statsFed) DirectoryStats() DirectoryStats {
 }
 
 // TestHTTPStatsFederation checks that a federated server surfaces the
-// substrate's relay and wire counters through GET /api/stats, and that a
+// substrate's relay and wire counters through GET /api/v1/stats, and that a
 // standalone server omits them.
 func TestHTTPStatsFederation(t *testing.T) {
 	d, c := deployHTTP(t)
 
 	var stats StatsResponse
-	if code := c.get("/api/stats", &stats); code != 200 {
+	if code := c.get("/api/v1/stats", &stats); code != 200 {
 		t.Fatalf("stats -> %d", code)
 	}
 	if len(stats.Relays) != 0 || stats.Wire != nil || stats.Directory != nil {
@@ -381,7 +381,7 @@ func TestHTTPStatsFederation(t *testing.T) {
 
 	d.srv.SetFederation(statsFed{})
 	stats = StatsResponse{}
-	if code := c.get("/api/stats", &stats); code != 200 {
+	if code := c.get("/api/v1/stats", &stats); code != 200 {
 		t.Fatalf("federated stats -> %d", code)
 	}
 	if len(stats.Relays) != 1 || stats.Relays[0].Peer != "caltech" ||

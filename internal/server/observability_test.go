@@ -33,11 +33,11 @@ func TestTraceEndpoint(t *testing.T) {
 		t.Fatalf("login -> %d", code)
 	}
 	var conn ConnectResponse
-	if code := c.post("/api/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, &conn); code != 200 {
+	if code := c.post("/api/v1/connect", ConnectRequest{ClientID: lr.ClientID, App: d.app.AppID()}, &conn); code != 200 {
 		t.Fatalf("connect -> %d", code)
 	}
 	var cr CommandResponse
-	if code := c.post("/api/command", CommandRequest{ClientID: lr.ClientID, Op: "status"}, &cr); code != 200 {
+	if code := c.post("/api/v1/command", CommandRequest{ClientID: lr.ClientID, Op: "status"}, &cr); code != 200 {
 		t.Fatalf("command -> %d", code)
 	}
 	if cr.TraceID == "" {
@@ -45,8 +45,8 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	var rec telemetry.TraceRecord
-	if code := c.get("/api/trace/"+cr.TraceID, &rec); code != 200 {
-		t.Fatalf("GET /api/trace/%s -> %d", cr.TraceID, code)
+	if code := c.get("/api/v1/trace/"+cr.TraceID, &rec); code != 200 {
+		t.Fatalf("GET /api/v1/trace/%s -> %d", cr.TraceID, code)
 	}
 	if rec.ID != cr.TraceID || len(rec.Spans) == 0 {
 		t.Fatalf("trace record = %+v", rec)
@@ -62,14 +62,14 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 
 	var recent []telemetry.TraceRecord
-	if code := c.get("/api/trace?max=10", &recent); code != 200 || len(recent) == 0 {
-		t.Errorf("GET /api/trace -> %d, %d records", code, len(recent))
+	if code := c.get("/api/v1/trace?max=10", &recent); code != 200 || len(recent) == 0 {
+		t.Errorf("GET /api/v1/trace -> %d, %d records", code, len(recent))
 	}
 
-	if code := c.get("/api/trace/zz-not-hex", nil); code != 400 {
+	if code := c.get("/api/v1/trace/zz-not-hex", nil); code != 400 {
 		t.Errorf("bad trace id -> %d, want 400", code)
 	}
-	if code := c.get("/api/trace/00000000000000ff", nil); code != 404 {
+	if code := c.get("/api/v1/trace/00000000000000ff", nil); code != 404 {
 		t.Errorf("unknown trace id -> %d, want 404", code)
 	}
 }

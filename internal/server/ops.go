@@ -372,11 +372,3 @@ func (s *Server) QueryRecords(sess *session.Session, table string, filter map[st
 	}
 	return t.Filter(sess.User, filter), nil
 }
-
-// Poll drains the session's FIFO buffer (long-polling when waitMs > 0).
-func (s *Server) Poll(sess *session.Session, max int, waitMs int) []*wire.Message {
-	if waitMs > 0 {
-		return sess.Buffer.DrainWait(max, time.Duration(waitMs)*time.Millisecond)
-	}
-	return sess.Buffer.Drain(max)
-}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -194,15 +195,15 @@ func TestHTTPShareAndAttach(t *testing.T) {
 	a, _ := c.login("alice", "pw")
 	b, _ := c.login("bob", "pw")
 	appID := d.app.AppID()
-	c.post("/api/connect", ConnectRequest{ClientID: a.ClientID, App: appID}, nil)
-	c.post("/api/connect", ConnectRequest{ClientID: b.ClientID, App: appID}, nil)
+	c.post("/api/v1/connect", ConnectRequest{ClientID: a.ClientID, App: appID}, nil)
+	c.post("/api/v1/connect", ConnectRequest{ClientID: b.ClientID, App: appID}, nil)
 
 	// Explicit view share reaches bob.
-	if code := c.post("/api/share", ShareRequest{ClientID: a.ClientID, View: []byte("png")}, nil); code != 200 {
+	if code := c.post("/api/v1/share", ShareRequest{ClientID: a.ClientID, View: []byte("png")}, nil); code != 200 {
 		t.Fatalf("share -> %d", code)
 	}
-	var pr PollResponse
-	c.get("/api/poll?client="+b.ClientID, &pr)
+	var pr EventsResponse
+	c.get("/api/v1/session/"+url.PathEscape(b.ClientID)+"/events", &pr)
 	var shared bool
 	for _, m := range pr.Messages {
 		if m.Kind == wire.KindViewShare && string(m.Data) == "png" {
@@ -215,19 +216,19 @@ func TestHTTPShareAndAttach(t *testing.T) {
 
 	// Attach over HTTP with the login token.
 	var ar AttachResponse
-	if code := c.post("/api/attach", AttachRequest{ClientID: a.ClientID, Token: a.Token}, &ar); code != 200 {
+	if code := c.post("/api/v1/attach", AttachRequest{ClientID: a.ClientID, Token: a.Token}, &ar); code != 200 {
 		t.Fatalf("attach -> %d", code)
 	}
 	if ar.User != "alice" || ar.App != appID || ar.Privilege != "steer" {
 		t.Errorf("attach = %+v", ar)
 	}
-	if code := c.post("/api/attach", AttachRequest{ClientID: a.ClientID, Token: "junk"}, nil); code != http.StatusUnauthorized {
+	if code := c.post("/api/v1/attach", AttachRequest{ClientID: a.ClientID, Token: "junk"}, nil); code != http.StatusUnauthorized {
 		t.Errorf("attach with junk token -> %d", code)
 	}
-	if code := c.post("/api/attach", AttachRequest{ClientID: a.ClientID, Token: b.Token}, nil); code != http.StatusUnauthorized {
+	if code := c.post("/api/v1/attach", AttachRequest{ClientID: a.ClientID, Token: b.Token}, nil); code != http.StatusUnauthorized {
 		t.Errorf("cross-user attach -> %d", code)
 	}
-	if code := c.post("/api/attach", AttachRequest{ClientID: "ghost", Token: a.Token}, nil); code != http.StatusUnauthorized {
+	if code := c.post("/api/v1/attach", AttachRequest{ClientID: "ghost", Token: a.Token}, nil); code != http.StatusUnauthorized {
 		t.Errorf("attach to unknown session -> %d", code)
 	}
 }

@@ -113,14 +113,13 @@ func ServerOfClient(clientID string) string {
 
 // Config configures a Server.
 type Config struct {
-	Name              string // unique server name; no '/' or '#'
-	FifoCapacity      int    // per-client buffer capacity (0 = default)
-	ArchiveLimit      int    // per-log retention (0 = unlimited)
-	RecordUpdates     bool   // insert periodic updates into the record DB
-	UpdateRecordEvery int    // record every Nth update (0 = 1)
-	TraceSampleEvery  int    // sample 1-in-N requests for tracing (0 = off)
-	EnablePprof       bool   // mount net/http/pprof under /debug/pprof
-	Logf              func(format string, args ...any)
+	Name             string // unique server name; no '/' or '#'
+	FifoCapacity     int    // per-client buffer capacity (0 = default)
+	ArchiveLimit     int    // per-log retention (0 = unlimited)
+	RecordUpdates    bool   // insert every periodic update into the record DB
+	TraceSampleEvery int    // sample 1-in-N requests for tracing (0 = off)
+	EnablePprof      bool   // mount net/http/pprof under /debug/pprof
+	Logf             func(format string, args ...any)
 
 	// Edge admission control (the /api/v1 gate).
 	SessionShards     int           // session-table shards (0 = default, 1 = unsharded)
@@ -143,11 +142,6 @@ type Config struct {
 	Storage       storage.Backend // WAL + snapshot backend (nil = no durability)
 	SnapshotEvery time.Duration   // snapshot/compaction cadence (0 = default)
 	WalSyncEvery  time.Duration   // WAL group-fsync cadence (0 = storage default)
-
-	// Collaboration: per-group replicated-op-log retention cap. Ops past
-	// the cap are evicted from memory once covered by the anti-entropy
-	// watermark (and journaled, on durable domains); 0 keeps the default.
-	CollabMemCap int
 }
 
 // Server is one interaction/collaboration server instance.
@@ -164,11 +158,10 @@ type Server struct {
 	streams  *streamHub
 	storage  *domainStorage // nil = memory-only domain
 
-	mu       sync.Mutex
-	counter  uint64
-	proxies  map[string]*ApplicationProxy
-	fed      Federation
-	updateCt map[string]uint64 // per-app update counter for recording
+	mu      sync.Mutex
+	counter uint64
+	proxies map[string]*ApplicationProxy
+	fed     Federation
 }
 
 // New creates a server. Call ListenDaemon (and ServeHTTP via an
@@ -179,9 +172,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if strings.ContainsAny(cfg.Name, "/#") {
 		return nil, fmt.Errorf("server: name %q must not contain '/' or '#'", cfg.Name)
-	}
-	if cfg.UpdateRecordEvery <= 0 {
-		cfg.UpdateRecordEvery = 1
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -211,12 +201,11 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		auth:     auth.NewService(cfg.Name, authOpts...),
 		sessions: session.NewManager(cfg.Name, sessOpts...),
-		hub:      collab.NewHub(collab.WithOrigin(cfg.Name), collab.WithMemCap(cfg.CollabMemCap)),
+		hub:      collab.NewHub(collab.WithOrigin(cfg.Name)),
 		locks:    lockmgr.NewManager(lockOpts...),
 		store:    archive.NewStore(cfg.ArchiveLimit),
 		db:       recorddb.New(),
 		proxies:  make(map[string]*ApplicationProxy),
-		updateCt: make(map[string]uint64),
 		gate:     newEdgeGate(cfg),
 		streams:  newStreamHub(cfg.StreamHeartbeat),
 		storage:  ds,
@@ -632,7 +621,6 @@ func (d *daemonHandler) AppClosed(appID string, err error) {
 	s := d.srv()
 	s.mu.Lock()
 	delete(s.proxies, appID)
-	delete(s.updateCt, appID)
 	s.mu.Unlock()
 	s.auth.UnregisterApp(appID)
 	s.locks.Break(appID)
@@ -658,22 +646,16 @@ func (d *daemonHandler) HandleUpdate(appID string, m *wire.Message) {
 	s.store.ApplicationLog(appID).Append("", m)
 	p, ok := s.Proxy(appID)
 	if ok && s.cfg.RecordUpdates {
-		s.mu.Lock()
-		s.updateCt[appID]++
-		due := s.updateCt[appID]%uint64(s.cfg.UpdateRecordEvery) == 0
-		s.mu.Unlock()
-		if due {
-			reg := p.Registration()
-			readers := make([]string, 0, len(reg.Users))
-			for _, u := range reg.Users {
-				readers = append(readers, u.User)
-			}
-			fields := map[string]string{"app": appID, "kind": "periodic", "seq": fmt.Sprint(m.Seq)}
-			for _, kv := range m.Params {
-				fields[kv.Key] = kv.Value
-			}
-			s.db.Table("updates").Insert(reg.Owner, fields, readers)
+		reg := p.Registration()
+		readers := make([]string, 0, len(reg.Users))
+		for _, u := range reg.Users {
+			readers = append(readers, u.User)
 		}
+		fields := map[string]string{"app": appID, "kind": "periodic", "seq": fmt.Sprint(m.Seq)}
+		for _, kv := range m.Params {
+			fields[kv.Key] = kv.Value
+		}
+		s.db.Table("updates").Insert(reg.Owner, fields, readers)
 	}
 	s.hub.Group(appID).BroadcastToListeners(m, "")
 }

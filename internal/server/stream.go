@@ -2,8 +2,8 @@ package server
 
 // The streaming delivery edge: GET /api/v1/session/{id}/stream serves
 // Server-Sent Events by draining the same per-session delivery queue
-// that /poll reads, so a client sees an identical message sequence on
-// either path. Design constraints, in order:
+// that the /events long-poll reads, so a client sees an identical message
+// sequence on either path. Design constraints, in order:
 //
 //   - Producers never block. The queue's bounded window drops the oldest
 //     entry on overflow; a stream that observes drops delivers the
@@ -283,7 +283,7 @@ type EventsResponse struct {
 }
 
 // maxEventsWait caps ?wait= so a stuck client cannot hold an in-flight
-// admission slot indefinitely (same bound as /poll's waitms).
+// admission slot indefinitely.
 const maxEventsWait = 30 * time.Second
 
 // handleSessionEvents is the long-poll sibling of the stream:

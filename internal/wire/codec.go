@@ -12,8 +12,6 @@ import (
 // A Codec converts messages to and from a byte representation suitable for
 // one frame on a stream.
 type Codec interface {
-	// Name identifies the codec on registration handshakes.
-	Name() string
 	// Encode appends the encoding of m to dst and returns the extended
 	// slice. dst may be nil.
 	Encode(dst []byte, m *Message) ([]byte, error)
@@ -39,18 +37,6 @@ var (
 	ErrTrailing = errors.New("wire: trailing bytes after message")
 )
 
-// CodecByName returns the codec registered under name.
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "binary":
-		return BinaryCodec{}, nil
-	case "gob":
-		return NewGobCodec(), nil
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q", name)
-	}
-}
-
 // ---------------------------------------------------------------------------
 // BinaryCodec: the compact, hand-rolled encoding ("custom TCP protocol").
 // ---------------------------------------------------------------------------
@@ -69,9 +55,6 @@ func CodecByName(name string) (Codec, error) {
 //
 // where string and bytes are uvarint length followed by raw bytes.
 type BinaryCodec struct{}
-
-// Name implements Codec.
-func (BinaryCodec) Name() string { return "binary" }
 
 func appendUvarint(dst []byte, v uint64) []byte {
 	var buf [binary.MaxVarintLen64]byte
@@ -273,9 +256,6 @@ type GobCodec struct{}
 
 // NewGobCodec returns a GobCodec.
 func NewGobCodec() GobCodec { return GobCodec{} }
-
-// Name implements Codec.
-func (GobCodec) Name() string { return "gob" }
 
 // Encode implements Codec.
 func (GobCodec) Encode(dst []byte, m *Message) ([]byte, error) {

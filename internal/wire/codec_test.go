@@ -59,7 +59,7 @@ func testRoundTrip(t *testing.T, c Codec) {
 		return q.M.Equal(dec)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Errorf("%s round trip failed: %v", c.Name(), err)
+		t.Errorf("%T round trip failed: %v", c, err)
 	}
 }
 
@@ -181,21 +181,6 @@ func TestEncodeLimits(t *testing.T) {
 		if _, err := (GobCodec{}).Encode(nil, m); err != ErrTooLarge {
 			t.Errorf("case %d: gob Encode err = %v, want ErrTooLarge", i, err)
 		}
-	}
-}
-
-func TestCodecByName(t *testing.T) {
-	for _, name := range []string{"binary", "gob"} {
-		c, err := CodecByName(name)
-		if err != nil {
-			t.Fatalf("CodecByName(%q): %v", name, err)
-		}
-		if c.Name() != name {
-			t.Errorf("CodecByName(%q).Name() = %q", name, c.Name())
-		}
-	}
-	if _, err := CodecByName("xml"); err == nil {
-		t.Error("CodecByName(xml) should fail")
 	}
 }
 

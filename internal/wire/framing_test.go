@@ -61,8 +61,9 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 }
 
 func TestConnSendRecv(t *testing.T) {
-	for _, codec := range []Codec{BinaryCodec{}, NewGobCodec()} {
-		t.Run(codec.Name(), func(t *testing.T) {
+	for _, tc := range testCodecs {
+		codec := tc.codec
+		t.Run(tc.name, func(t *testing.T) {
 			a, b := net.Pipe()
 			ca, cb := NewConn(a, codec), NewConn(b, codec)
 			defer ca.Close()
@@ -140,8 +141,9 @@ func TestConnConcurrentSend(t *testing.T) {
 // Stream property: any sequence of random messages sent over a Conn is
 // received identically and in order, for both codecs.
 func TestConnStreamProperty(t *testing.T) {
-	for _, codec := range []Codec{BinaryCodec{}, NewGobCodec()} {
-		t.Run(codec.Name(), func(t *testing.T) {
+	for _, tc := range testCodecs {
+		codec := tc.codec
+		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(5))
 			a, b := net.Pipe()
 			ca, cb := NewConn(a, codec), NewConn(b, codec)
@@ -192,3 +194,9 @@ func TestConnRecvCorruptFrame(t *testing.T) {
 		t.Error("Recv of corrupt frame succeeded")
 	}
 }
+
+// testCodecs names both codecs for subtests.
+var testCodecs = []struct {
+	name  string
+	codec Codec
+}{{"binary", BinaryCodec{}}, {"gob", NewGobCodec()}}

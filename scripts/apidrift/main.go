@@ -15,6 +15,12 @@
 // “ `code` “ row in the registry table (and vice versa). Any drift
 // in either direction is a failure, so the doc cannot rot silently.
 //
+// It also enforces the support policy API.md states: the portal API
+// lives under /api/v1 only. A Handle or HandleFunc pattern in
+// internal/server that names an /api path outside /api/v1 (an
+// unversioned alias, say) fails the check, as does an APIVersion other
+// than "/api/v1".
+//
 // Usage: go run ./scripts/apidrift [repo-root]   (default ".")
 package main
 
@@ -33,6 +39,9 @@ var (
 	// mux.HandleFunc("GET /api/v1/session/{id}/stream", ...).
 	handleRe = regexp.MustCompile(`HandleFunc\("(GET|POST|PUT|DELETE|PATCH) (/api/v1[^"]*)"`)
 	codeRe   = regexp.MustCompile(`Code\w+\s+ErrCode\s*=\s*"([^"]+)"`)
+	// The pattern argument of any mux registration, literal or built.
+	muxArgRe     = regexp.MustCompile(`\.Handle(?:Func)?\(([^,]+),`)
+	apiVersionRe = regexp.MustCompile(`const APIVersion = "([^"]*)"`)
 	// Endpoint headings in API.md: ### `POST /api/v1/login` (open)?
 	headingRe = regexp.MustCompile("(?m)^### `(GET|POST|PUT|DELETE|PATCH) (/api/v1[^`]*)`")
 	// Registry rows in API.md: | `code` | 429 | ... |
@@ -48,6 +57,10 @@ func main() {
 	errSrc := mustRead(filepath.Join(root, "internal", "server", "errors.go"))
 	doc := mustRead(filepath.Join(root, "API.md"))
 
+	var drift []string
+	if m := apiVersionRe.FindStringSubmatch(httpSrc); m == nil || m[1] != "/api/v1" {
+		drift = append(drift, "APIVersion in http.go is not \"/api/v1\"")
+	}
 	codeRoutes := map[string]bool{}
 	for _, m := range routeRe.FindAllStringSubmatch(httpSrc, -1) {
 		codeRoutes[m[1]+" /api/v1"+m[2]] = true
@@ -61,8 +74,15 @@ func main() {
 		if strings.HasSuffix(src, "_test.go") {
 			continue
 		}
-		for _, m := range handleRe.FindAllStringSubmatch(mustRead(src), -1) {
+		text := mustRead(src)
+		for _, m := range handleRe.FindAllStringSubmatch(text, -1) {
 			codeRoutes[m[1]+" "+m[2]] = true
+		}
+		for _, m := range muxArgRe.FindAllStringSubmatch(text, -1) {
+			if strings.Contains(strings.ReplaceAll(m[1], "/api/v1", ""), "/api") {
+				drift = append(drift, fmt.Sprintf("mux pattern under /api outside /api/v1 in %s: %s",
+					filepath.Base(src), strings.TrimSpace(m[1])))
+			}
 		}
 	}
 	docRoutes := map[string]bool{}
@@ -83,7 +103,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	var drift []string
 	drift = append(drift, diff("route undocumented in API.md", codeRoutes, docRoutes)...)
 	drift = append(drift, diff("documented route missing from http.go", docRoutes, codeRoutes)...)
 	drift = append(drift, diff("error code missing from API.md registry", codes, docCodes)...)

@@ -1,7 +1,7 @@
 // Command metricssmoke is the CI smoke test for the observability
 // endpoints: it starts one in-process domain with tracing enabled,
 // drives a sampled command through the portal API, and scrapes
-// GET /metrics and GET /api/trace/{id} the way an operator would.
+// GET /metrics and GET /api/v1/trace/{id} the way an operator would.
 //
 // It exits non-zero when the scrape is not well-formed Prometheus text,
 // when the expected middleware histograms are missing, or when the
@@ -64,14 +64,14 @@ func run() error {
 
 	// Drive one sampled command end to end.
 	var login struct{ ClientID string }
-	if err := post(base+"/api/login", map[string]string{"user": "alice", "secret": "pw"}, &login); err != nil {
+	if err := post(base+"/api/v1/login", map[string]string{"user": "alice", "secret": "pw"}, &login); err != nil {
 		return fmt.Errorf("login: %w", err)
 	}
-	if err := post(base+"/api/connect", map[string]string{"clientId": login.ClientID, "app": app.ID()}, nil); err != nil {
+	if err := post(base+"/api/v1/connect", map[string]string{"clientId": login.ClientID, "app": app.ID()}, nil); err != nil {
 		return fmt.Errorf("connect: %w", err)
 	}
 	var cmd struct{ TraceID string }
-	if err := post(base+"/api/command", map[string]any{"clientId": login.ClientID, "op": "status"}, &cmd); err != nil {
+	if err := post(base+"/api/v1/command", map[string]any{"clientId": login.ClientID, "op": "status"}, &cmd); err != nil {
 		return fmt.Errorf("command: %w", err)
 	}
 	if cmd.TraceID == "" {
@@ -83,7 +83,7 @@ func run() error {
 		ID    string
 		Spans []struct{ Hop string }
 	}
-	if err := get(base+"/api/trace/"+cmd.TraceID, &trace); err != nil {
+	if err := get(base+"/api/v1/trace/"+cmd.TraceID, &trace); err != nil {
 		return fmt.Errorf("trace fetch: %w", err)
 	}
 	if trace.ID != cmd.TraceID || len(trace.Spans) == 0 {
