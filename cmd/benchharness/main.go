@@ -142,12 +142,6 @@ var all = []experiment{
 		}
 		return experiments.RunW1(3000, 2<<20)
 	}},
-	{"G1", func(q bool) (experiments.Result, error) {
-		if q {
-			return experiments.RunG1([]int{16, 48})
-		}
-		return experiments.RunG1([]int{50, 200})
-	}},
 	{"C1", func(q bool) (experiments.Result, error) {
 		if q {
 			return experiments.RunC1(200)
@@ -265,19 +259,6 @@ func main() {
 				failures++
 			} else {
 				fmt.Println("benchharness: wrote BENCH_W1.json")
-			}
-		}
-		// G1's compact epidemic-directory record rides along whenever G1 ran.
-		if snap, ok := experiments.G1LastSnapshot(); ok {
-			data, err := json.MarshalIndent(snap, "", "  ")
-			if err == nil {
-				err = os.WriteFile("BENCH_G1.json", append(data, '\n'), 0o644)
-			}
-			if err != nil {
-				fmt.Printf("benchharness: writing BENCH_G1.json: %v\n", err)
-				failures++
-			} else {
-				fmt.Println("benchharness: wrote BENCH_G1.json")
 			}
 		}
 		// C1's compact replicated-collaboration record rides along

@@ -41,9 +41,6 @@ func main() {
 	tlsKey := flag.String("tls-key", "", "PEM key for the HTTPS portal")
 	traceSample := flag.Int("trace-sample", 0, "sample 1-in-N portal requests for tracing (0 = off)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof on the portal")
-	gossipOn := flag.Bool("gossip", false, "replicate the federation directory epidemically (membership + anti-entropy); listings stop fanning out to peers")
-	gossipPeriod := flag.Duration("gossip-period", 0, "gossip round period (0 = 1s; needs -gossip)")
-	gossipFanout := flag.Int("gossip-fanout", 0, "peers contacted per gossip round (0 = 3; needs -gossip)")
 	dataDir := flag.String("data-dir", "", "persist domain state (WAL + snapshots) under this directory; empty = in-memory")
 	snapEvery := flag.Duration("snapshot-every", 0, "durable domain snapshot/compaction cadence (0 = 1m)")
 	walSync := flag.Duration("wal-sync-every", 0, "WAL group-fsync interval (0 = 100ms)")
@@ -58,10 +55,6 @@ func main() {
 		TraderAddr:    *traderAddr,
 		Users:         map[string]string{},
 		RecordUpdates: true,
-
-		GossipEnabled: *gossipOn,
-		GossipPeriod:  *gossipPeriod,
-		GossipFanout:  *gossipFanout,
 
 		TraceSampleEvery: *traceSample,
 		EnablePprof:      *pprofOn,

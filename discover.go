@@ -174,17 +174,6 @@ type DomainConfig struct {
 	// WalSyncEvery tunes the WAL group-fsync interval (0 = default
 	// 100ms; ignored without DataDir).
 	WalSyncEvery time.Duration
-	// GossipEnabled turns on the epidemic federation directory: SWIM-style
-	// membership plus anti-entropy replication of the peer app/user
-	// directories, so steady-state listings are served from a local
-	// replica with zero ORB invocations (DESIGN §4k). Ignored without
-	// TraderAddr.
-	GossipEnabled bool
-	// GossipPeriod is the gossip round period (0 = default 1s; ignored
-	// without GossipEnabled).
-	GossipPeriod time.Duration
-	// GossipFanout is how many peers each round contacts (0 = default 3).
-	GossipFanout int
 	// TraceSampleEvery samples one in every N portal requests for
 	// distributed tracing (GET /api/v1/trace/{id}); 0 disables sampling.
 	// The tracer is process-wide, so the last domain started in a
@@ -286,16 +275,13 @@ func StartDomain(cfg DomainConfig) (*Domain, error) {
 		}
 		traderRef, namingRef := TraderRefs(cfg.TraderAddr)
 		sub, err := core.New(core.Config{
-			Server:        srv,
-			ORB:           o,
-			TraderRef:     traderRef,
-			NamingRef:     namingRef,
-			Props:         cfg.Props,
-			DiscoverHops:  cfg.DiscoverHops,
-			GossipEnabled: cfg.GossipEnabled,
-			GossipPeriod:  cfg.GossipPeriod,
-			GossipFanout:  cfg.GossipFanout,
-			Logf:          cfg.Logf,
+			Server:       srv,
+			ORB:          o,
+			TraderRef:    traderRef,
+			NamingRef:    namingRef,
+			Props:        cfg.Props,
+			DiscoverHops: cfg.DiscoverHops,
+			Logf:         cfg.Logf,
 		})
 		if err != nil {
 			o.Close()

@@ -2,12 +2,11 @@
 // groups. Every durable group mutation — whiteboard strokes, chat lines,
 // membership joins/leaves and sub-group switches — becomes an immutable
 // Op keyed by (origin server, per-origin sequence). Replicas merge op
-// sets with the same discipline the gossip directory proved in
-// internal/gossip/replica.go: application is idempotent (duplicate
-// (origin,seq) pairs are dropped), commutative and associative (ops form
-// a grow-only set; derived state folds by a deterministic total order),
-// so any interleaving of direct relay delivery and anti-entropy delta
-// sync converges every server to identical group state with no cross-WAN
+// sets so that application is idempotent (duplicate (origin,seq) pairs
+// are dropped), commutative and associative (ops form a grow-only set;
+// derived state folds by a deterministic total order), so any
+// interleaving of direct relay delivery and anti-entropy delta sync
+// converges every server to identical group state with no cross-WAN
 // coordination round.
 //
 // Two orders coexist on purpose:
@@ -189,7 +188,7 @@ func (l *opLog) originState(name string) *originLog {
 
 // append creates and applies a new locally originated op. The origin is
 // authoritative for its own sequence, so the self watermark advances
-// immediately (mirroring gossip's publish).
+// immediately.
 func (l *opLog) append(kind OpKind, client, user, sub, text string, data []byte, wall int64) Op {
 	st := l.originState(l.self)
 	if st.maxSeq > l.nextSeq {

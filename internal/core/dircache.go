@@ -11,10 +11,10 @@ import (
 )
 
 // DefaultDirCacheTTL is the directory cache's freshness window
-// (Config.DirCacheTTL). Coherence does not ride on the TTL alone:
-// app-registered/app-closed control events and peer health transitions
-// invalidate eagerly, so the TTL only bounds staleness when an event is
-// lost on the wire.
+// (Substrate.SetDirCacheTTL varies it). Coherence does not ride on the
+// TTL alone: app-registered/app-closed control events and peer health
+// transitions invalidate eagerly, so the TTL only bounds staleness when
+// an event is lost on the wire.
 const DefaultDirCacheTTL = 2 * time.Second
 
 // dirKey identifies one cached listing: what one user may see at one
@@ -98,7 +98,6 @@ type dirCache struct {
 
 	hits, staleServes, misses, coalesced, unavailableServes dirCounter
 	eventInvalidations, healthInvalidations                 dirCounter
-	peerInvalidations                                       dirCounter
 }
 
 func newDirCache(serverName string, ttl time.Duration) *dirCache {
@@ -114,7 +113,6 @@ func newDirCache(serverName string, ttl time.Duration) *dirCache {
 		{&c.unavailableServes, "discover_dircache_unavailable_serves_total"},
 		{&c.eventInvalidations, "discover_dircache_event_invalidations_total"},
 		{&c.healthInvalidations, "discover_dircache_health_invalidations_total"},
-		{&c.peerInvalidations, "discover_dircache_peer_invalidations_total"},
 	} {
 		reg.c.metric = telemetry.GetCounter(reg.name, "server", serverName)
 	}
@@ -276,26 +274,6 @@ func (c *dirCache) invalidatePeer(peer string, byEvent bool) {
 	}
 }
 
-// Invalidate is the generic eager-invalidation entry point for callers
-// outside the cache's own event and health hooks: the gossip layer calls
-// it when an applied remote delta or a membership transition makes a
-// peer's cached listings stale, and future subsystems can do the same
-// without growing invalidatePeer's reason enum. Identical staleness
-// semantics — data is kept as the degraded-mode fallback — but counted
-// separately (peerInvalidations).
-func (c *dirCache) Invalidate(peer string) {
-	var n uint64
-	c.mu.Lock()
-	for k, e := range c.entries {
-		if k.peer == peer && !e.fetched.IsZero() {
-			e.fetched = time.Time{}
-			n++
-		}
-	}
-	c.mu.Unlock()
-	c.peerInvalidations.add(n)
-}
-
 // dropPeer removes every listing cached for a peer that left the
 // federation for good (lease lapsed past keep-through-miss). Open flights
 // are released so no follower waits on a fetch that will never complete.
@@ -328,6 +306,5 @@ func (c *dirCache) stats() server.DirectoryStats {
 		UnavailableServes:   c.unavailableServes.value(),
 		EventInvalidations:  c.eventInvalidations.value(),
 		HealthInvalidations: c.healthInvalidations.value(),
-		PeerInvalidations:   c.peerInvalidations.value(),
 	}
 }

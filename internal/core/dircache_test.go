@@ -53,10 +53,10 @@ func TestDirCacheTTLJitterSpread(t *testing.T) {
 	}
 }
 
-// TestDirCacheInvalidate: the generic entry point drops freshness for
+// TestDirCacheInvalidate: an event invalidation drops freshness for
 // every listing cached for the peer — across users — while keeping the
-// data as the degraded-mode fallback, and it counts separately from the
-// event/health invalidation reasons.
+// data as the degraded-mode fallback, and it counts under its own reason
+// only.
 func TestDirCacheInvalidate(t *testing.T) {
 	c := newDirCache("invalidate-test", time.Hour)
 	for _, k := range []dirKey{{"p1", "alice"}, {"p1", "bob"}, {"p2", "alice"}} {
@@ -67,17 +67,17 @@ func TestDirCacheInvalidate(t *testing.T) {
 		c.complete(k.peer, k.user, []server.AppInfo{{ID: k.peer + "#1"}}, nil)
 	}
 
-	c.Invalidate("p1")
+	c.invalidatePeer("p1", true)
 
 	// Both of p1's user listings are stale now; p2's stays fresh.
 	if p := c.plan("p1", "alice", false); p.state != dirFetch {
-		t.Fatalf("p1/alice after Invalidate: state %v, want fetch", p.state)
+		t.Fatalf("p1/alice after invalidatePeer: state %v, want fetch", p.state)
 	}
 	if p := c.plan("p1", "bob", false); p.state != dirFetch {
-		t.Fatalf("p1/bob after Invalidate: state %v, want fetch", p.state)
+		t.Fatalf("p1/bob after invalidatePeer: state %v, want fetch", p.state)
 	}
 	if p := c.plan("p2", "alice", false); p.state != dirFresh {
-		t.Fatalf("p2/alice after Invalidate(p1): state %v, want fresh", p.state)
+		t.Fatalf("p2/alice after invalidatePeer(p1): state %v, want fresh", p.state)
 	}
 
 	// The data survives as the degraded fallback: a breaker-open serve
@@ -88,19 +88,19 @@ func TestDirCacheInvalidate(t *testing.T) {
 	}
 
 	st := c.stats()
-	if st.PeerInvalidations != 2 {
-		t.Fatalf("PeerInvalidations = %d, want 2", st.PeerInvalidations)
+	if st.EventInvalidations != 2 {
+		t.Fatalf("EventInvalidations = %d, want 2", st.EventInvalidations)
 	}
-	if st.EventInvalidations != 0 || st.HealthInvalidations != 0 {
-		t.Fatalf("Invalidate leaked into other reasons: %+v", st)
+	if st.HealthInvalidations != 0 {
+		t.Fatalf("event invalidation leaked into the health reason: %+v", st)
 	}
 
 	// Invalidating an already-invalid peer (or an unknown one) is a no-op
 	// that does not inflate the counter.
-	c.Invalidate("p1")
-	c.Invalidate("nobody")
-	if got := c.stats().PeerInvalidations; got != 2 {
-		t.Fatalf("no-op Invalidate moved the counter to %d", got)
+	c.invalidatePeer("p1", true)
+	c.invalidatePeer("nobody", true)
+	if got := c.stats().EventInvalidations; got != 2 {
+		t.Fatalf("no-op invalidatePeer moved the counter to %d", got)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // DefaultFanoutWorkers bounds how many peers one scatter-gather round
-// talks to concurrently (Config.FanoutWorkers).
+// talks to concurrently (Substrate.SetFanoutWorkers varies it).
 const DefaultFanoutWorkers = 16
 
 // fanoutMergeReserve is the slice of the caller's deadline kept back from
@@ -34,16 +34,10 @@ type fanResult[T any] struct {
 // (see orb.CarveBudget); fn is expected to go through invokePeer, which
 // adds the breaker gate and the RPC timeout.
 //
-// Contract since the epidemic directory (Config.GossipEnabled, DESIGN
-// §4k): fan-out is the COLD-START AND FALLBACK path for listings, not the
-// hot path. RemoteApps/RemoteUsers("") consult the gossip replica first
-// and only scatter-gather while the replica is still bootstrapping (or
-// when gossip is disabled); per-app operations (commands, locks, collab)
-// are point-to-point and never fanned out. Callers adding new one-to-all
-// operations should first ask whether the data can ride the replica
-// instead — O(peers) rounds are what the gossip layer exists to delete.
-// The gossipServed/fanoutServed counters in the stats directory block
-// record which path served each listing.
+// Together with the directory cache it is the federation directory
+// (DESIGN §4f): RemoteApps/RemoteUsers("") ask each peer's level-1
+// interface, cache misses only; per-app operations (commands, locks,
+// collab) are point-to-point and never fanned out.
 //
 // Generic over the item so callers can thread per-peer plans through
 // without a side table; results come back in input order. It is a

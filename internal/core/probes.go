@@ -105,12 +105,6 @@ func (s *Substrate) peerWentDown(name, addr string) {
 	if addr != "" {
 		s.orb.DropConn(addr)
 	}
-	if s.gossip != nil {
-		// Feed the verdict into the epidemic membership: the gossip layer
-		// rumors it, and its recovery probes (plus direct contact) will
-		// refute it if the breaker fired on a transient.
-		s.gossip.ObserveDead(name)
-	}
 	if apps := s.srv.PeerServerDown(name); len(apps) > 0 {
 		s.cfg.Logf("core %s: released lock state of %s's clients for %v", s.srv.Name(), name, apps)
 	}

@@ -5,13 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"discover/internal/gossip"
 	"discover/internal/orb"
 	"discover/internal/policy"
 	"discover/internal/server"
@@ -44,25 +42,6 @@ type Config struct {
 	HeartbeatEvery time.Duration // control-channel heartbeat period (default 2s)
 	ProbeTimeout   time.Duration // heartbeat/recovery probe budget (default DialTimeout)
 	DownAfter      int           // consecutive failures before down (default 3)
-
-	// Directory fan-out and caching (see fanout.go, dircache.go).
-	FanoutWorkers int           // max concurrent peers per scatter-gather round (default 16)
-	DirCacheTTL   time.Duration // directory cache freshness window (default 2s; < 0 disables caching)
-
-	// Epidemic federation directory (see gossiplink.go and
-	// internal/gossip). When enabled, RemoteApps / RemoteUsers("") are
-	// served from the locally converged replica with zero ORB invocations
-	// per listing; the scatter-gather fan-out remains only as the
-	// cold-start/fallback path, and app lifecycle events spread
-	// epidemically instead of the O(peers) broadcast.
-	GossipEnabled bool
-	GossipPeriod  time.Duration // round period (default 1s; < 0: rounds driven via GossipNow)
-	GossipFanout  int           // peers contacted per round (default 3)
-	GossipTimeout time.Duration // per-exchange RPC budget (default 2s)
-	// GossipRand seeds gossip's peer selection and jitter. Under netsim
-	// pass Network.DeterministicRand so simulated runs are reproducible;
-	// nil uses a time-seeded source.
-	GossipRand *rand.Rand
 }
 
 // Substrate is the per-server middleware endpoint. Create it with New,
@@ -77,17 +56,12 @@ type Substrate struct {
 	acct   *policy.Accountant
 
 	health *healthTable
-	dir    *dirCache    // event-coherent directory cache (listing path)
-	gossip *gossip.Node // epidemic directory replica (nil unless Config.GossipEnabled)
+	dir    *dirCache // event-coherent directory cache (listing path)
 
-	fanWorkers atomic.Int64  // scatter-gather concurrency bound (Config.FanoutWorkers)
-	fanRounds  atomic.Uint64 // scatter-gather rounds issued
-	fanCalls   atomic.Uint64 // per-peer calls issued across all rounds
-
-	// Listing-path split: served from the gossip replica (zero ORB
-	// invocations) vs the scatter-gather cold-start/fallback path.
-	gossipServed dirCounter
-	fanoutServed dirCounter
+	fanWorkers   atomic.Int64  // scatter-gather concurrency bound (SetFanoutWorkers)
+	fanRounds    atomic.Uint64 // scatter-gather rounds issued
+	fanCalls     atomic.Uint64 // per-peer calls issued across all rounds
+	fanoutServed dirCounter    // federated listings answered
 
 	// Collaboration-log anti-entropy counters (DESIGN §4l).
 	collabSyncs   *telemetry.Counter // exchanges completed against a host
@@ -144,12 +118,6 @@ func New(cfg Config) (*Substrate, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
-	if cfg.FanoutWorkers <= 0 {
-		cfg.FanoutWorkers = DefaultFanoutWorkers
-	}
-	if cfg.GossipTimeout <= 0 {
-		cfg.GossipTimeout = gossip.DefaultTimeout
-	}
 	cfg.ORB.SetDialTimeout(cfg.DialTimeout)
 	s := &Substrate{
 		cfg:    cfg,
@@ -157,23 +125,19 @@ func New(cfg Config) (*Substrate, error) {
 		orb:    cfg.ORB,
 		acct:   policy.NewAccountant(),
 		health: newHealthTable(cfg.DownAfter),
-		dir:    newDirCache(cfg.Server.Name(), cfg.DirCacheTTL),
+		dir:    newDirCache(cfg.Server.Name(), DefaultDirCacheTTL),
 		peers:  make(map[string]peerInfo),
 		relays: make(map[string]*relaySender),
 		subs:   make(map[string]bool),
 		named:  make(map[string]bool),
 		stop:   make(chan struct{}),
 	}
-	s.fanWorkers.Store(int64(cfg.FanoutWorkers))
-	s.gossipServed.metric = telemetry.GetCounter("discover_listings_gossip_served_total", "server", cfg.Server.Name())
+	s.fanWorkers.Store(DefaultFanoutWorkers)
 	s.fanoutServed.metric = telemetry.GetCounter("discover_listings_fanout_served_total", "server", cfg.Server.Name())
 	s.collabSyncs = telemetry.GetCounter("discover_collab_syncs_total", "server", cfg.Server.Name())
 	s.collabSyncOps = telemetry.GetCounter("discover_collab_sync_ops_total", "server", cfg.Server.Name())
 	s.health.onDown = s.peerWentDown
 	s.health.onRecovered = s.peerRecovered
-	if cfg.GossipEnabled {
-		s.initGossip()
-	}
 	if !cfg.TraderRef.IsZero() {
 		s.trader = orb.NewTraderClient(cfg.ORB, cfg.TraderRef)
 	}
@@ -187,9 +151,6 @@ func New(cfg Config) (*Substrate, error) {
 // server as its Federation, and begins discovery and lease refresh.
 func (s *Substrate) Start() error {
 	s.registerServants()
-	if s.gossip != nil {
-		s.orb.Register(GossipKey, s.gossipServant())
-	}
 	s.srv.SetFederation(s)
 
 	if s.trader != nil {
@@ -219,9 +180,6 @@ func (s *Substrate) Start() error {
 	}
 	s.wg.Add(1)
 	go s.heartbeatLoop()
-	if s.gossip != nil {
-		s.gossip.Start()
-	}
 	return nil
 }
 
@@ -239,9 +197,6 @@ func (s *Substrate) Close() {
 	}
 	s.mu.Unlock()
 	close(s.stop)
-	if s.gossip != nil {
-		s.gossip.Stop()
-	}
 	s.wg.Wait()
 	if s.trader != nil && offerID != "" {
 		ctx, cancel := s.rpcCtx()
@@ -372,9 +327,6 @@ func (s *Substrate) DiscoverPeers() error {
 		}
 		next[name] = peerInfo{name: name, addr: addr}
 		s.health.discoverySeen(name, addr)
-		if s.gossip != nil {
-			s.gossip.Seed(name, addr)
-		}
 	}
 	var dropped []string
 	var fresh []peerInfo
@@ -400,13 +352,10 @@ func (s *Substrate) DiscoverPeers() error {
 		s.health.forget(name)
 		s.dir.dropPeer(name)
 	}
-	if len(fresh) > 0 && s.gossip == nil {
+	if len(fresh) > 0 {
 		// Warm up newly discovered peers with one concurrent ping round:
 		// it primes the pooled connections and seeds the failure detector,
-		// so the first federation-wide listing doesn't pay N dials. Under
-		// gossip the round is skipped — listings come from the replica, so
-		// priming N connections would reintroduce the O(peers) cost the
-		// epidemic path exists to avoid.
+		// so the first federation-wide listing doesn't pay N dials.
 		fanOut(s, nil, "discoverPing", fresh, func(c context.Context, p peerInfo) (pingResp, error) {
 			var resp pingResp
 			err := s.invokePeer(c, p, p.serverRef(), "ping", pingReq{}, &resp)
@@ -536,13 +485,13 @@ func (s *Substrate) DirectoryStats() server.DirectoryStats {
 	st.FanoutWorkers = int(s.fanWorkers.Load())
 	st.FanoutRounds = s.fanRounds.Load()
 	st.FanoutCalls = s.fanCalls.Load()
-	st.GossipServed = s.gossipServed.value()
 	st.FanoutServed = s.fanoutServed.value()
 	return st
 }
 
 // SetDirCacheTTL adjusts the directory cache freshness window at runtime
-// (see Config.DirCacheTTL; 0 restores the default, < 0 disables caching).
+// (DefaultDirCacheTTL until set; 0 restores the default, < 0 disables
+// caching).
 func (s *Substrate) SetDirCacheTTL(d time.Duration) { s.dir.setTTL(d) }
 
 // ---------------------------------------------------------------------------
@@ -550,24 +499,13 @@ func (s *Substrate) SetDirCacheTTL(d time.Duration) { s.dir.setTTL(d) }
 // ---------------------------------------------------------------------------
 
 // RemoteApps lists the applications this user may access across the
-// federation.
-//
-// With gossip enabled (Config.GossipEnabled) the listing is served
-// entirely from the locally converged replica — zero ORB invocations,
-// per-user filtering against the replicated grant maps — once the node
-// has bootstrapped; dead members' entries are served marked Unavailable.
-//
-// Otherwise (and as the cold-start fallback before the replica is ready)
-// the scatter-gather path runs: the directory cache answers first — fresh
-// entries (and stale ones, served while one flight revalidates in the
-// background) cost zero ORB invocations, and peers behind an open breaker
-// degrade gracefully — and only the cache misses go to the wire,
-// scatter-gathered concurrently so a cold listing costs ~max(per-peer
-// RTT), not the sum.
+// federation, from each peer's level-1 listApplications. The directory
+// cache answers first — fresh entries (and stale ones, served while one
+// flight revalidates in the background) cost zero ORB invocations, and
+// peers behind an open breaker degrade gracefully — and only the cache
+// misses go to the wire, scatter-gathered concurrently so a cold listing
+// costs ~max(per-peer RTT), not the sum.
 func (s *Substrate) RemoteApps(ctx context.Context, user string) []server.AppInfo {
-	if apps, ok := s.gossipApps(user); ok {
-		return apps
-	}
 	s.fanoutServed.inc()
 	peers := s.peerList() // the one peer-table snapshot for the whole round
 	if len(peers) == 0 {
@@ -674,10 +612,8 @@ func (s *Substrate) revalidateApps(p peerInfo, user string) {
 }
 
 // RemoteUsers lists users logged in at a named peer; with an empty peer
-// name it merges every peer's logins — from the gossip replica when the
-// epidemic directory is ready (zero ORB invocations), otherwise by
-// scatter-gathering every reachable peer (best effort: unreachable peers
-// contribute nothing).
+// name it merges every peer's logins by scatter-gathering every reachable
+// peer (best effort: unreachable peers contribute nothing).
 func (s *Substrate) RemoteUsers(ctx context.Context, peerName string) ([]string, error) {
 	listUsers := func(c context.Context, p peerInfo) ([]string, error) {
 		var resp listUsersResp
@@ -685,9 +621,6 @@ func (s *Substrate) RemoteUsers(ctx context.Context, peerName string) ([]string,
 		return resp.Users, err
 	}
 	if peerName == "" {
-		if users, ok := s.gossipUsers(); ok {
-			return users, nil
-		}
 		s.fanoutServed.inc()
 		results := fanOut(s, ctx, "listUsers", s.peerList(), listUsers)
 		seen := make(map[string]bool)
@@ -795,7 +728,7 @@ func (s *Substrate) SyncCollabApp(ctx context.Context, appID string) error {
 // CollabSyncNow synchronously runs one anti-entropy exchange for every
 // subscribed application, in deterministic order. Convergence tests
 // (experiment C1) drive replication in lockstep with it, the way
-// GossipNow drives directory rounds.
+// CheckPeersNow drives the failure detector.
 func (s *Substrate) CollabSyncNow() {
 	s.mu.Lock()
 	apps := make([]string, 0, len(s.subs))
@@ -893,17 +826,9 @@ func (s *Substrate) syncName(appID string, bound bool) {
 	})
 }
 
-// NotifyEvent disseminates a control-channel event: with gossip enabled
-// it publishes the new local snapshot into the epidemic directory (each
-// remote domain synthesizes the event when the delta reaches it) instead
-// of the O(peers) oneway broadcast; otherwise it fans the event out to
-// every peer.
+// NotifyEvent disseminates a control-channel event: it fans the event
+// out to every peer as a oneway.
 func (s *Substrate) NotifyEvent(ev *wire.Message) {
-	if s.gossip != nil {
-		apps, users := s.gossipSnapshot()
-		s.gossip.PublishNow(apps, users)
-		return
-	}
 	for _, p := range s.peerList() {
 		p := p
 		if s.health.allow(p.name) != nil {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"time"
 
@@ -158,7 +159,10 @@ func RunA2(iters int) (Result, error) {
 // RunA3 compares the two cross-server propagation designs: the
 // substrate's control-channel push against the prototype's CorbaProxy
 // polling (rebuilt for this experiment alone, see LogPoller), on delivery
-// latency and on idle WAN traffic.
+// latency and on idle WAN traffic. Each update waits a seeded random gap,
+// uniform in [0, pollInterval), so it lands at a random phase of the
+// poller's ticker and the poll arm measures the average wait, not one
+// locked phase; both arms draw the same gaps.
 func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 	if updates <= 0 {
 		updates = 10
@@ -178,6 +182,10 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 				Site netsim.Site
 			}{DomainAt("host", "east"), DomainAt("edge", "west")},
 			Topology: func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) },
+			// No failure-detector heartbeats: the idle row counts
+			// propagation traffic, and the randomised gaps stretch the
+			// run past the first heartbeat tick.
+			HeartbeatEvery: time.Hour,
 		})
 		if err != nil {
 			return 0, 0, err
@@ -228,8 +236,10 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 
 		// Latency: one update generated at the host; time until it
 		// arrives at the edge.
+		rng := rand.New(rand.NewSource(1))
 		var total time.Duration
 		for seq := uint64(1); seq <= uint64(updates); seq++ {
+			time.Sleep(time.Duration(rng.Int63n(int64(pollInterval))))
 			start := time.Now()
 			if _, err := as.RunPhase(); err != nil {
 				return 0, 0, err

@@ -69,7 +69,6 @@ func RunC1(clients int) (Result, error) {
 		return res, err
 	}
 	defer fed.Close()
-	fed.Net.SetRandSeed(7)
 	ctx := context.Background()
 
 	host := fed.Domains[0]

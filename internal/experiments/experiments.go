@@ -106,26 +106,11 @@ type FederationConfig struct {
 	ProbeTimeout   time.Duration
 	DownAfter      int
 
-	// Directory fan-out and cache knobs (0 = substrate default).
-	FanoutWorkers int
-	DirCacheTTL   time.Duration
-
 	// Maintenance cadence (0 = substrate default). Latency experiments
 	// stretch these so background trader traffic can't pollute wire
 	// counters mid-measurement.
 	OfferTTL      time.Duration
 	DiscoverEvery time.Duration
-
-	// Epidemic-directory knobs (experiment G1). GossipEnabled turns the
-	// gossip replica on in every domain; GossipPeriod < 0 disables the
-	// background loop so the harness drives lockstep rounds through
-	// Sub.GossipNow(). Each domain's gossip randomness (peer selection,
-	// jitter) is seeded from the simulated network's deterministic RNG,
-	// keyed by domain name, so runs replay.
-	GossipEnabled bool
-	GossipPeriod  time.Duration
-	GossipFanout  int
-	GossipTimeout time.Duration
 
 	// Durability knobs (experiment R2). Domains named in StorageDirs run
 	// with a file-backed WAL + snapshots rooted at the mapped directory;
@@ -263,15 +248,8 @@ func (f *Federation) addDomain(name string, site netsim.Site, cfg FederationConf
 		HeartbeatEvery: cfg.HeartbeatEvery,
 		ProbeTimeout:   cfg.ProbeTimeout,
 		DownAfter:      cfg.DownAfter,
-		FanoutWorkers:  cfg.FanoutWorkers,
-		DirCacheTTL:    cfg.DirCacheTTL,
 		OfferTTL:       cfg.OfferTTL,
 		DiscoverEvery:  cfg.DiscoverEvery,
-		GossipEnabled:  cfg.GossipEnabled,
-		GossipPeriod:   cfg.GossipPeriod,
-		GossipFanout:   cfg.GossipFanout,
-		GossipTimeout:  cfg.GossipTimeout,
-		GossipRand:     f.Net.DeterministicRand(name),
 		Props:          map[string]string{"site": string(site)},
 		Logf:           quiet,
 	})

@@ -93,14 +93,11 @@ func (t *Topology) Bandwidth(a, b Site) float64 {
 }
 
 // DirStats counts traffic on one directed site pair. Msgs counts both
-// Write and Read accounting events; Writes counts only the dialer's
-// Write calls, which with the ORB wire is one per request (or coalesced
-// batch) — a direct invocation counter, since accepted conns are not
-// wrapped and responses surface as reads.
+// Write and Read accounting events: accepted conns are not wrapped, so
+// responses surface as reads on the dialer's side.
 type DirStats struct {
-	Msgs   uint64
-	Writes uint64
-	Bytes  uint64
+	Msgs  uint64
+	Bytes uint64
 }
 
 // Network dials shaped connections over a Topology and accounts traffic.
@@ -111,19 +108,9 @@ type Network struct {
 	mu    sync.Mutex
 	stats map[linkKey]*DirStats
 
-	// Connection-epoch accounting: every wrapped conn records the epoch
-	// it was born in, and inter-site traffic is bucketed by that birth
-	// epoch. Metering only conns born before a marker epoch yields wire
-	// bytes free of dial, negotiation and codec-warmup costs — the
-	// steady-state view of a long-lived connection.
-	epoch      uint64
-	epochStats map[uint64]*DirStats
-
 	fmu         sync.Mutex
 	faults      faultState
 	writeFaults atomic.Bool // fast path: any write-path fault configured
-
-	randState // deterministic per-consumer RNG streams (rand.go)
 }
 
 // New returns a Network over topo. A nil topo means an unshaped network
@@ -132,7 +119,7 @@ func New(topo *Topology) *Network {
 	if topo == nil {
 		topo = NewTopology()
 	}
-	return &Network{topo: topo, stats: make(map[linkKey]*DirStats), epochStats: make(map[uint64]*DirStats), faults: newFaultState()}
+	return &Network{topo: topo, stats: make(map[linkKey]*DirStats), faults: newFaultState()}
 }
 
 // Topology returns the network's topology for further configuration.
@@ -163,50 +150,14 @@ func (n *Network) TotalWAN() DirStats {
 	return out
 }
 
-// ResetStats zeroes all traffic counters, including the per-epoch
-// buckets (the epoch number itself keeps advancing).
+// ResetStats zeroes all traffic counters.
 func (n *Network) ResetStats() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.stats = make(map[linkKey]*DirStats)
-	n.epochStats = make(map[uint64]*DirStats)
 }
 
-// AdvanceEpoch starts a new connection epoch and returns its number.
-// Conns dialed from now on are born in the new epoch; EpochStats deltas
-// taken against the returned number meter only conns that were already
-// established — and had already paid their negotiation cost — before
-// this call.
-func (n *Network) AdvanceEpoch() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.epoch++
-	return n.epoch
-}
-
-// EpochStats sums inter-site traffic carried by connections born before
-// the given epoch.
-func (n *Network) EpochStats(before uint64) DirStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var out DirStats
-	for born, s := range n.epochStats {
-		if born < before {
-			out.Msgs += s.Msgs
-			out.Writes += s.Writes
-			out.Bytes += s.Bytes
-		}
-	}
-	return out
-}
-
-func (n *Network) bornEpoch() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.epoch
-}
-
-func (n *Network) account(born uint64, from, to Site, bytes int, isWrite bool) {
+func (n *Network) account(from, to Site, bytes int) {
 	n.mu.Lock()
 	s, ok := n.stats[linkKey{from, to}]
 	if !ok {
@@ -214,22 +165,7 @@ func (n *Network) account(born uint64, from, to Site, bytes int, isWrite bool) {
 		n.stats[linkKey{from, to}] = s
 	}
 	s.Msgs++
-	if isWrite {
-		s.Writes++
-	}
 	s.Bytes += uint64(bytes)
-	if from != to {
-		e, ok := n.epochStats[born]
-		if !ok {
-			e = &DirStats{}
-			n.epochStats[born] = e
-		}
-		e.Msgs++
-		if isWrite {
-			e.Writes++
-		}
-		e.Bytes += uint64(bytes)
-	}
 	n.mu.Unlock()
 }
 
@@ -270,17 +206,15 @@ func (n *Network) Dialer(from, to Site) func(ctx context.Context, network, addr 
 // directly on raw so partitions sever the wire under the shaping.
 func (n *Network) Wrap(from, to Site, raw net.Conn) net.Conn {
 	raw = n.newFaultConn(from, to, raw)
-	born := n.bornEpoch()
 	oneWay := n.topo.RTT(from, to) / 2
 	bw := n.topo.Bandwidth(from, to)
 	if oneWay <= 0 && bw <= 0 {
 		// Unshaped: still count traffic.
-		return &countingConn{Conn: raw, net: n, born: born, from: from, to: to}
+		return &countingConn{Conn: raw, net: n, from: from, to: to}
 	}
 	c := &shapedConn{
 		raw:    raw,
 		net:    n,
-		born:   born,
 		from:   from,
 		to:     to,
 		oneWay: oneWay,
@@ -298,7 +232,6 @@ func (n *Network) Wrap(from, to Site, raw net.Conn) net.Conn {
 type countingConn struct {
 	net.Conn
 	net  *Network
-	born uint64
 	from Site
 	to   Site
 }
@@ -306,7 +239,7 @@ type countingConn struct {
 func (c *countingConn) Write(p []byte) (int, error) {
 	nn, err := c.Conn.Write(p)
 	if nn > 0 {
-		c.net.account(c.born, c.from, c.to, nn, true)
+		c.net.account(c.from, c.to, nn)
 	}
 	return nn, err
 }
@@ -314,7 +247,7 @@ func (c *countingConn) Write(p []byte) (int, error) {
 func (c *countingConn) Read(p []byte) (int, error) {
 	nn, err := c.Conn.Read(p)
 	if nn > 0 {
-		c.net.account(c.born, c.to, c.from, nn, false)
+		c.net.account(c.to, c.from, nn)
 	}
 	return nn, err
 }
@@ -331,7 +264,6 @@ type chunk struct {
 type shapedConn struct {
 	raw    net.Conn
 	net    *Network
-	born   uint64
 	from   Site
 	to     Site
 	oneWay time.Duration
@@ -380,7 +312,7 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 	copy(data, p)
 	select {
 	case c.out <- chunk{data: data, readyAt: readyAt}:
-		c.net.account(c.born, c.from, c.to, len(p), true)
+		c.net.account(c.from, c.to, len(p))
 		return len(p), nil
 	case <-c.done:
 		return 0, net.ErrClosed
@@ -435,7 +367,7 @@ func (c *shapedConn) reader() {
 			ready := c.serialize(&c.inClock, n)
 			c.mu.Unlock()
 			ch = chunk{data: data, readyAt: ready}
-			c.net.account(c.born, c.to, c.from, n, false)
+			c.net.account(c.to, c.from, n)
 		}
 		if err != nil {
 			ch.err = err

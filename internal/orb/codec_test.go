@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"discover/internal/gossip"
 	"discover/internal/wire"
 )
 
@@ -123,7 +122,6 @@ func TestCodecByteIdentity(t *testing.T) {
 		bindReq{}, bindResp{}, resolveReq{}, resolveResp{}, unbindReq{}, listReq{}, listResp{},
 		exportReq{}, exportResp{}, withdrawReq{}, refreshReq{}, queryReq{}, queryResp{},
 		listTypesReq{}, listTypesResp{},
-		gossip.ExchangeReq{}, gossip.ExchangeResp{}, gossip.SyncReq{}, gossip.SyncResp{},
 		benchDeliverBatch{}, "text", uint64(7), []byte("raw"),
 	)
 }

@@ -811,16 +811,3 @@ func (o *ORB) DropConn(addr string) {
 	}
 	o.poolMu.Unlock()
 }
-
-// DropAllConns discards every pooled connection, forcing every subsequent Invoke to redial. Large simulated
-// federations use it between experiment phases to keep the process's
-// descriptor footprint bounded: N domains gossiping pairwise would
-// otherwise hold O(N²) idle sockets.
-func (o *ORB) DropAllConns() {
-	o.poolMu.Lock()
-	for addr, pc := range o.pool {
-		pc.close(fmt.Errorf("orb: connection to %s dropped", addr))
-		delete(o.pool, addr)
-	}
-	o.poolMu.Unlock()
-}

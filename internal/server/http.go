@@ -307,10 +307,6 @@ type StatsResponse struct {
 	// Storage reports the durable backend's WAL/snapshot counters and the
 	// last startup recovery, when the domain persists its state.
 	Storage *StorageStats `json:"storage,omitempty"`
-	// Gossip reports the epidemic federation directory — membership,
-	// replica size and anti-entropy counters — when a GossipProvider
-	// federation has gossip enabled.
-	Gossip *GossipStats `json:"gossip,omitempty"`
 }
 
 // DirectoryStats aggregates the substrate's directory-cache and
@@ -327,14 +323,11 @@ type DirectoryStats struct {
 	UnavailableServes   uint64 `json:"unavailableServes"`
 	EventInvalidations  uint64 `json:"eventInvalidations"`
 	HealthInvalidations uint64 `json:"healthInvalidations"`
-	PeerInvalidations   uint64 `json:"peerInvalidations"`
 	FanoutWorkers       int    `json:"fanoutWorkers"`
 	FanoutRounds        uint64 `json:"fanoutRounds"`
 	FanoutCalls         uint64 `json:"fanoutCalls"`
-	// GossipServed vs FanoutServed splits remote listings by which engine
-	// answered: the converged gossip replica (zero ORB invocations) or the
-	// scatter-gather cold-start/fallback path.
-	GossipServed uint64 `json:"gossipServed"`
+	// FanoutServed counts federated listings (apps, or users across every
+	// peer) answered through the cache and scatter-gather path.
 	FanoutServed uint64 `json:"fanoutServed"`
 }
 
@@ -360,41 +353,6 @@ type PeerHealthStats struct {
 // implements it gets per-peer failure-detector state in /api/stats.
 type HealthProvider interface {
 	PeerHealth() []PeerHealthStats
-}
-
-// GossipStats is the epidemic directory's operational snapshot: SWIM-ish
-// membership (alive/suspect/dead with this node's incarnation), replica
-// size (origins, live records, pending tombstones), and the anti-entropy
-// counters that show the perf story — RecordsSent staying flat while the
-// federation grows means steady-state rounds cost O(changes), not
-// O(directory).
-type GossipStats struct {
-	Self            string `json:"self"`
-	Ready           bool   `json:"ready"`
-	Incarnation     uint64 `json:"incarnation"`
-	Members         int    `json:"members"`
-	Alive           int    `json:"alive"`
-	Suspect         int    `json:"suspect"`
-	Dead            int    `json:"dead"`
-	Origins         int    `json:"origins"`
-	Records         int    `json:"records"`
-	Tombstones      int    `json:"tombstones"`
-	Rounds          uint64 `json:"rounds"`
-	ExchangesOK     uint64 `json:"exchangesOk"`
-	ExchangesFailed uint64 `json:"exchangesFailed"`
-	Syncs           uint64 `json:"syncs"`
-	RecordsSent     uint64 `json:"recordsSent"`
-	RecordsApplied  uint64 `json:"recordsApplied"`
-	RumorsSent      uint64 `json:"rumorsSent"`
-	TombstonesGCed  uint64 `json:"tombstonesGced"`
-	Refutations     uint64 `json:"refutations"`
-}
-
-// GossipProvider is an optional Federation extension: a substrate that
-// implements it gets the epidemic directory's membership and anti-entropy
-// counters surfaced in /api/stats. ok is false when gossip is disabled.
-type GossipProvider interface {
-	GossipStats() (GossipStats, bool)
 }
 
 // RelayStats describes the push relay to one subscribed peer server:
@@ -531,11 +489,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if dp, ok := s.federation().(DirectoryProvider); ok {
 		ds := dp.DirectoryStats()
 		resp.Directory = &ds
-	}
-	if gp, ok := s.federation().(GossipProvider); ok {
-		if gs, on := gp.GossipStats(); on {
-			resp.Gossip = &gs
-		}
 	}
 	es := s.EdgeStats()
 	resp.Edge = &es

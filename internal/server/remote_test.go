@@ -109,29 +109,33 @@ func TestRelaySubscriptionAndRemoteDelivery(t *testing.T) {
 	if err := d.srv.EnqueueLocalCommand(appID, cmd); err != nil {
 		t.Fatal(err)
 	}
+	// Wait for the response itself: the updates of the phases pump runs
+	// meanwhile would satisfy any count of relayed messages.
+	d.pump(t, func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, m := range relayed[n:] {
+			if m.Kind == wire.KindResponse && m.Client == "caltech/client-9" {
+				return true
+			}
+		}
+		return false
+	})
+
+	// Its last member leaves: updates to caltech stop. The daemon
+	// handles an application's updates in order on one connection and
+	// answers a phase only after the updates sent before it, so once the
+	// fence phase returns, no update from an earlier phase is in flight.
+	d.srv.DeliverCollabFromPeer(appID, caltech.NoteLeave("caltech/client-9"), "caltech")
 	if _, err := d.app.RunPhase(); err != nil {
 		t.Fatal(err)
 	}
-	waitRelayed(n + 2) // the phase's update + the relayed response
-	mu.Lock()
-	var gotResp bool
-	for _, m := range relayed {
-		if m.Kind == wire.KindResponse && m.Client == "caltech/client-9" {
-			gotResp = true
-		}
-	}
-	mu.Unlock()
-	if !gotResp {
-		t.Error("remote requester's response never reached its relay")
-	}
-
-	// Its last member leaves: updates to caltech stop.
-	d.srv.DeliverCollabFromPeer(appID, caltech.NoteLeave("caltech/client-9"), "caltech")
 	mu.Lock()
 	n = len(relayed)
 	mu.Unlock()
 	(*daemonHandler)(d.srv).HandleUpdate(appID, wire.NewUpdate(appID, 2))
 	d.app.RunPhase()
+	d.app.RunPhase() // fences the previous phase's update
 	mu.Lock()
 	if len(relayed) != n {
 		t.Error("relay received traffic after its server's last member left")

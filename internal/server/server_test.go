@@ -84,19 +84,23 @@ func (d *testDeployment) connect(t *testing.T, sess *session.Session) string {
 	return appID
 }
 
+// pumpBudget bounds how long pump drives phases. Phases take
+// microseconds, so a phase count says nothing about how long a loaded
+// machine has had to deliver what the predicate waits for.
+const pumpBudget = 10 * time.Second
+
 // pump runs application phases until the predicate is satisfied.
 func (d *testDeployment) pump(t *testing.T, until func() bool) {
 	t.Helper()
-	for i := 0; i < 200; i++ {
-		if until() {
-			return
+	deadline := time.Now().Add(pumpBudget)
+	for !until() {
+		if time.Now().After(deadline) {
+			t.Fatalf("condition never satisfied within %v of phases", pumpBudget)
 		}
 		if _, err := d.app.RunPhase(); err != nil {
 			t.Fatalf("RunPhase: %v", err)
 		}
-	}
-	if !until() {
-		t.Fatal("condition never satisfied after 200 phases")
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -44,13 +44,13 @@ go run ./scripts/metricssmoke
 # them.
 go test -race -p 1 -count=1 -run 'Chaos|R1|R2|P1|S2' ./internal/core/ ./internal/experiments/
 
-# Gossip smoke: the epidemic directory's full availability cycle —
-# free-running convergence, partition-degraded listings, heal and
-# recovery — plus the merge property tests and the membership churn
-# test rerun uncached under the race detector (timing-sensitive like
-# the chaos batch above).
-go test -race -count=1 -run 'TestGossipConvergenceSmoke|TestMergeConvergesUnderAnyOrder|TestGossipChurnUnderLoad' \
-    ./internal/experiments/ ./internal/gossip/
+# Directory smoke: the federation directory is the cache plus the
+# level-1 fan-out. The cache unit tests (TTL jitter, single-flight
+# states, eager invalidation with its degraded fallback) and the chaos
+# test (concurrent listings while applications churn and a peer dies and
+# is reborn) rerun uncached under the race detector; ten rounds give the
+# flights and breaker transitions room to interleave.
+go test -race -count=10 -run 'TestDirCache|TestDirectoryChaosConcurrentListings' ./internal/core/
 
 # Collaboration smoke: experiment C1 (replicated group log under churn
 # and partition, latecomer replay) plus the CRDT merge property tests and
