@@ -112,18 +112,6 @@ func (a *ACL) Privilege(user string) Privilege {
 	return a.entries[user]
 }
 
-// Users lists all entries sorted by user-id.
-func (a *ACL) Users() []Entry {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]Entry, 0, len(a.entries))
-	for u, p := range a.entries {
-		out = append(out, Entry{User: u, Priv: p})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].User < out[j].User })
-	return out
-}
-
 // Token is the level-one credential: the bearer is an authenticated user
 // of the issuing server until Expiry.
 type Token struct {

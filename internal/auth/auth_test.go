@@ -43,10 +43,10 @@ func TestACL(t *testing.T) {
 	}
 	a.Grant("carol", Interact)
 	a.Revoke("bob")
-	users := a.Users()
-	want := []Entry{{"alice", Steer}, {"carol", Interact}}
-	if !reflect.DeepEqual(users, want) {
-		t.Errorf("Users() = %v, want %v", users, want)
+	for user, want := range map[string]Privilege{"alice": Steer, "carol": Interact, "bob": None} {
+		if got := a.Privilege(user); got != want {
+			t.Errorf("after Grant/Revoke %s = %v, want %v", user, got, want)
+		}
 	}
 }
 

@@ -936,7 +936,7 @@ func TestPeerFailureHandledCleanly(t *testing.T) {
 	for i := 0; i < DefaultDownAfter; i++ {
 		b.sub.CheckPeersNow()
 	}
-	if st := b.sub.health.state("rutgers"); st != PeerDown {
+	if st := stateOf(b.sub.peers, "rutgers"); st != "down" {
 		t.Fatalf("peer state after %d failed probes = %v", DefaultDownAfter, st)
 	}
 

@@ -37,11 +37,12 @@
 //
 // # Failure handling
 //
-// Every peer has a failure detector (healthy → suspect → down → probing)
-// fed by regular invocation outcomes and a periodic heartbeat; DownAfter
-// consecutive failures open a circuit breaker so operations fail fast
-// with ErrPeerDown instead of burning the RPC timeout, and a recovery
-// probe closes it again. See DESIGN.md §4d.
+// One peer table holds every discovered peer. Trader discovery alone adds
+// and drops its rows; each row carries a call gate fed by regular
+// invocation outcomes and a periodic heartbeat. DefaultDownAfter
+// consecutive failures open the gate, so operations fail fast with
+// ErrPeerDown instead of burning the RPC timeout, and a recovery probe
+// closes it again. See DESIGN.md §4d.
 //
 // # Telemetry
 //

@@ -117,10 +117,11 @@ func (r *relaySender) loop() {
 		case <-r.done:
 			return
 		case it := <-r.queue:
-			// Park while the peer's breaker is open: the recovery prober
-			// owns retries, and wakes us by closing the recovered channel.
+			// Park while the peer's gate is open: the recovery prober owns
+			// retries, and wakes us by closing the recovered channel (as
+			// does discovery dropping the peer).
 			// Queued traffic beyond the queue bound is shed as usual.
-			if ch := r.sub.health.blockedCh(r.peer.name); ch != nil {
+			if ch := r.sub.peers.blockedCh(r.peer.name); ch != nil {
 				select {
 				case <-r.done:
 					return
@@ -142,7 +143,7 @@ func (r *relaySender) loop() {
 				// rate.
 				r.sub.orb.DropConn(r.peer.addr)
 				if orb.IsPeerFailure(err) {
-					r.sub.health.reportFailure(r.peer.name, r.peer.addr, err)
+					r.sub.peers.observe(r.peer.name, err, 0)
 				}
 				backoff = nextBackoff(backoff)
 				select {

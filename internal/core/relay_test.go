@@ -112,7 +112,7 @@ func TestRelayBatchInvocationCount(t *testing.T) {
 	n.discoverAll()
 
 	var peer peerInfo
-	for _, p := range a.sub.peerList() {
+	for _, p := range a.sub.peers.list() {
 		if p.name == "caltech" {
 			peer = p
 		}

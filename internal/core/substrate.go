@@ -33,15 +33,12 @@ type Config struct {
 	DiscoverHops  int           // trader links to follow during discovery (default 0)
 	Logf          func(format string, args ...any)
 
-	// Failure detection (see health.go). A peer turns suspect after
-	// DefaultSuspectAfter consecutive peer-failure outcomes and dead after
-	// DownAfter — from regular traffic or from the heartbeat prober,
-	// whichever accumulates them first — after which operations against
-	// it fail fast with ErrPeerDown until a recovery probe succeeds.
-	DialTimeout    time.Duration // TCP connect budget, below the 10s RPC budget (default 2s)
+	// Failure detection (see peers.go). DefaultDownAfter consecutive
+	// peer-failure outcomes, from regular traffic or from the heartbeat,
+	// open a peer's gate; operations against it then fail fast with
+	// ErrPeerDown until a recovery probe succeeds.
+	DialTimeout    time.Duration // TCP connect and heartbeat/probe budget, below the 10s RPC budget (default 2s)
 	HeartbeatEvery time.Duration // control-channel heartbeat period (default 2s)
-	ProbeTimeout   time.Duration // heartbeat/recovery probe budget (default DialTimeout)
-	DownAfter      int           // consecutive failures before down (default 3)
 }
 
 // Substrate is the per-server middleware endpoint. Create it with New,
@@ -55,8 +52,8 @@ type Substrate struct {
 	naming *orb.NamingClient
 	acct   *policy.Accountant
 
-	health *healthTable
-	dir    *dirCache // event-coherent directory cache (listing path)
+	peers *peerTable // discovered peers and their call gates
+	dir   *dirCache  // event-coherent directory cache (listing path)
 
 	fanWorkers   atomic.Int64  // scatter-gather concurrency bound (SetFanoutWorkers)
 	fanRounds    atomic.Uint64 // scatter-gather rounds issued
@@ -68,7 +65,6 @@ type Substrate struct {
 	collabSyncOps *telemetry.Counter // ops transferred by those exchanges
 
 	mu      sync.Mutex
-	peers   map[string]peerInfo     // by server name
 	relays  map[string]*relaySender // by peer name (host side)
 	subs    map[string]bool         // app ids subscribed (subscriber side)
 	named   map[string]bool         // app ids with a naming (un)bind pending: true = bind
@@ -80,14 +76,6 @@ type Substrate struct {
 	wg   sync.WaitGroup
 	stop chan struct{}
 }
-
-type peerInfo struct {
-	name string
-	addr string
-}
-
-func (p peerInfo) serverRef() orb.ObjRef  { return orb.ObjRef{Addr: p.addr, Key: ServerKey} }
-func (p peerInfo) controlRef() orb.ObjRef { return orb.ObjRef{Addr: p.addr, Key: ControlKey} }
 
 // New creates a substrate. Call Start to go live.
 func New(cfg Config) (*Substrate, error) {
@@ -112,9 +100,6 @@ func New(cfg Config) (*Substrate, error) {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = cfg.DialTimeout
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
 	}
@@ -124,9 +109,8 @@ func New(cfg Config) (*Substrate, error) {
 		srv:    cfg.Server,
 		orb:    cfg.ORB,
 		acct:   policy.NewAccountant(),
-		health: newHealthTable(cfg.DownAfter),
+		peers:  newPeerTable(),
 		dir:    newDirCache(cfg.Server.Name(), DefaultDirCacheTTL),
-		peers:  make(map[string]peerInfo),
 		relays: make(map[string]*relaySender),
 		subs:   make(map[string]bool),
 		named:  make(map[string]bool),
@@ -136,8 +120,8 @@ func New(cfg Config) (*Substrate, error) {
 	s.fanoutServed.metric = telemetry.GetCounter("discover_listings_fanout_served_total", "server", cfg.Server.Name())
 	s.collabSyncs = telemetry.GetCounter("discover_collab_syncs_total", "server", cfg.Server.Name())
 	s.collabSyncOps = telemetry.GetCounter("discover_collab_sync_ops_total", "server", cfg.Server.Name())
-	s.health.onDown = s.peerWentDown
-	s.health.onRecovered = s.peerRecovered
+	s.peers.onDown = s.peerWentDown
+	s.peers.onRecovered = s.peerRecovered
 	if !cfg.TraderRef.IsZero() {
 		s.trader = orb.NewTraderClient(cfg.ORB, cfg.TraderRef)
 	}
@@ -301,12 +285,12 @@ func (s *Substrate) reassertSubscriptions(peer string) {
 	}
 }
 
-// DiscoverPeers queries the trader for live DISCOVER offers and rebuilds
-// the peer table. The offer lease means a dead server disappears once its
-// lease lapses — availability "determined at runtime". A known peer whose
-// offer is momentarily missing (a late lease refresh losing the race with
-// our query) is kept for one round marked suspect rather than silently
-// dropped; the failure detector decides its fate.
+// DiscoverPeers queries the trader for live DISCOVER offers and applies
+// them to the peer table. The offer lease means a dead server disappears
+// once its lease lapses — availability "determined at runtime". A live
+// peer whose offer is momentarily missing (a late lease refresh losing
+// the race with our query) is kept for one round, marked suspect, rather
+// than silently dropped; a down peer is dropped on its first miss.
 func (s *Substrate) DiscoverPeers() error {
 	if s.trader == nil {
 		return nil
@@ -318,50 +302,23 @@ func (s *Substrate) DiscoverPeers() error {
 	if err != nil {
 		return err
 	}
-	next := make(map[string]peerInfo, len(offers))
+	next := make(map[string]string, len(offers))
 	for _, o := range offers {
-		name := o.Props["name"]
-		addr := o.Props["addr"]
-		if name == "" || addr == "" {
-			continue
-		}
-		next[name] = peerInfo{name: name, addr: addr}
-		s.health.discoverySeen(name, addr)
-	}
-	var dropped []string
-	var fresh []peerInfo
-	s.mu.Lock()
-	for name, p := range next {
-		if _, known := s.peers[name]; !known {
-			fresh = append(fresh, p)
+		if name, addr := o.Props["name"], o.Props["addr"]; name != "" && addr != "" {
+			next[name] = addr
 		}
 	}
-	for name, p := range s.peers {
-		if _, ok := next[name]; ok {
-			continue
-		}
-		if s.health.keepThroughMiss(name) {
-			next[name] = p
-		} else {
-			dropped = append(dropped, name)
-		}
-	}
-	s.peers = next
-	s.mu.Unlock()
+	fresh, dropped := s.peers.round(next)
 	for _, name := range dropped {
-		s.health.forget(name)
 		s.dir.dropPeer(name)
 	}
-	if len(fresh) > 0 {
-		// Warm up newly discovered peers with one concurrent ping round:
-		// it primes the pooled connections and seeds the failure detector,
-		// so the first federation-wide listing doesn't pay N dials.
-		fanOut(s, nil, "discoverPing", fresh, func(c context.Context, p peerInfo) (pingResp, error) {
-			var resp pingResp
-			err := s.invokePeer(c, p, p.serverRef(), "ping", pingReq{}, &resp)
-			return resp, err
-		})
-	}
+	// Warm up newly discovered peers with one concurrent heartbeat round:
+	// it primes the pooled connections and seeds their gates, so the first
+	// federation-wide listing doesn't pay N dials.
+	fanOut(s, nil, "discoverPing", fresh, func(c context.Context, p peerInfo) (struct{}, error) {
+		s.probe(c, p)
+		return struct{}{}, nil
+	})
 	return nil
 }
 
@@ -406,11 +363,9 @@ func (s *Substrate) WireStats() server.WireStats {
 	}
 }
 
-// Peers lists discovered peer server names. It shares peerList's
-// snapshot path so callers mixing the two never take the peer-table lock
-// twice for one logical read.
+// Peers lists discovered peer server names.
 func (s *Substrate) Peers() []string {
-	peers := s.peerList()
+	peers := s.peers.list()
 	out := make([]string, 0, len(peers))
 	for _, p := range peers {
 		out = append(out, p.name)
@@ -418,23 +373,10 @@ func (s *Substrate) Peers() []string {
 	return out
 }
 
-// peerList snapshots the peer table.
-func (s *Substrate) peerList() []peerInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]peerInfo, 0, len(s.peers))
-	for _, p := range s.peers {
-		out = append(out, p)
-	}
-	return out
-}
-
 // peerFor maps an application id to its host server's peer entry.
 func (s *Substrate) peerFor(appID string) (peerInfo, error) {
 	host := server.ServerOfApp(appID)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.peers[host]
+	p, ok := s.peers.get(host)
 	if !ok {
 		return peerInfo{}, fmt.Errorf("core: no known peer %q for application %s", host, appID)
 	}
@@ -445,37 +387,26 @@ func (s *Substrate) proxyRef(p peerInfo, appID string) orb.ObjRef {
 	return orb.ObjRef{Addr: p.addr, Key: ProxyKey(appID)}
 }
 
-// invokePeer is the health-gated invocation path every two-way remote
-// operation goes through: consult the breaker (fast-fail on an open one),
-// invoke, and feed the outcome back to the failure detector. The caller's
-// context flows into the invocation, carrying its deadline and telemetry
-// trace; pass nil for detached background work.
+// invokePeer is the gated invocation path every two-way remote operation
+// goes through: fail fast if p's gate is open, invoke, and feed the
+// outcome back to the gate. p carries the gate as read with its address.
+// The caller's context flows into the invocation, carrying its deadline
+// and telemetry trace; pass nil for detached background work.
 func (s *Substrate) invokePeer(ctx context.Context, p peerInfo, ref orb.ObjRef, method string, in, out any) error {
-	if err := s.health.allow(p.name); err != nil {
+	if err := p.gate(); err != nil {
 		return err
 	}
 	ictx, cancel := s.boundCtx(ctx)
 	defer cancel()
 	err := s.orb.Invoke(ictx, ref, method, in, out)
-	s.observePeer(p, err)
+	s.peers.observe(p.name, err, 0)
 	return err
 }
 
-// observePeer classifies one invocation outcome for the failure detector:
-// only communication failures and deadline expiry count against a peer —
-// any servant-raised error proves it is alive.
-func (s *Substrate) observePeer(p peerInfo, err error) {
-	if err == nil || !orb.IsPeerFailure(err) {
-		s.health.reportSuccess(p.name, p.addr)
-	} else {
-		s.health.reportFailure(p.name, p.addr, err)
-	}
-}
-
-// PeerHealth snapshots the failure detector for GET /api/stats; it
+// PeerHealth snapshots the peer table for GET /api/v1/stats; it
 // implements server.HealthProvider.
 func (s *Substrate) PeerHealth() []server.PeerHealthStats {
-	return s.health.snapshot()
+	return s.peers.snapshot()
 }
 
 // DirectoryStats snapshots the directory cache and scatter-gather
@@ -507,7 +438,7 @@ func (s *Substrate) SetDirCacheTTL(d time.Duration) { s.dir.setTTL(d) }
 // costs ~max(per-peer RTT), not the sum.
 func (s *Substrate) RemoteApps(ctx context.Context, user string) []server.AppInfo {
 	s.fanoutServed.inc()
-	peers := s.peerList() // the one peer-table snapshot for the whole round
+	peers := s.peers.list() // the one peer-table snapshot for the whole round
 	if len(peers) == 0 {
 		return nil
 	}
@@ -518,7 +449,7 @@ func (s *Substrate) RemoteApps(ctx context.Context, user string) []server.AppInf
 	}
 	var jobs []appJob
 	for _, p := range peers {
-		plan := s.dir.plan(p.name, user, s.health.allow(p.name) != nil)
+		plan := s.dir.plan(p.name, user, p.down)
 		switch plan.state {
 		case dirFresh, dirUnavailable:
 			out = append(out, plan.apps...)
@@ -559,8 +490,7 @@ func (s *Substrate) peerApps(ctx context.Context, p peerInfo, user string, plan 
 	switch {
 	case err == nil:
 		return apps
-	case orb.IsPeerFailure(err) || errors.Is(err, ErrPeerDown) || errors.Is(err, ErrPeerSuspect) ||
-		errors.Is(err, context.Canceled):
+	case orb.IsPeerFailure(err) || errors.Is(err, ErrPeerDown) || errors.Is(err, context.Canceled):
 		return apps // the unavailable-marked fallback (nil when never listed)
 	default:
 		s.cfg.Logf("core %s: listApplications at %s: %v", s.srv.Name(), p.name, err)
@@ -622,7 +552,7 @@ func (s *Substrate) RemoteUsers(ctx context.Context, peerName string) ([]string,
 	}
 	if peerName == "" {
 		s.fanoutServed.inc()
-		results := fanOut(s, ctx, "listUsers", s.peerList(), listUsers)
+		results := fanOut(s, ctx, "listUsers", s.peers.list(), listUsers)
 		seen := make(map[string]bool)
 		var out []string
 		for _, r := range results {
@@ -639,9 +569,7 @@ func (s *Substrate) RemoteUsers(ctx context.Context, peerName string) ([]string,
 		sort.Strings(out)
 		return out, nil
 	}
-	s.mu.Lock()
-	p, ok := s.peers[peerName]
-	s.mu.Unlock()
+	p, ok := s.peers.get(peerName)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown peer %q", peerName)
 	}
@@ -829,10 +757,9 @@ func (s *Substrate) syncName(appID string, bound bool) {
 // NotifyEvent disseminates a control-channel event: it fans the event
 // out to every peer as a oneway.
 func (s *Substrate) NotifyEvent(ev *wire.Message) {
-	for _, p := range s.peerList() {
-		p := p
-		if s.health.allow(p.name) != nil {
-			continue // breaker open: don't queue events for a dead peer
+	for _, p := range s.peers.list() {
+		if p.down {
+			continue // gate open: don't queue events for a dead peer
 		}
 		s.goTracked(func() {
 			ctx, cancel := s.rpcCtx()
@@ -842,9 +769,9 @@ func (s *Substrate) NotifyEvent(ev *wire.Message) {
 			if err != nil {
 				s.cfg.Logf("core %s: event to %s: %v", s.srv.Name(), p.name, err)
 				// A oneway success proves nothing (no reply), but a failed
-				// write is evidence for the failure detector.
+				// write is evidence for the gate.
 				if orb.IsPeerFailure(err) {
-					s.health.reportFailure(p.name, p.addr, err)
+					s.peers.observe(p.name, err, 0)
 				}
 			}
 		})

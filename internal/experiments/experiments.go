@@ -103,8 +103,6 @@ type FederationConfig struct {
 	// for determinism.
 	DialTimeout    time.Duration
 	HeartbeatEvery time.Duration
-	ProbeTimeout   time.Duration
-	DownAfter      int
 
 	// Maintenance cadence (0 = substrate default). Latency experiments
 	// stretch these so background trader traffic can't pollute wire
@@ -246,8 +244,6 @@ func (f *Federation) addDomain(name string, site netsim.Site, cfg FederationConf
 		RelayBatch:     cfg.RelayBatch,
 		DialTimeout:    cfg.DialTimeout,
 		HeartbeatEvery: cfg.HeartbeatEvery,
-		ProbeTimeout:   cfg.ProbeTimeout,
-		DownAfter:      cfg.DownAfter,
 		OfferTTL:       cfg.OfferTTL,
 		DiscoverEvery:  cfg.DiscoverEvery,
 		Props:          map[string]string{"site": string(site)},

@@ -147,7 +147,7 @@ func RunP1(sizes []int, rtt time.Duration) (Result, error) {
 	// --- Partition: the listing stays fast and marked, then recovers. ---
 	target := big.peers[0] // hosts two applications by now
 	big.fed.Net.Partition("home", target.Site)
-	for i := 0; i < p1DownAfter; i++ {
+	for i := 0; i < core.DefaultDownAfter; i++ {
 		portal.CheckPeersNow()
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -191,9 +191,6 @@ func RunP1(sizes []int, rtt time.Duration) (Result, error) {
 	})
 	return res, nil
 }
-
-// p1DownAfter is the failure-detector threshold RunP1 drives manually.
-const p1DownAfter = 3
 
 // p1Fed is one portal + N peer federation deployed for RunP1.
 type p1Fed struct {
@@ -262,8 +259,6 @@ func deployP1(n int, rtt time.Duration) (*p1Fed, error) {
 			}
 		},
 		DialTimeout:    250 * time.Millisecond,
-		ProbeTimeout:   500 * time.Millisecond,
-		DownAfter:      p1DownAfter,
 		HeartbeatEvery: time.Hour, // driven manually via CheckPeersNow
 		OfferTTL:       time.Hour, // no background trader traffic during
 		DiscoverEvery:  time.Hour, // the measurement windows

@@ -17,15 +17,16 @@ import (
 // Three domains federate over the simulated WAN. A client at the edge
 // domain steers an application hosted at the host domain. Then the
 // east-west link partitions: the failure detectors on both sides must
-// open their breakers within DownAfter probe rounds, after which remote
-// operations fail fast with ErrPeerDown (well under the RPC timeout), the
-// host releases the vanished edge client's steering lock to a waiting
-// local client (at-most-one holder preserved), and the edge server keeps
-// listing the host's application — marked unavailable — while delivering
-// peer-down events to its clients' FIFOs. After Heal the federation
-// reconverges: breakers close, subscriptions are reasserted, updates flow
-// again, and the lock is once more acquirable remotely. Finally a third
-// domain's site is killed outright; the survivors are unaffected.
+// open their breakers within core.DefaultDownAfter probe rounds, after
+// which remote operations fail fast with ErrPeerDown (well under the RPC
+// timeout), the host releases the vanished edge client's steering lock to
+// a waiting local client (at-most-one holder preserved), and the edge
+// server keeps listing the host's application — marked unavailable —
+// while delivering peer-down events to its clients' FIFOs. After Heal the
+// federation reconverges: breakers close, subscriptions are reasserted,
+// updates flow again, and the lock is once more acquirable remotely.
+// Finally a third domain's site is killed outright; the survivors are
+// unaffected.
 //
 // The detector is driven exclusively through CheckPeersNow — no sleeps
 // stand in for synchronization.
@@ -35,11 +36,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 	}
 	res := Result{ID: "R1", Title: "Fault injection: partition, peer death, reconvergence"}
 
-	const (
-		dialTimeout  = 150 * time.Millisecond
-		probeTimeout = 300 * time.Millisecond
-		downAfter    = 3
-	)
+	const dialTimeout = 150 * time.Millisecond
 	fed, err := NewFederation(FederationConfig{
 		Domains: []struct {
 			Name string
@@ -51,8 +48,6 @@ func RunR1(rtt time.Duration) (Result, error) {
 			t.SetRTT("west", "south", rtt)
 		},
 		DialTimeout:    dialTimeout,
-		ProbeTimeout:   probeTimeout,
-		DownAfter:      downAfter,
 		HeartbeatEvery: time.Hour, // driven manually via CheckPeersNow
 	})
 	if err != nil {
@@ -116,7 +111,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 	// --- Partition east/west and drive both failure detectors. ---
 	fed.Net.Partition("east", "west")
 	detectStart := time.Now()
-	for i := 0; i < downAfter; i++ {
+	for i := 0; i < core.DefaultDownAfter; i++ {
 		edge.Sub.CheckPeersNow()
 		host.Sub.CheckPeersNow()
 	}
@@ -130,7 +125,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 		return "unknown"
 	}
 	res.Rows = append(res.Rows, Row{
-		Name:  fmt.Sprintf("partition detection after %d probe rounds", downAfter),
+		Name:  fmt.Sprintf("partition detection after %d probe rounds", core.DefaultDownAfter),
 		Paper: "peer failure is detected at runtime, not configured statically",
 		Measured: fmt.Sprintf("edge sees host %s, host sees edge %s, in %s",
 			stateAt(edge, "host"), stateAt(host, "edge"), detectTime.Round(time.Millisecond)),
@@ -237,7 +232,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 
 	// --- Kill the aux site outright; survivors are unaffected. ---
 	fed.Net.KillSite("south")
-	for i := 0; i < downAfter; i++ {
+	for i := 0; i < core.DefaultDownAfter; i++ {
 		host.Sub.CheckPeersNow()
 		edge.Sub.CheckPeersNow()
 	}

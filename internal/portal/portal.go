@@ -130,7 +130,6 @@ var (
 	ErrOverloaded      error = &sentinelError{"overloaded", "portal: server overloaded"}
 	ErrShuttingDown    error = &sentinelError{"shutting_down", "portal: server shutting down"}
 	ErrPeerDown        error = &sentinelError{"peer_down", "portal: peer server down"}
-	ErrPeerSuspect     error = &sentinelError{"peer_suspect", "portal: peer server suspect"}
 	ErrNotFound        error = &sentinelError{"not_found", "portal: not found"}
 	ErrCollabDisabled  error = &sentinelError{"collab_disabled", "portal: collaboration disabled"}
 	ErrGroupNotFound   error = &sentinelError{"group_not_found", "portal: collaboration group not found"}

@@ -51,9 +51,6 @@ const (
 	// CodePeerDown: the remote application's host server is unreachable
 	// (failure detector open).
 	CodePeerDown ErrCode = "peer_down"
-	// CodePeerSuspect: the host server's fate is being probed; retry
-	// shortly.
-	CodePeerSuspect ErrCode = "peer_suspect"
 	// CodeNotFound: a resource (trace, record table) does not exist.
 	CodeNotFound ErrCode = "not_found"
 	// CodeCollabDisabled: the session disabled collaboration, so chat and
@@ -88,7 +85,7 @@ func (c ErrCode) httpStatus() int {
 		return http.StatusBadRequest
 	case CodeRateLimited, CodeOverloaded:
 		return http.StatusTooManyRequests
-	case CodeShuttingDown, CodePeerDown, CodePeerSuspect:
+	case CodeShuttingDown, CodePeerDown:
 		return http.StatusServiceUnavailable
 	default:
 		return http.StatusInternalServerError
@@ -101,7 +98,7 @@ func ErrorCodes() []ErrCode {
 	return []ErrCode{
 		CodeBadRequest, CodeUnauthorized, CodeSessionNotFound, CodeForbidden,
 		CodeAppNotFound, CodeNotConnected, CodeLockHeld, CodeRateLimited,
-		CodeOverloaded, CodeShuttingDown, CodePeerDown, CodePeerSuspect,
+		CodeOverloaded, CodeShuttingDown, CodePeerDown,
 		CodeNotFound, CodeCollabDisabled, CodeGroupNotFound, CodeBadWatermark,
 		CodeInternal,
 	}

@@ -518,7 +518,7 @@ func (s *Server) writeErr(w http.ResponseWriter, err error) {
 	code := CodeOf(err)
 	var retryMS int64
 	switch code {
-	case CodeRateLimited, CodeOverloaded, CodeShuttingDown, CodePeerSuspect:
+	case CodeRateLimited, CodeOverloaded, CodeShuttingDown:
 		retryMS = s.gate.retryAfter.Milliseconds()
 	}
 	writeErrCode(w, code, err.Error(), retryMS)

@@ -67,6 +67,12 @@ go test -race -count=1 -run 'TestC1CollabChaos|TestCollabMergeConvergesUnderAnyO
 go test -race -count=20 -run 'TestRelayGateFollowsMembership|TestCollabPresenceCountsMatchFold' \
     ./internal/core/ ./internal/collab/
 
+# Peer table: one table owns membership and the per-peer call gate. The
+# gate lifecycle, the names-equal-peers invariant (relay failures for an
+# undiscovered peer, discovery drops) and probe dedup across concurrent
+# heartbeat rounds rerun twenty times uncached under the race detector.
+go test -race -count=20 -run 'TestPeerTable|TestPeerHealthNamesEqualPeers|TestConcurrentRoundsProbeOnce' ./internal/core/
+
 # Codec smoke: the ORB's process-wide gob engine caches — the
 # many-goroutine hammer, the differential fuzz seeds, byte identity and
 # the cap test — rerun uncached under the race detector; the hammer
