@@ -147,7 +147,7 @@ func BenchmarkE3ProtocolTradeoff(b *testing.B) {
 			if _, err := as.RunPhase(); err != nil {
 				b.Fatal(err)
 			}
-			sess.Buffer.Drain(0)
+			sess.Buffer.DrainEntries(0)
 		}
 	})
 	b.Run("http-client-path", func(b *testing.B) {
@@ -228,7 +228,7 @@ func BenchmarkE4CollabTraffic(b *testing.B) {
 	b.StopTimer()
 	wan := fed.Net.TotalWAN()
 	b.ReportMetric(float64(wan.Bytes)/float64(b.N), "wanB/op")
-	sess.Buffer.Drain(0)
+	sess.Buffer.DrainEntries(0)
 }
 
 // BenchmarkE5RemoteVsLocal measures a get_param command/response cycle
@@ -268,7 +268,9 @@ func BenchmarkE5RemoteVsLocal(b *testing.B) {
 			}
 			got := false
 			for !got {
-				for _, m := range sess.Buffer.DrainWait(0, 100*time.Millisecond) {
+				ents, _ := sess.Buffer.DrainEntriesWait(0, 100*time.Millisecond, nil)
+				for _, e := range ents {
+					m := e.Msg
 					if m.Seq == cmd.Seq {
 						got = true
 					}
@@ -346,16 +348,16 @@ func BenchmarkE7SessionScalability(b *testing.B) {
 func BenchmarkE8SlowClientBuffers(b *testing.B) {
 	m := wire.NewUpdate("app", 1)
 	b.Run("push-drain", func(b *testing.B) {
-		f := session.NewFifo(256)
+		f := session.NewQueue(256, 0)
 		for i := 0; i < b.N; i++ {
 			f.Push(m)
 			if i%64 == 0 {
-				f.Drain(0)
+				f.DrainEntries(0)
 			}
 		}
 	})
 	b.Run("push-overflowing", func(b *testing.B) {
-		f := session.NewFifo(64)
+		f := session.NewQueue(64, 0)
 		for i := 0; i < b.N; i++ {
 			f.Push(m) // beyond capacity: constant-time drop-oldest
 		}
@@ -598,7 +600,9 @@ func BenchmarkRelayBatching(b *testing.B) {
 		var seq uint64
 		wait := func(target uint64) {
 			for {
-				for _, m := range sess.Buffer.DrainWait(0, 100*time.Millisecond) {
+				ents, _ := sess.Buffer.DrainEntriesWait(0, 100*time.Millisecond, nil)
+				for _, e := range ents {
+					m := e.Msg
 					if m.Kind == wire.KindUpdate && m.Seq >= target {
 						return
 					}
@@ -737,7 +741,9 @@ func BenchmarkA3PollVsPush(b *testing.B) {
 			}
 			got := false
 			for !got {
-				for _, m := range sess.Buffer.DrainWait(0, 100*time.Millisecond) {
+				ents, _ := sess.Buffer.DrainEntriesWait(0, 100*time.Millisecond, nil)
+				for _, e := range ents {
+					m := e.Msg
 					if m.Kind == wire.KindUpdate && m.Seq >= expect {
 						got = true
 					}

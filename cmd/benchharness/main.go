@@ -124,12 +124,7 @@ var all = []experiment{
 		}
 		return experiments.RunO1(40 * time.Millisecond)
 	}},
-	{"S1", func(q bool) (experiments.Result, error) {
-		if q {
-			return experiments.RunS1([]int{8, 64}, 100*time.Millisecond)
-		}
-		return experiments.RunS1([]int{16, 256}, 300*time.Millisecond)
-	}},
+	{"S1", func(bool) (experiments.Result, error) { return experiments.RunS1() }},
 	{"S2", func(q bool) (experiments.Result, error) {
 		if q {
 			return experiments.RunS2(5000, 100*time.Millisecond, 1500*time.Millisecond)

@@ -139,25 +139,6 @@ type DomainConfig struct {
 	// server. With SelfSigned, an ephemeral certificate is generated and
 	// Domain.CertPool trusts it; otherwise CertFile/KeyFile are loaded.
 	TLS *TLSConfig
-	// FifoCapacity bounds per-client buffers (0 = default 256).
-	FifoCapacity int
-	// SessionShards sets the session-table shard count (0 = default 16,
-	// 1 = a single-lock table, the S1 experiment's baseline).
-	SessionShards int
-	// EdgeMaxInflight caps concurrently admitted portal requests; excess
-	// load is shed with 429 "overloaded" (0 = default 4096).
-	EdgeMaxInflight int
-	// LoginRatePerSec / LoginBurst bound each user's login attempts per
-	// second at the portal edge (0 = unlimited).
-	LoginRatePerSec float64
-	LoginBurst      float64
-	// RequestRatePerSec / RequestBurst bound each session's request rate
-	// at the portal edge (0 = unlimited).
-	RequestRatePerSec float64
-	RequestBurst      float64
-	// EdgeRetryAfter is the retry_after_ms hint sent with shed requests
-	// (0 = default 250ms).
-	EdgeRetryAfter time.Duration
 	// SessionIdleTimeout reaps portal sessions that stop polling for this
 	// long, releasing their locks and group memberships (0 disables).
 	SessionIdleTimeout time.Duration
@@ -220,22 +201,14 @@ func StartDomain(cfg DomainConfig) (*Domain, error) {
 		backend = fb
 	}
 	srv, err := server.New(server.Config{
-		Name:              cfg.Name,
-		FifoCapacity:      cfg.FifoCapacity,
-		RecordUpdates:     cfg.RecordUpdates,
-		TraceSampleEvery:  cfg.TraceSampleEvery,
-		EnablePprof:       cfg.EnablePprof,
-		Logf:              cfg.Logf,
-		SessionShards:     cfg.SessionShards,
-		MaxInflight:       cfg.EdgeMaxInflight,
-		LoginRatePerSec:   cfg.LoginRatePerSec,
-		LoginBurst:        cfg.LoginBurst,
-		RequestRatePerSec: cfg.RequestRatePerSec,
-		RequestBurst:      cfg.RequestBurst,
-		RetryAfterHint:    cfg.EdgeRetryAfter,
-		Storage:           backend,
-		SnapshotEvery:     cfg.SnapshotEvery,
-		WalSyncEvery:      cfg.WalSyncEvery,
+		Name:             cfg.Name,
+		RecordUpdates:    cfg.RecordUpdates,
+		TraceSampleEvery: cfg.TraceSampleEvery,
+		EnablePprof:      cfg.EnablePprof,
+		Logf:             cfg.Logf,
+		Storage:          backend,
+		SnapshotEvery:    cfg.SnapshotEvery,
+		WalSyncEvery:     cfg.WalSyncEvery,
 	})
 	if err != nil {
 		if backend != nil {

@@ -532,25 +532,13 @@ func (g *Group) NoteSub(clientID, sub string) *wire.Message {
 // ApplyWire merges a collaboration message that arrived from a peer
 // server into the replicated log. It reports whether the message was new
 // — duplicates (relay echo overlapping anti-entropy sync, re-delivery
-// after reconnect) return false so callers suppress the re-broadcast.
-//
-// Messages without op identity (legacy peers, hand-built strokes) cannot
-// be deduplicated; whiteboard strokes among them are adopted as local
-// ops so latecomer replay still sees them, and they always report new.
-// The adopted identity is stamped onto the message in place, so the
-// caller's re-broadcast carries it and downstream replicas dedupe on
-// this server's copy instead of each minting their own.
+// after reconnect) return false so callers suppress the re-broadcast. A
+// message without op identity cannot be deduplicated or replicated, so
+// it is refused the same way.
 func (g *Group) ApplyWire(m *wire.Message) bool {
 	op, ok := opFromMessage(m)
 	if !ok {
-		if m.Kind == wire.KindWhiteboard {
-			g.mu.Lock()
-			adopted := g.log.append(OpStroke, m.Client, "", "", "", m.Data, 0)
-			g.mu.Unlock()
-			g.metricLocal()
-			stampOp(m, adopted)
-		}
-		return true
+		return false
 	}
 	g.mu.Lock()
 	applied := g.log.apply(op)
@@ -716,14 +704,6 @@ func (g *Group) WhiteboardLen() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.log.strokes + g.log.evictedStrokes
-}
-
-// ClearWhiteboard erases the retained strokes. Local-only administrative
-// reset: it intentionally diverges this replica from its peers.
-func (g *Group) ClearWhiteboard() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.log.clearStrokes()
 }
 
 func (g *Group) metricLocal() {

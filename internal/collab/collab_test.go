@@ -196,10 +196,6 @@ func TestWhiteboardReplayForLatecomers(t *testing.T) {
 	if late.count() != 3 {
 		t.Errorf("latecomer replayed %d strokes, want 3", late.count())
 	}
-	g.ClearWhiteboard()
-	if g.WhiteboardLen() != 0 {
-		t.Error("ClearWhiteboard failed")
-	}
 }
 
 func TestRelayMembers(t *testing.T) {

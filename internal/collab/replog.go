@@ -147,11 +147,10 @@ type opLog struct {
 
 	retained       int
 	evicted        int
-	strokes        int // applied stroke ops, retained + evicted (reset by clear)
+	strokes        int // applied stroke ops, retained + evicted
 	evictedStrokes int
 	chats          int
 	evictedMaxApp  uint64 // highest ApplySeq among evicted ops
-	clearedApp     uint64 // strokes with ApplySeq <= clearedApp were erased by clear
 }
 
 type opKey struct {
@@ -272,9 +271,6 @@ func (l *opLog) restore(op Op) bool {
 	}
 	if _, dup := st.ops[op.Seq]; dup {
 		return false
-	}
-	if op.Kind == OpStroke && op.ApplySeq <= l.clearedApp {
-		return false // stroke erased by a clear the snapshot already covers
 	}
 	if op.Clock > l.clock {
 		l.clock = op.Clock
@@ -551,18 +547,14 @@ type StrokeEntry struct {
 // could not be spliced (memory-only domain past its cap).
 func (l *opLog) strokesSince(from uint64) (entries []StrokeEntry, last uint64, missed int) {
 	last = l.applySeq
-	floor := from
-	if l.clearedApp > floor {
-		floor = l.clearedApp // strokes at/below the clear marker were erased
-	}
-	if floor < l.evictedMaxApp {
+	if from < l.evictedMaxApp {
 		var spliced []Op
 		if l.fetchApply != nil {
-			spliced = l.fetchApply(floor, l.evictedMaxApp)
+			spliced = l.fetchApply(from, l.evictedMaxApp)
 		}
 		found := 0
 		for _, op := range spliced {
-			if op.Kind != OpStroke || op.ApplySeq <= floor || op.ApplySeq > l.evictedMaxApp {
+			if op.Kind != OpStroke || op.ApplySeq <= from || op.ApplySeq > l.evictedMaxApp {
 				continue
 			}
 			// Eviction is contiguous per origin but not in ApplySeq, so the
@@ -583,7 +575,7 @@ func (l *opLog) strokesSince(from uint64) (entries []StrokeEntry, last uint64, m
 	for _, k := range l.order {
 		st := l.origins[k.origin]
 		op, ok := st.ops[k.seq]
-		if !ok || op.Kind != OpStroke || op.ApplySeq <= floor {
+		if !ok || op.Kind != OpStroke || op.ApplySeq <= from {
 			continue
 		}
 		entries = append(entries, strokeEntry(op))
@@ -596,29 +588,6 @@ func strokeEntry(op Op) StrokeEntry {
 	return StrokeEntry{Watermark: op.ApplySeq, Origin: op.Origin, Seq: op.Seq, Client: op.Client, Data: op.Data}
 }
 
-// clearStrokes drops every retained stroke and forgets evicted ones: a
-// local administrative reset kept for compatibility with the pre-log
-// whiteboard API. It intentionally diverges this replica (the strokes
-// leave the hash); cross-domain groups should not use it mid-session.
-// The clear marker (current apply watermark) keeps strokesSince from
-// splicing the erased strokes back out of the WAL, and restore from
-// resurrecting them when a later snapshot carries the marker across a
-// crash.
-func (l *opLog) clearStrokes() {
-	for _, st := range l.origins {
-		for seq, op := range st.ops {
-			if op.Kind == OpStroke {
-				delete(st.ops, seq)
-				l.retained--
-				l.rootHash ^= op.hash()
-			}
-		}
-	}
-	l.strokes = 0
-	l.evictedStrokes = 0
-	l.clearedApp = l.applySeq
-}
-
 // MemberFoldSnap is the gob image of one membership LWW register.
 type MemberFoldSnap struct {
 	Origin, Client, Sub string
@@ -629,40 +598,38 @@ type MemberFoldSnap struct {
 
 // LogSnapshot is the gob image of one group's log for domain snapshots.
 type LogSnapshot struct {
-	Ops        []Op
-	Members    []MemberFoldSnap
-	Synced     map[string]uint64
-	EvictedTo  map[string]uint64
-	MaxSeq     map[string]uint64
-	NextSeq    uint64
-	Clock      uint64
-	ApplySeq   uint64
-	Hash       uint64
-	Evicted    int
-	Strokes    int
-	EvStrokes  int
-	Chats      int
-	EvMaxApp   uint64
-	ClearedApp uint64
+	Ops       []Op
+	Members   []MemberFoldSnap
+	Synced    map[string]uint64
+	EvictedTo map[string]uint64
+	MaxSeq    map[string]uint64
+	NextSeq   uint64
+	Clock     uint64
+	ApplySeq  uint64
+	Hash      uint64
+	Evicted   int
+	Strokes   int
+	EvStrokes int
+	Chats     int
+	EvMaxApp  uint64
 }
 
 // snapshotLog captures the retained window plus enough bookkeeping to
 // resume watermarks, eviction horizons and the hash over evicted ops.
 func (l *opLog) snapshotLog() LogSnapshot {
 	snap := LogSnapshot{
-		Synced:     make(map[string]uint64, len(l.origins)),
-		EvictedTo:  make(map[string]uint64, len(l.origins)),
-		MaxSeq:     make(map[string]uint64, len(l.origins)),
-		NextSeq:    l.nextSeq,
-		Clock:      l.clock,
-		ApplySeq:   l.applySeq,
-		Hash:       l.rootHash,
-		Evicted:    l.evicted,
-		Strokes:    l.strokes,
-		EvStrokes:  l.evictedStrokes,
-		Chats:      l.chats,
-		EvMaxApp:   l.evictedMaxApp,
-		ClearedApp: l.clearedApp,
+		Synced:    make(map[string]uint64, len(l.origins)),
+		EvictedTo: make(map[string]uint64, len(l.origins)),
+		MaxSeq:    make(map[string]uint64, len(l.origins)),
+		NextSeq:   l.nextSeq,
+		Clock:     l.clock,
+		ApplySeq:  l.applySeq,
+		Hash:      l.rootHash,
+		Evicted:   l.evicted,
+		Strokes:   l.strokes,
+		EvStrokes: l.evictedStrokes,
+		Chats:     l.chats,
+		EvMaxApp:  l.evictedMaxApp,
 	}
 	for _, k := range l.order {
 		if op, ok := l.origins[k.origin].ops[k.seq]; ok {
@@ -699,7 +666,6 @@ func (l *opLog) restoreLog(snap LogSnapshot) {
 	l.evictedStrokes = snap.EvStrokes
 	l.chats = snap.Chats
 	l.evictedMaxApp = snap.EvMaxApp
-	l.clearedApp = snap.ClearedApp
 	for name, synced := range snap.Synced {
 		st := l.originState(name)
 		st.synced = synced

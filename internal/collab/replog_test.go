@@ -447,74 +447,26 @@ func TestCollabStrokeReplayNoDuplicateAcrossSplice(t *testing.T) {
 	}
 }
 
-// TestCollabClearWhiteboardSuppressesWalSplice: on a durable domain,
-// ClearWhiteboard must actually clear — erased strokes stay erased
-// through journal-spliced replay, and the clear marker survives a
-// snapshot + WAL-replay recovery.
-func TestCollabClearWhiteboardSuppressesWalSplice(t *testing.T) {
-	journal := make(map[string][]Op)
-	g := journalHub(journal, WithOrigin("home"), WithMemCap(3)).Group("app#1")
-	for i := 0; i < 6; i++ {
-		g.Whiteboard("c1", []byte{byte(i)}) // evicts half into the WAL
+// TestCollabIdentitylessStrokeRefused: a whiteboard message from a peer
+// without op identity is refused. ApplyWire reports it as not new, so
+// the server does not re-broadcast it, and the log stays untouched, so
+// latecomers never replay it and the replica hash does not move.
+func TestCollabIdentitylessStrokeRefused(t *testing.T) {
+	g := NewHub(WithOrigin("host")).Group("app#1")
+	before := g.LogInfo()
+	m := &wire.Message{Kind: wire.KindWhiteboard, App: "app#1", Client: "peer/c1", Data: []byte{7}}
+	if g.ApplyWire(m) {
+		t.Fatal("identity-less stroke reported as new")
 	}
-
-	g.ClearWhiteboard()
-	if strokes, _, missed := g.StrokesSince(0); len(strokes) != 0 || missed != 0 {
-		t.Fatalf("cleared whiteboard replayed %d strokes (missed %d)", len(strokes), missed)
+	if _, ok := m.Get(paramOrigin); ok {
+		t.Error("refused stroke was stamped with an op identity")
 	}
-	if n := g.WhiteboardLen(); n != 0 {
-		t.Errorf("WhiteboardLen after clear = %d", n)
+	after := g.LogInfo()
+	if after.Ops != before.Ops || after.Strokes != 0 || after.Hash != before.Hash {
+		t.Errorf("refused stroke changed the log: %+v -> %+v", before, after)
 	}
-
-	g.Whiteboard("c1", []byte{0xee})
-	strokes, _, _ := g.StrokesSince(0)
-	if len(strokes) != 1 || strokes[0].Data[0] != 0xee {
-		t.Fatalf("post-clear replay = %+v, want only the new stroke", strokes)
-	}
-
-	// Crash recovery: snapshot carries the clear marker, and WAL replay
-	// of the erased strokes must not resurrect them.
-	rec := journalHub(journal, WithOrigin("home")).Group("app#1")
-	rec.RestoreLog(g.SnapshotLog())
-	for _, op := range journal["app#1"] {
-		rec.RestoreOp(op)
-	}
-	strokes, _, _ = rec.StrokesSince(0)
-	if len(strokes) != 1 || strokes[0].Data[0] != 0xee {
-		t.Fatalf("post-recovery replay = %+v, want only the new stroke", strokes)
-	}
-	if n := rec.WhiteboardLen(); n != 1 {
-		t.Errorf("recovered WhiteboardLen = %d, want 1", n)
-	}
-}
-
-// TestCollabLegacyStrokeAdoptionStampsIdentity: an identity-less
-// whiteboard message is adopted as a local op exactly once, and the
-// adopted identity is stamped onto the message so the re-broadcast
-// dedupes downstream instead of every replica minting its own copy.
-func TestCollabLegacyStrokeAdoptionStampsIdentity(t *testing.T) {
-	host := NewHub(WithOrigin("host")).Group("app#1")
-	m := &wire.Message{Kind: wire.KindWhiteboard, App: "app#1", Client: "legacy/c1", Data: []byte{7}}
-	if !host.ApplyWire(m) {
-		t.Fatal("legacy stroke not adopted")
-	}
-	if origin, _ := m.Get(paramOrigin); origin != "host" {
-		t.Fatalf("adopted stroke stamped with origin %q, want host", origin)
-	}
-	// The host's own echo of the stamped message is a duplicate.
-	if host.ApplyWire(m) {
-		t.Error("host re-applied its own adopted stroke")
-	}
-	// Downstream replica: first delivery applies, re-delivery dedupes.
-	down := NewHub(WithOrigin("down")).Group("app#1")
-	if !down.ApplyWire(m) {
-		t.Fatal("stamped stroke rejected downstream")
-	}
-	if down.ApplyWire(m) {
-		t.Error("duplicate stamped stroke re-applied downstream")
-	}
-	if n := down.WhiteboardLen(); n != 1 {
-		t.Errorf("downstream strokes = %d, want 1", n)
+	if strokes, _, _ := g.StrokesSince(0); len(strokes) != 0 {
+		t.Errorf("latecomer replay holds %d strokes, want 0", len(strokes))
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"discover/internal/policy"
 	"discover/internal/portal"
 	"discover/internal/server"
+	"discover/internal/session"
 	"discover/internal/wire"
 )
 
@@ -159,6 +160,16 @@ func defaultUsers() []app.UserGrant {
 		{User: "alice", Privilege: "steer"},
 		{User: "bob", Privilege: "monitor"},
 	}
+}
+
+// drained empties a session's delivery queue and returns its messages.
+func drained(q *session.Queue) []*wire.Message {
+	ents, _ := q.DrainEntries(0)
+	out := make([]*wire.Message, len(ents))
+	for i, e := range ents {
+		out[i] = e.Msg
+	}
+	return out
 }
 
 // waitFor polls a predicate driving optional phase pumps.
@@ -317,7 +328,7 @@ func remoteSteeringTest(t *testing.T) {
 	var resp *wire.Message
 	waitFor(t, 5*time.Second, func() bool {
 		as.RunPhase()
-		for _, m := range sess.Buffer.Drain(0) {
+		for _, m := range drained(sess.Buffer) {
 			if m.Kind == wire.KindResponse && m.Op == "set_param" {
 				resp = m
 			}
@@ -332,7 +343,7 @@ func remoteSteeringTest(t *testing.T) {
 	var sawUpdate bool
 	waitFor(t, 5*time.Second, func() bool {
 		as.RunPhase()
-		for _, m := range sess.Buffer.Drain(0) {
+		for _, m := range drained(sess.Buffer) {
 			if m.Kind == wire.KindUpdate {
 				sawUpdate = true
 			}
@@ -420,7 +431,7 @@ func TestCrossServerCollaboration(t *testing.T) {
 	}
 	var gotChat bool
 	waitFor(t, 5*time.Second, func() bool {
-		for _, m := range aliceA.Buffer.Drain(0) {
+		for _, m := range drained(aliceA.Buffer) {
 			if m.Kind == wire.KindChat && m.Text == "hello from caltech" {
 				gotChat = true
 			}
@@ -434,7 +445,7 @@ func TestCrossServerCollaboration(t *testing.T) {
 	}
 	var gotBack bool
 	waitFor(t, 5*time.Second, func() bool {
-		for _, m := range bobB.Buffer.Drain(0) {
+		for _, m := range drained(bobB.Buffer) {
 			if m.Kind == wire.KindChat && m.Text == "hello from rutgers" {
 				gotBack = true
 			}
@@ -451,6 +462,47 @@ func TestCrossServerCollaboration(t *testing.T) {
 	})
 }
 
+// TestCrossServerViewShare: a view shared at one remote domain reaches
+// the host's members (the forwarded-collab entry point) and a third
+// domain's members (the relay entry point).
+func TestCrossServerViewShare(t *testing.T) {
+	n := newTestNet(t)
+	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
+	c := n.addDomain("utexas")
+	as := n.attachApp(a, "wave", defaultUsers())
+	n.discoverAll()
+	appID := as.AppID()
+
+	ctx := context.Background()
+	aliceA, _ := a.srv.Login(ctx, "alice", "pw")
+	bobB, _ := b.srv.Login(ctx, "bob", "pw")
+	bobC, _ := c.srv.Login(ctx, "bob", "pw")
+	for _, j := range []struct {
+		d    *domain
+		sess *session.Session
+	}{{a, aliceA}, {b, bobB}, {c, bobC}} {
+		if _, err := j.d.srv.ConnectApp(ctx, j.sess, appID); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if err := b.srv.ShareView(ctx, bobB, []byte("view-1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, sess := range []*session.Session{aliceA, bobC} {
+		var got bool
+		waitFor(t, 5*time.Second, func() bool {
+			for _, m := range drained(sess.Buffer) {
+				if m.Kind == wire.KindViewShare && string(m.Data) == "view-1" {
+					got = true
+				}
+			}
+			return got
+		})
+	}
+}
+
 func TestControlChannelEvents(t *testing.T) {
 	n := newTestNet(t)
 	a := n.addDomain("rutgers")
@@ -462,7 +514,7 @@ func TestControlChannelEvents(t *testing.T) {
 	n.attachApp(a, "wave", defaultUsers())
 	var heard bool
 	waitFor(t, 5*time.Second, func() bool {
-		for _, m := range sess.Buffer.Drain(0) {
+		for _, m := range drained(sess.Buffer) {
 			if m.Kind == wire.KindEvent && m.Op == "app-registered" {
 				heard = true
 			}
@@ -723,7 +775,7 @@ func TestFederationChaos(t *testing.T) {
 				case 2:
 					d.srv.Chat(context.Background(), sess, "chaos")
 				case 3:
-					sess.Buffer.Drain(0)
+					sess.Buffer.DrainEntries(0)
 				case 4:
 					d.srv.Apps(context.Background(), "alice")
 				case 5:

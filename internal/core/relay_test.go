@@ -30,13 +30,13 @@ func TestDeliverBatchMatchesDeliver(t *testing.T) {
 	if _, err := b.srv.ConnectApp(context.Background(), sess, appID); err != nil {
 		t.Fatal(err)
 	}
-	sess.Buffer.Drain(0) // discard connect-time traffic
+	sess.Buffer.DrainEntries(0) // discard connect-time traffic
 	// The host's app-registered event is a oneway that can land at any
 	// point after the application registered, so it is dropped by
 	// identity rather than counted against either path.
 	drain := func() []*wire.Message {
 		var out []*wire.Message
-		for _, m := range sess.Buffer.Drain(0) {
+		for _, m := range drained(sess.Buffer) {
 			if m.Kind == wire.KindEvent && m.Op == "app-registered" && m.App == appID {
 				continue
 			}

@@ -95,7 +95,7 @@ func TestRelayHistogramsPopulated(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool {
 		as.RunPhase()
-		for _, m := range sess.Buffer.Drain(0) {
+		for _, m := range drained(sess.Buffer) {
 			if m.Kind == wire.KindUpdate {
 				return true
 			}

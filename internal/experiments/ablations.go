@@ -224,7 +224,9 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 			arrived = func(seq uint64) bool {
 				deadline := time.Now().Add(30 * time.Second)
 				for time.Now().Before(deadline) {
-					for _, m := range sess.Buffer.DrainWait(0, 5*time.Millisecond) {
+					ents, _ := sess.Buffer.DrainEntriesWait(0, 5*time.Millisecond, nil)
+					for _, e := range ents {
+						m := e.Msg
 						if m.Kind == wire.KindUpdate && m.Seq >= seq {
 							return true
 						}

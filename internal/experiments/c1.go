@@ -300,6 +300,9 @@ func RunC1(clients int) (Result, error) {
 	if _, err := cl.ConnectApp(ctx, appID); err != nil {
 		return res, err
 	}
+	// The connect relays the latecomer's join op; let it settle so the
+	// relay count below measures the replay alone.
+	c1Quiesce(fed)
 	relay0 = c1RelayDelivered(fed)
 	inv0 := late.Sub.WireStats().Invocations
 	wb, err := cl.WhiteboardSince(ctx, 0)

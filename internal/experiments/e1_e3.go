@@ -233,7 +233,7 @@ func RunE3(iters int) (Result, error) {
 		if _, err := as.RunPhase(); err != nil {
 			return res, err
 		}
-		sess.Buffer.Drain(0)
+		sess.Buffer.DrainEntries(0)
 		tcpHist.Observe(time.Since(t0))
 	}
 	tcpDur := time.Since(start)

@@ -232,7 +232,9 @@ func RunE5(iters int, rtt time.Duration) (Result, error) {
 			deadline := time.Now().Add(30 * time.Second)
 			got := false
 			for !got && time.Now().Before(deadline) {
-				for _, m := range sess.Buffer.DrainWait(0, 50*time.Millisecond) {
+				ents, _ := sess.Buffer.DrainEntriesWait(0, 50*time.Millisecond, nil)
+				for _, e := range ents {
+					m := e.Msg
 					if (m.Kind == wire.KindResponse || m.Kind == wire.KindError) && m.Seq == cmd.Seq {
 						got = true
 					}
@@ -426,7 +428,9 @@ func RunE7(totalClients, updates int) (Result, error) {
 		perServer := make(map[string]int)
 		for _, c := range clients {
 			n := 0
-			for _, m := range c.sess.Buffer.Drain(0) {
+			ents, _ := c.sess.Buffer.DrainEntries(0)
+			for _, e := range ents {
+				m := e.Msg
 				if m.Kind == wire.KindUpdate {
 					n++
 				}

@@ -24,8 +24,8 @@ func RunE8(updates int, capacity int) (Result, error) {
 	}
 	res := Result{ID: "E8", Title: "Per-client FIFO buffers and slow clients (§6.2)"}
 
-	fast := session.NewFifo(capacity)
-	slow := session.NewFifo(capacity)
+	fast := session.NewQueue(capacity, 0)
+	slow := session.NewQueue(capacity, 0)
 
 	// The fast client drains continuously; the slow one does not poll at
 	// all until the burst is over — the stalled-browser case the FIFO
@@ -40,7 +40,9 @@ func RunE8(updates int, capacity int) (Result, error) {
 		defer wg.Done()
 		var last uint64
 		for {
-			for _, m := range fast.DrainWait(0, time.Millisecond) {
+			ents, _ := fast.DrainEntriesWait(0, time.Millisecond, nil)
+			for _, e := range ents {
+				m := e.Msg
 				if m.Seq <= last {
 					fastOrdered = false
 				}
@@ -73,7 +75,9 @@ func RunE8(updates int, capacity int) (Result, error) {
 	// The slow client finally polls: it gets only the newest `capacity`
 	// messages, still in order.
 	var last uint64
-	for _, m := range slow.Drain(0) {
+	ents, _ := slow.DrainEntries(0)
+	for _, e := range ents {
+		m := e.Msg
 		if m.Seq <= last {
 			slowOrdered = false
 		}

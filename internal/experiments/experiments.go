@@ -94,9 +94,8 @@ type FederationConfig struct {
 		Name string
 		Site netsim.Site
 	}
-	Topology     func(*netsim.Topology) // optional WAN shaping
-	FifoCapacity int
-	RelayBatch   int // max messages per relay push invocation (0 = default)
+	Topology   func(*netsim.Topology) // optional WAN shaping
+	RelayBatch int                    // max messages per relay push invocation (0 = default)
 
 	// Failure-detector knobs (0 = substrate default). Chaos experiments
 	// set HeartbeatEvery very high and drive Sub.CheckPeersNow directly
@@ -117,7 +116,6 @@ type FederationConfig struct {
 	StorageDirs   map[string]string
 	SnapshotEvery time.Duration
 	WalSyncEvery  time.Duration
-	ReplayRing    int // per-session resume replay ring (0 = default)
 }
 
 // DomainAt is a convenience constructor for FederationConfig.Domains.
@@ -204,9 +202,7 @@ func (f *Federation) HTTPClientFrom(site netsim.Site) *http.Client {
 }
 
 func (f *Federation) addDomain(name string, site netsim.Site, cfg FederationConfig) (*Domain, error) {
-	scfg := server.Config{
-		Name: name, FifoCapacity: cfg.FifoCapacity, ReplayRing: cfg.ReplayRing, Logf: quiet,
-	}
+	scfg := server.Config{Name: name, Logf: quiet}
 	if dir, ok := cfg.StorageDirs[name]; ok {
 		backend, err := storage.OpenFile(dir)
 		if err != nil {

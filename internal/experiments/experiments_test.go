@@ -117,7 +117,7 @@ func TestO1TraceDecomposition(t *testing.T) {
 }
 
 func TestS1VersionedEdge(t *testing.T) {
-	res, err := RunS1([]int{4, 32}, 60*time.Millisecond)
+	res, err := RunS1()
 	checkResult(t, res, err)
 }
 

@@ -172,7 +172,9 @@ func RunR1(rtt time.Duration) (Result, error) {
 		}
 	}
 	var sawPeerDown bool
-	for _, m := range edgeSess.Buffer.Drain(0) {
+	ents, _ := edgeSess.Buffer.DrainEntries(0)
+	for _, e := range ents {
+		m := e.Msg
 		if m.Kind == wire.KindEvent && m.Op == "peer-down" && m.Text == "host" {
 			sawPeerDown = true
 		}
@@ -208,7 +210,9 @@ func RunR1(rtt time.Duration) (Result, error) {
 		if _, err := as.RunPhase(); err != nil {
 			break
 		}
-		for _, m := range edgeSess.Buffer.Drain(0) {
+		ents, _ := edgeSess.Buffer.DrainEntries(0)
+		for _, e := range ents {
+			m := e.Msg
 			if m.Kind == wire.KindUpdate {
 				updatesFlow = true
 			}

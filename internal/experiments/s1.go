@@ -6,165 +6,25 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"discover/internal/auth"
 	"discover/internal/portal"
 	"discover/internal/server"
 	"discover/internal/session"
 	"discover/internal/wire"
 )
 
-// RunS1 is the versioned-edge experiment: does sharding the session
-// table keep the login/poll hot path flat as concurrent clients grow,
-// and does edge admission control shed overload explicitly instead of
-// letting latency collapse?
+// RunS1 is the versioned-edge experiment: does edge admission control
+// shed overload explicitly instead of letting latency collapse?
 //
-// Part A hammers the session table directly (the ops-level equivalent of
-// N portals polling): one goroutine per client doing Get+Push+Drain
-// against a single-lock table (WithShards(1), the pre-sharding design)
-// and the sharded default. Throughput and p99 per-op latency are
-// compared at the largest N.
-//
-// Part B stands up a real /api/v1 edge with a per-session token bucket
-// and drives ~2x the admitted rate: the surplus must come back as 429
+// It stands up a real /api/v1 edge with a per-session token bucket and
+// drives ~2x the admitted rate: the surplus must come back as 429
 // rate_limited envelopes carrying retry_after_ms, counted in the edge
 // stats. A slow client with a tiny FIFO must find a buffer-overflow
 // event (not a silent gap) at its next poll, and once draining starts
 // every new request must shed with 503 shutting_down.
-//
-// sizes are the Part A client counts (ascending); opsDur is how long
-// each table measurement runs.
-func RunS1(sizes []int, opsDur time.Duration) (Result, error) {
-	if len(sizes) < 2 {
-		sizes = []int{8, 64}
-	}
-	if opsDur <= 0 {
-		opsDur = 100 * time.Millisecond
-	}
-	res := Result{ID: "S1", Title: "Versioned edge: sharded sessions and admission control"}
-
-	// --- Part A: session-table contention, single lock vs sharded. ---
-	minN, maxN := sizes[0], sizes[len(sizes)-1]
-	type point struct {
-		opsPerSec float64
-		p99       time.Duration
-	}
-	sharded := make(map[int]point)
-	single := make(map[int]point)
-	for _, n := range sizes {
-		ops, p99 := s1TableLoad(session.DefaultShards, n, opsDur)
-		sharded[n] = point{ops, p99}
-		ops, p99 = s1TableLoad(1, n, opsDur)
-		single[n] = point{ops, p99}
-	}
-
-	// On a single-P runtime goroutines serialize anyway, so lock
-	// contention cannot appear: there the claim degenerates to "sharding
-	// costs nothing". With real parallelism the sharded table must win.
-	cores := runtime.GOMAXPROCS(0)
-	gain := sharded[maxN].opsPerSec / single[maxN].opsPerSec
-	wantGain := 1.1
-	if cores == 1 {
-		wantGain = 0.8
-	}
-	res.Rows = append(res.Rows, Row{
-		Name:  fmt.Sprintf("session-table throughput at %d clients", maxN),
-		Paper: "sharding the master servlet's session table removes the single-lock bottleneck",
-		Measured: fmt.Sprintf("sharded %.0f ops/s vs single-lock %.0f ops/s — %.2fx (GOMAXPROCS=%d, want >=%.1fx)",
-			sharded[maxN].opsPerSec, single[maxN].opsPerSec, gain, cores, wantGain),
-		Pass: gain >= wantGain,
-	})
-
-	// The tail comparison only means anything with real parallelism: on
-	// one P there is no convoy to avoid and per-op p99 is timeslice noise.
-	growth := float64(sharded[maxN].p99) / float64(max64(sharded[minN].p99, time.Nanosecond))
-	res.Rows = append(res.Rows, Row{
-		Name:  fmt.Sprintf("p99 poll-path latency, %d vs %d clients", minN, maxN),
-		Paper: "per-client cost stays bounded as concurrency grows (no lock convoy)",
-		Measured: fmt.Sprintf("sharded p99 %s -> %s (%.1fx); single-lock p99 %s -> %s (GOMAXPROCS=%d)",
-			sharded[minN].p99, sharded[maxN].p99, growth,
-			single[minN].p99, single[maxN].p99, cores),
-		Pass: cores == 1 || sharded[maxN].p99 <= single[maxN].p99*2,
-	})
-
-	// --- Part B: a real edge under overload. ---
-	shedRow, overflowRow, drainRow, err := s1Edge()
-	if err != nil {
-		return res, err
-	}
-	res.Rows = append(res.Rows, shedRow, overflowRow, drainRow)
-	return res, nil
-}
-
-func max64(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// s1TableLoad runs one goroutine per client against a session table with
-// the given shard count for dur, each iterating the poll hot path
-// (lookup, push an update, drain). Returns aggregate throughput and the
-// p99 of per-op latencies (averaged over batches of 64 to keep timer
-// overhead out of the measurement).
-func s1TableLoad(shards, clients int, dur time.Duration) (opsPerSec float64, p99 time.Duration) {
-	m := session.NewManager("s1", session.WithShards(shards), session.WithCapacity(64))
-	ids := make([]string, clients)
-	for i := range ids {
-		ids[i] = m.Create(fmt.Sprintf("user-%d", i), auth.Token{}).ClientID
-	}
-	const batch = 64
-	var total atomic.Uint64
-	var mu sync.Mutex
-	var lats []time.Duration
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			var local []time.Duration
-			msg := wire.NewEvent("s1", "tick", "")
-			for {
-				select {
-				case <-stop:
-					mu.Lock()
-					lats = append(lats, local...)
-					mu.Unlock()
-					return
-				default:
-				}
-				t0 := time.Now()
-				for i := 0; i < batch; i++ {
-					sess, ok := m.Get(id)
-					if !ok {
-						return
-					}
-					sess.Buffer.Push(msg)
-					sess.Buffer.Drain(0)
-				}
-				local = append(local, time.Since(t0)/batch)
-				total.Add(batch)
-			}
-		}(id)
-	}
-	start := time.Now()
-	time.Sleep(dur)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-	return float64(total.Load()) / elapsed.Seconds(), percentile(lats, 99)
-}
-
-// s1Edge deploys one standalone domain with a tight per-session bucket
-// and a tiny FIFO, then measures shedding, overflow signaling, and
-// draining through the public /api/v1 surface.
-func s1Edge() (shed, overflow, drain Row, err error) {
+func RunS1() (Result, error) {
+	res := Result{ID: "S1", Title: "Versioned edge: admission control"}
 	const (
 		ratePerSec = 100.0
 		burst      = 10.0
@@ -179,13 +39,13 @@ func s1Edge() (shed, overflow, drain Row, err error) {
 		Logf:              quiet,
 	})
 	if err != nil {
-		return shed, overflow, drain, err
+		return res, err
 	}
 	defer srv.Close()
 	srv.Auth().SetUserSecret("alice", "pw")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return shed, overflow, drain, err
+		return res, err
 	}
 	hsrv := &http.Server{Handler: srv.HTTPHandler()}
 	go hsrv.Serve(ln)
@@ -201,7 +61,7 @@ func s1Edge() (shed, overflow, drain Row, err error) {
 	// the rest must shed as 429 rate_limited with a retry hint.
 	cl := portal.New(base)
 	if err := cl.Login(ctx, "alice", "pw"); err != nil {
-		return shed, overflow, drain, err
+		return res, err
 	}
 	const offered = 2 * ratePerSec
 	window := 500 * time.Millisecond
@@ -219,57 +79,66 @@ func s1Edge() (shed, overflow, drain Row, err error) {
 			}
 		} else if perr != nil {
 			tick.Stop()
-			return shed, overflow, drain, perr
+			return res, perr
 		}
 	}
 	tick.Stop()
 	ratio := float64(limited) / float64(sent)
 	es := srv.EdgeStats()
-	shed = Row{
+	res.Rows = append(res.Rows, Row{
 		Name:  "load shedding at 2x offered rate",
 		Paper: "overload degrades into explicit 429s with a retry hint, not queueing",
 		Measured: fmt.Sprintf("%d/%d polls shed (%.0f%%), %d carried retry_after_ms, stats count %d",
 			limited, sent, 100*ratio, hinted, es.ShedRateLimited),
 		Pass: ratio > 0.15 && ratio < 0.85 && hinted == limited &&
 			es.ShedRateLimited >= uint64(limited),
-	}
+	})
 
-	// Slow client: push past the FIFO capacity, then poll. The drain must
-	// lead with a buffer-overflow event naming the loss.
-	slow, err := srv.Login(ctx, "alice", "pw")
-	if err != nil {
-		return shed, overflow, drain, err
+	// Slow client: push past the FIFO capacity, then poll through the
+	// long-poll edge on a fresh session (the first poller's bucket is
+	// spent). The poll must lead with a buffer-overflow event naming the
+	// loss.
+	slowCl := portal.New(base)
+	if err := slowCl.Login(ctx, "alice", "pw"); err != nil {
+		return res, err
+	}
+	slow, ok := srv.Sessions().Peek(slowCl.ClientID())
+	if !ok {
+		return res, fmt.Errorf("s1: no session %s", slowCl.ClientID())
 	}
 	pushes := 3 * fifoCap
 	for i := 0; i < pushes; i++ {
 		slow.Buffer.Push(wire.NewEvent("s1edge", "tick", fmt.Sprint(i)))
 	}
-	msgs := slow.Buffer.Drain(0)
+	msgs, err := slowCl.Poll(ctx, 0, 0)
+	if err != nil {
+		return res, err
+	}
 	es = srv.EdgeStats()
 	gotEvent := len(msgs) > 0 && msgs[0].Op == session.OverflowEvent
 	lost := ""
 	if gotEvent {
 		lost = msgs[0].Text
 	}
-	overflow = Row{
+	res.Rows = append(res.Rows, Row{
 		Name:  "slow-client FIFO overflow",
 		Paper: "a slow client is told how many messages its bounded buffer shed",
 		Measured: fmt.Sprintf("pushed %d into cap %d: %d drained, overflow event=%v (lost %s), stats %d dropped",
 			pushes, fifoCap, len(msgs), gotEvent, lost, es.FifoOverflow),
 		Pass: gotEvent && lost == fmt.Sprint(pushes-fifoCap) &&
 			es.FifoOverflow >= uint64(pushes-fifoCap),
-	}
+	})
 
 	// Draining: every new request sheds with 503 shutting_down.
 	srv.BeginDrain()
 	_, derr := cl.Poll(ctx, 1, 0)
-	drain = Row{
+	res.Rows = append(res.Rows, Row{
 		Name:  "connection draining",
 		Paper: "shutdown is an explicit signal (503 shutting_down), not a reset",
 		Measured: fmt.Sprintf("post-drain poll: %v, inflight peak %d <= cap %d",
 			derr, es.InflightPeak, es.MaxInflight),
 		Pass: errors.Is(derr, portal.ErrShuttingDown) &&
 			es.InflightPeak <= es.MaxInflight,
-	}
-	return shed, overflow, drain, nil
+	})
+	return res, nil
 }

@@ -221,7 +221,6 @@ func (s *Server) Draining() bool { return s.gate.draining.Load() }
 
 // EdgeStats is the admission-control block of GET /api/v1/stats.
 type EdgeStats struct {
-	SessionShards   int    `json:"sessionShards"`
 	Inflight        int64  `json:"inflight"`
 	InflightPeak    int64  `json:"inflightPeak"`
 	MaxInflight     int64  `json:"maxInflight"`
@@ -245,7 +244,6 @@ func (s *Server) EdgeStats() EdgeStats {
 		overflow += dropped
 	}
 	return EdgeStats{
-		SessionShards:   s.sessions.Shards(),
 		Inflight:        s.gate.inflight.Load(),
 		InflightPeak:    s.gate.inflightPeak.Load(),
 		MaxInflight:     s.gate.maxInflight,

@@ -141,11 +141,11 @@ func TestContractRegistryCoversStatuses(t *testing.T) {
 	}
 }
 
-// TestContractShardHammer drives login/poll/logout concurrently through
-// the full HTTP edge; under -race it checks the sharded session table
+// TestContractSessionTableHammer drives login/poll/logout concurrently
+// through the full HTTP edge; under -race it checks the session table
 // and the admission gate for data races.
-func TestContractShardHammer(t *testing.T) {
-	srv, ts := newContractServer(t, Config{SessionShards: 8})
+func TestContractSessionTableHammer(t *testing.T) {
+	srv, ts := newContractServer(t, Config{})
 	srv.Auth().SetUserSecret("alice", "pw")
 
 	var wg sync.WaitGroup
@@ -251,6 +251,52 @@ func TestContractRateLimitShedsWithRetryHint(t *testing.T) {
 	}
 }
 
+// TestContractLoginRateLimitPerUser: with the per-user login bucket on,
+// the login past the burst sheds with 429 rate_limited and a retry hint,
+// while another user's bucket is untouched.
+func TestContractLoginRateLimitPerUser(t *testing.T) {
+	srv, ts := newContractServer(t, Config{LoginRatePerSec: 0.001, LoginBurst: 2})
+	srv.Auth().SetUserSecret("alice", "pw")
+	srv.Auth().SetUserSecret("bob", "pw")
+	login := func(user string) *http.Response {
+		t.Helper()
+		var body bytes.Buffer
+		json.NewEncoder(&body).Encode(LoginRequest{User: user, Secret: "pw"})
+		resp, err := http.Post(ts.URL+"/api/v1/login", "application/json", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for i := 0; i < 2; i++ {
+		resp := login("alice")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("login %d within the burst got %d", i+1, resp.StatusCode)
+		}
+	}
+	resp := login("alice")
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("login past the burst got %d, want 429", resp.StatusCode)
+	}
+	var er ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if er.Error.Code != CodeRateLimited || er.Error.RetryAfterMS <= 0 {
+		t.Errorf("shed login = %+v, want rate_limited with retry_after_ms", er.Error)
+	}
+	resp = login("bob")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("another user's login got %d, want 200", resp.StatusCode)
+	}
+	if es := srv.EdgeStats(); es.ShedRateLimited != 1 {
+		t.Errorf("shedRateLimited = %d, want 1", es.ShedRateLimited)
+	}
+}
+
 func TestContractOverloadShedsAtInflightCap(t *testing.T) {
 	srv, _ := newContractServer(t, Config{MaxInflight: 2})
 	// Fill both slots directly, then the next admission must shed.
@@ -317,7 +363,7 @@ func TestContractDrainingSheds(t *testing.T) {
 }
 
 func TestContractStatsEdgeBlock(t *testing.T) {
-	srv, ts := newContractServer(t, Config{SessionShards: 4})
+	_, ts := newContractServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/api/v1/stats")
 	if err != nil {
 		t.Fatal(err)
@@ -330,13 +376,7 @@ func TestContractStatsEdgeBlock(t *testing.T) {
 	if stats.Edge == nil {
 		t.Fatal("stats missing edge block")
 	}
-	if stats.Edge.SessionShards != 4 {
-		t.Errorf("sessionShards = %d, want 4", stats.Edge.SessionShards)
-	}
 	if stats.Edge.MaxInflight != DefaultMaxInflight {
 		t.Errorf("maxInflight = %d", stats.Edge.MaxInflight)
-	}
-	if srv.Sessions().Shards() != 4 {
-		t.Errorf("manager shards = %d", srv.Sessions().Shards())
 	}
 }

@@ -301,8 +301,8 @@ type StatsResponse struct {
 	// Directory reports the federation directory cache and scatter-gather
 	// fan-out counters, when a DirectoryProvider federation is attached.
 	Directory *DirectoryStats `json:"directory,omitempty"`
-	// Edge reports the portal's admission-control state: session shards,
-	// in-flight requests vs the cap, shed counts by reason, and draining.
+	// Edge reports the portal's admission-control state: in-flight
+	// requests vs the cap, shed counts by reason, and draining.
 	Edge *EdgeStats `json:"edge,omitempty"`
 	// Storage reports the durable backend's WAL/snapshot counters and the
 	// last startup recovery, when the domain persists its state.

@@ -339,9 +339,14 @@ func (s *Server) JoinSubGroup(ctx context.Context, sess *session.Session, sub st
 // a peer server into the replicated log and fans it out to this (host)
 // server's group: local members plus every relay except the origin.
 // Duplicates — a relay echo overlapping an anti-entropy sync — merge as
-// no-ops and are not re-broadcast.
+// no-ops and are not re-broadcast. View shares carry no op identity and
+// are fanned out without touching the log.
 func (s *Server) DeliverCollabFromPeer(appID string, m *wire.Message, fromServer string) {
 	g := s.hub.Group(appID)
+	if m.Kind == wire.KindViewShare {
+		g.BroadcastUpdate(m, "relay/"+fromServer)
+		return
+	}
 	if !g.ApplyWire(m) {
 		return
 	}

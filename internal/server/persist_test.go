@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"discover/internal/session"
 	"discover/internal/storage"
 	"discover/internal/wire"
 )
@@ -141,14 +142,14 @@ func TestPersistWALSpliceBeyondRing(t *testing.T) {
 	d := deploy(t, func(cfg *Config) {
 		cfg.Storage = mem
 		cfg.FifoCapacity = 4
-		cfg.ReplayRing = 4
 	})
 	sess := d.login(t, "alice")
-	for i := 0; i < 20; i++ {
+	for i := 0; i < session.DefaultReplay+6; i++ {
 		sess.Buffer.Push(wire.NewEvent("rutgers", "tick", ""))
 	}
-	// A resume token far behind the 4-entry ring: the ring alone loses
-	// 20-4-2 = 14 entries, but every push is in the WAL.
+	// A resume token behind the replay ring: the ring holds the last
+	// DefaultReplay pushes, so seqs 3..6 are gone from memory, but every
+	// push is in the WAL.
 	_, lost := sess.Buffer.Resume(2)
 	if lost == 0 {
 		t.Fatal("expected the ring to have rotated past the token")

@@ -152,7 +152,7 @@ func TestDeliverRemoteMessageFansOutLocally(t *testing.T) {
 
 	// An update relayed from the host is broadcast to local members.
 	d.srv.DeliverRemoteMessage(remoteID, wire.NewUpdate(remoteID, 3), "caltech")
-	msgs := alice.Buffer.Drain(0)
+	msgs := drained(alice.Buffer)
 	if len(msgs) != 1 || msgs[0].Kind != wire.KindUpdate {
 		t.Fatalf("remote update fan-out = %v", msgs)
 	}
@@ -160,7 +160,7 @@ func TestDeliverRemoteMessageFansOutLocally(t *testing.T) {
 	// A response addressed to the local client is archived and delivered.
 	resp := wire.NewResponse(wire.NewCommand(remoteID, alice.ClientID, "status"), "ok")
 	d.srv.DeliverRemoteMessage(remoteID, resp, "caltech")
-	msgs = alice.Buffer.Drain(0)
+	msgs = drained(alice.Buffer)
 	if len(msgs) != 1 || msgs[0].Kind != wire.KindResponse {
 		t.Fatalf("remote response fan-out = %v", msgs)
 	}
@@ -168,26 +168,56 @@ func TestDeliverRemoteMessageFansOutLocally(t *testing.T) {
 		t.Error("remote response not archived at the client's server")
 	}
 
-	// A whiteboard stroke from the peer is recorded for latecomers.
-	// Adopting the identity-less stroke stamps this server's op identity
-	// onto the message, so redelivering the stamped copy is a dedup, not
-	// a second stroke.
-	stroke := &wire.Message{Kind: wire.KindWhiteboard, App: remoteID, Client: "caltech/client-1", Data: []byte{1}}
+	// A whiteboard stroke from the peer is recorded for latecomers and
+	// delivered once; redelivering the same op is a dedup.
+	caltech := collab.NewHub(collab.WithOrigin("caltech")).Group(remoteID)
+	stroke, _ := caltech.Whiteboard("caltech/client-1", []byte{1})
+	d.srv.DeliverRemoteMessage(remoteID, stroke, "caltech")
 	d.srv.DeliverRemoteMessage(remoteID, stroke, "caltech")
 	if d.srv.Hub().Group(remoteID).WhiteboardLen() != 1 {
-		t.Error("relayed stroke not recorded")
+		t.Error("relayed stroke not recorded exactly once")
 	}
-	d.srv.DeliverRemoteMessage(remoteID, stroke, "caltech")
-	if d.srv.Hub().Group(remoteID).WhiteboardLen() != 1 {
-		t.Error("redelivered stamped stroke was double-counted")
+	if msgs = drained(alice.Buffer); len(msgs) != 1 || msgs[0].Kind != wire.KindWhiteboard {
+		t.Errorf("stroke fan-out = %v, want one stroke", msgs)
 	}
 
 	// DeliverCollabFromPeer (the host side of forwarded collab) reaches
 	// local members and records strokes too.
-	stroke2 := &wire.Message{Kind: wire.KindWhiteboard, App: remoteID, Client: "utexas/client-9", Data: []byte{2}}
+	utexas := collab.NewHub(collab.WithOrigin("utexas")).Group(remoteID)
+	stroke2, _ := utexas.Whiteboard("utexas/client-9", []byte{2})
 	d.srv.DeliverCollabFromPeer(remoteID, stroke2, "utexas")
 	if d.srv.Hub().Group(remoteID).WhiteboardLen() != 2 {
 		t.Error("DeliverCollabFromPeer did not record the stroke")
+	}
+	if msgs = drained(alice.Buffer); len(msgs) != 1 || msgs[0].Kind != wire.KindWhiteboard {
+		t.Errorf("forwarded stroke fan-out = %v, want one stroke", msgs)
+	}
+
+	// A stroke without op identity is neither logged nor delivered on
+	// either entry point.
+	for _, deliver := range []func(*wire.Message){
+		func(m *wire.Message) { d.srv.DeliverRemoteMessage(remoteID, m, "caltech") },
+		func(m *wire.Message) { d.srv.DeliverCollabFromPeer(remoteID, m, "caltech") },
+	} {
+		deliver(&wire.Message{Kind: wire.KindWhiteboard, App: remoteID, Client: "caltech/client-1", Data: []byte{3}})
+	}
+	if n := d.srv.Hub().Group(remoteID).WhiteboardLen(); n != 2 {
+		t.Errorf("identity-less strokes were logged: %d strokes, want 2", n)
+	}
+	if msgs = drained(alice.Buffer); len(msgs) != 0 {
+		t.Errorf("identity-less strokes were delivered: %v", msgs)
+	}
+
+	// View shares carry no identity by design: both entry points deliver
+	// them without logging.
+	share := &wire.Message{Kind: wire.KindViewShare, App: remoteID, Client: "caltech/client-1", Data: []byte("view")}
+	d.srv.DeliverRemoteMessage(remoteID, share, "caltech")
+	d.srv.DeliverCollabFromPeer(remoteID, share, "caltech")
+	if msgs = drained(alice.Buffer); len(msgs) != 2 || msgs[0].Kind != wire.KindViewShare || msgs[1].Kind != wire.KindViewShare {
+		t.Errorf("view share fan-out = %v, want two view shares", msgs)
+	}
+	if info := d.srv.Hub().Group(remoteID).LogInfo(); info.Ops != 2 {
+		t.Errorf("view shares were logged: %d ops, want 2", info.Ops)
 	}
 }
 

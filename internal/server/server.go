@@ -115,14 +115,12 @@ func ServerOfClient(clientID string) string {
 type Config struct {
 	Name             string // unique server name; no '/' or '#'
 	FifoCapacity     int    // per-client buffer capacity (0 = default)
-	ArchiveLimit     int    // per-log retention (0 = unlimited)
 	RecordUpdates    bool   // insert every periodic update into the record DB
 	TraceSampleEvery int    // sample 1-in-N requests for tracing (0 = off)
 	EnablePprof      bool   // mount net/http/pprof under /debug/pprof
 	Logf             func(format string, args ...any)
 
 	// Edge admission control (the /api/v1 gate).
-	SessionShards     int           // session-table shards (0 = default, 1 = unsharded)
 	MaxInflight       int           // global concurrent-request cap (0 = default)
 	MaxStreams        int           // long-lived delivery-stream cap (0 = default)
 	LoginRatePerSec   float64       // per-user login token-bucket rate (0 = unlimited)
@@ -132,7 +130,6 @@ type Config struct {
 	RetryAfterHint    time.Duration // retry_after_ms hint on shed requests (0 = default)
 
 	// Streaming delivery (the /session/{id}/stream edge).
-	ReplayRing      int           // per-session resume replay ring length (0 = default)
 	StreamHeartbeat time.Duration // SSE heartbeat/liveness interval (0 = default)
 
 	// Durability (internal/storage). A nil Storage runs the domain
@@ -179,12 +176,8 @@ func New(cfg Config) (*Server, error) {
 	var (
 		authOpts []auth.Option
 		lockOpts []lockmgr.Option
-		sessOpts = []session.Option{
-			session.WithCapacity(cfg.FifoCapacity),
-			session.WithReplay(cfg.ReplayRing),
-			session.WithShards(cfg.SessionShards),
-		}
-		ds *domainStorage
+		sessOpts = []session.Option{session.WithCapacity(cfg.FifoCapacity)}
+		ds       *domainStorage
 	)
 	if cfg.Storage != nil {
 		var err error
@@ -203,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 		sessions: session.NewManager(cfg.Name, sessOpts...),
 		hub:      collab.NewHub(collab.WithOrigin(cfg.Name)),
 		locks:    lockmgr.NewManager(lockOpts...),
-		store:    archive.NewStore(cfg.ArchiveLimit),
+		store:    archive.NewStore(0),
 		db:       recorddb.New(),
 		proxies:  make(map[string]*ApplicationProxy),
 		gate:     newEdgeGate(cfg),
@@ -479,14 +472,16 @@ func (s *Server) DeliverRemoteBatch(appID string, msgs []*wire.Message, fromServ
 
 func (s *Server) deliverRemote(g *collab.Group, appID string, m *wire.Message, fromServer string) {
 	switch m.Kind {
-	case wire.KindUpdate, wire.KindEvent:
+	case wire.KindUpdate, wire.KindEvent, wire.KindViewShare:
+		// View shares, like updates, carry no op identity and are not
+		// logged.
 		g.BroadcastUpdate(m, "relay/"+fromServer)
 	case wire.KindResponse, wire.KindError:
 		// The requester is one of our clients; archive at their server.
 		s.store.InteractionLog(appID).Append(m.Client, m)
 		s.recordResponse(appID, m)
 		g.ShareResponse(m.Client, m)
-	case wire.KindChat, wire.KindWhiteboard, wire.KindViewShare:
+	case wire.KindChat, wire.KindWhiteboard:
 		// Merge into the replicated group log; a duplicate (relay
 		// re-delivery overlapping anti-entropy sync) is not re-broadcast.
 		if g.ApplyWire(m) {

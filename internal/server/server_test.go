@@ -13,6 +13,16 @@ import (
 	"discover/internal/wire"
 )
 
+// drained empties a session's delivery queue and returns its messages.
+func drained(q *session.Queue) []*wire.Message {
+	ents, _ := q.DrainEntries(0)
+	out := make([]*wire.Message, len(ents))
+	for i, e := range ents {
+		out[i] = e.Msg
+	}
+	return out
+}
+
 // testDeployment is one server plus one connected application.
 type testDeployment struct {
 	srv *Server
@@ -173,7 +183,7 @@ func TestConnectAndCommandRoundTrip(t *testing.T) {
 
 	var resp *wire.Message
 	d.pump(t, func() bool {
-		for _, m := range alice.Buffer.Drain(0) {
+		for _, m := range drained(alice.Buffer) {
 			if m.Kind == wire.KindResponse && m.Op == "set_param" {
 				resp = m
 				return true
@@ -195,7 +205,7 @@ func TestUpdatesReachConnectedClients(t *testing.T) {
 	d.connect(t, alice)
 	var sawUpdate bool
 	d.pump(t, func() bool {
-		for _, m := range alice.Buffer.Drain(0) {
+		for _, m := range drained(alice.Buffer) {
 			if m.Kind == wire.KindUpdate {
 				sawUpdate = true
 			}
@@ -295,7 +305,7 @@ func TestCollaborationSharing(t *testing.T) {
 	}
 	var bobSaw bool
 	d.pump(t, func() bool {
-		for _, m := range bob.Buffer.Drain(0) {
+		for _, m := range drained(bob.Buffer) {
 			if m.Kind == wire.KindResponse && m.Op == "status" && m.Client == alice.ClientID {
 				bobSaw = true
 			}
@@ -312,14 +322,14 @@ func TestCollaborationSharing(t *testing.T) {
 	}
 	var aliceGot bool
 	d.pump(t, func() bool {
-		for _, m := range alice.Buffer.Drain(0) {
+		for _, m := range drained(alice.Buffer) {
 			if m.Kind == wire.KindResponse && m.Op == "status" {
 				aliceGot = true
 			}
 		}
 		return aliceGot
 	})
-	for _, m := range bob.Buffer.Drain(0) {
+	for _, m := range drained(bob.Buffer) {
 		if m.Kind == wire.KindResponse && m.Client == alice.ClientID {
 			t.Error("private response leaked to bob")
 		}
@@ -337,7 +347,7 @@ func TestChatAndWhiteboard(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, m := range bob.Buffer.Drain(0) {
+	for _, m := range drained(bob.Buffer) {
 		if m.Kind == wire.KindChat && m.Text == "hello bob" {
 			found = true
 		}
@@ -353,7 +363,7 @@ func TestChatAndWhiteboard(t *testing.T) {
 	carol := d.login(t, "alice")
 	d.connect(t, carol)
 	var replayed bool
-	for _, m := range carol.Buffer.Drain(0) {
+	for _, m := range drained(carol.Buffer) {
 		if m.Kind == wire.KindWhiteboard && string(m.Data) == "stroke-1" {
 			replayed = true
 		}
@@ -440,7 +450,7 @@ func TestAppCloseNotifiesGroupAndCleansUp(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	closed := false
 	for time.Now().Before(deadline) && !closed {
-		for _, m := range alice.Buffer.Drain(0) {
+		for _, m := range drained(alice.Buffer) {
 			if m.Kind == wire.KindEvent && m.Op == "app-closed" {
 				closed = true
 			}

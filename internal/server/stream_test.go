@@ -152,10 +152,9 @@ func TestStreamResumeSplicesGap(t *testing.T) {
 func TestStreamResumeReportsLossWhenRingRotated(t *testing.T) {
 	d, c := deployHTTP(t, func(cfg *Config) {
 		cfg.FifoCapacity = 2
-		cfg.ReplayRing = 2
 	})
 	lr, _ := c.login("alice", "pw")
-	pushN(t, d, lr.ClientID, 1, 10) // ring now holds only 9, 10
+	pushN(t, d, lr.ClientID, 1, session.DefaultReplay+8) // the ring starts at 9
 
 	br, _, _ := openStream(t, c.base, lr.ClientID, "1")
 	f, err := readFrame(br)

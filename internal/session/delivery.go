@@ -1,7 +1,9 @@
 // The shared delivery queue: one bounded, resumable buffer per client
-// that both delivery paths drain — request/response polling (Drain,
-// DrainWait) and the streaming edge (DrainEntries plus Wakeup, which
-// parks an idle stream on a channel instead of a per-client ticker).
+// with one drain API, DrainEntries and its blocking form
+// DrainEntriesWait. Both portal routes use it: the long poll
+// (/session/{id}/events) waits in DrainEntriesWait, and the streaming
+// edge drains DrainEntries whenever Wakeup fires, which parks an idle
+// stream on a channel instead of a per-client ticker.
 // Push never blocks: a slow consumer overflows the bounded window and
 // the producer keeps going, which is the backpressure contract the
 // streaming edge relies on to shed stalled clients instead of stalling
@@ -18,7 +20,6 @@
 package session
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -33,8 +34,9 @@ import (
 // pay nothing for it.
 const DefaultReplay = 1024
 
-// OverflowEvent is the Op of the synthetic event a queue emits after
-// dropping messages; its Text is the number of messages lost.
+// OverflowEvent is the Op of the synthetic event the portal routes emit
+// ahead of a drain that reports dropped messages; its Text is the number
+// of messages lost.
 const OverflowEvent = "buffer-overflow"
 
 // LostEvent is the Op of the synthetic event the streaming edge emits
@@ -56,14 +58,12 @@ type Entry struct {
 }
 
 // Queue is the bounded delivery FIFO for one client. Push never blocks;
-// overflow drops the oldest undelivered entry — and, when overflow
-// events are enabled, the next drain is prefixed with a synthetic
-// "buffer-overflow" event telling the portal how many messages it lost,
-// so a slow client learns about the gap instead of silently missing
-// state. Drain empties it; DrainWait performs a bounded wait for the
-// long-poll variant of the client protocol; DrainEntries/Wakeup serve
-// the streaming edge; Resume splices missed entries for a reconnecting
-// stream.
+// overflow drops the oldest undelivered entry, and the next drain
+// reports how many were dropped so the portal routes can lead with a
+// "buffer-overflow" event: a slow client learns about the gap instead of
+// silently missing state. DrainEntries empties it, DrainEntriesWait
+// adds the bounded wait of the long poll, Wakeup parks the streaming
+// edge, and Resume splices missed entries for a reconnecting stream.
 type Queue struct {
 	mu         sync.Mutex
 	buf        []Entry // undelivered window, bounded by capacity
@@ -72,7 +72,6 @@ type Queue struct {
 	dropped    uint64
 	highWater  int
 	overflowed uint64 // drops since the last drain (pending event)
-	origin     string // event source name; "" disables overflow events
 
 	// Replay ring: the last ringCap pushes, delivered or not, kept for
 	// resume splicing. Allocated on first push; ringCap >= capacity so
@@ -90,14 +89,6 @@ type Queue struct {
 	notify   chan struct{}
 	waitHist *telemetry.Histogram
 }
-
-// Fifo is the original name of the delivery queue; the polling edge and
-// its tests use the two interchangeably.
-type Fifo = Queue
-
-// NewFifo returns a queue with the given capacity (DefaultCapacity if
-// <= 0) and the default replay ring.
-func NewFifo(capacity int) *Queue { return NewQueue(capacity, 0) }
 
 // NewQueue returns a delivery queue holding at most capacity undelivered
 // messages (DefaultCapacity if <= 0) and retaining replay delivered
@@ -122,17 +113,6 @@ func NewQueue(capacity, replay int) *Queue {
 	}
 }
 
-// EmitOverflowEvents makes drops visible to the client: after an
-// overflow episode the next drain is prefixed with a "buffer-overflow"
-// event attributed to origin (the server name). The session manager
-// enables this for every session queue it creates; standalone queues
-// keep the silent-drop behavior.
-func (q *Queue) EmitOverflowEvents(origin string) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.origin = origin
-}
-
 // journalTo attaches a WAL recorder; client names this queue's session
 // in the journaled events. A nil recorder leaves journaling off.
 func (q *Queue) journalTo(rec storage.Recorder, client string) {
@@ -152,9 +132,7 @@ func (q *Queue) Push(m *wire.Message) {
 		copy(q.buf, q.buf[1:])
 		q.buf = q.buf[:len(q.buf)-1]
 		q.dropped++
-		if q.origin != "" {
-			q.overflowed++
-		}
+		q.overflowed++
 		fifoOverflowTotal.Inc()
 	}
 	q.buf = append(q.buf, e)
@@ -191,8 +169,8 @@ func (q *Queue) ringPut(e Entry) {
 
 // DrainEntries removes and returns up to max undelivered entries (all if
 // max <= 0) plus the number of messages dropped since the last drain.
-// Like Drain it returns nothing while the queue is empty, leaving any
-// pending overflow count for the drain that has messages to carry it.
+// It returns nothing while the queue is empty, leaving any pending
+// overflow count for the drain that has messages to carry it.
 func (q *Queue) DrainEntries(max int) ([]Entry, uint64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -236,50 +214,6 @@ func (q *Queue) DrainEntriesWait(max int, timeout time.Duration, cancel <-chan s
 			return q.DrainEntries(max)
 		case <-cancel:
 			return nil, 0
-		}
-	}
-}
-
-// Drain removes and returns up to max buffered messages (all if
-// max <= 0), prefixed with the pending "buffer-overflow" event when
-// drops occurred since the last drain and overflow events are enabled.
-func (q *Queue) Drain(max int) []*wire.Message {
-	ents, overflow := q.DrainEntries(max)
-	if ents == nil {
-		return nil
-	}
-	out := make([]*wire.Message, 0, len(ents)+1)
-	if overflow > 0 && q.origin != "" {
-		// Tell the client how many messages the bounded buffer shed
-		// since it last polled, ahead of what survived.
-		out = append(out, wire.NewEvent(q.origin, OverflowEvent,
-			strconv.FormatUint(overflow, 10)))
-	}
-	for _, e := range ents {
-		out = append(out, e.Msg)
-	}
-	return out
-}
-
-// DrainWait behaves like Drain but, when empty, waits up to timeout for a
-// message to arrive (long poll). It may still return nil on timeout.
-func (q *Queue) DrainWait(max int, timeout time.Duration) []*wire.Message {
-	if out := q.Drain(max); out != nil {
-		return out
-	}
-	if timeout <= 0 {
-		return nil
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	for {
-		select {
-		case <-q.notify:
-			if out := q.Drain(max); out != nil {
-				return out
-			}
-		case <-timer.C:
-			return q.Drain(max)
 		}
 	}
 }

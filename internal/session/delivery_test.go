@@ -1,7 +1,6 @@
 package session
 
 import (
-	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -114,7 +113,6 @@ func TestQueueRingNeverSmallerThanBuffer(t *testing.T) {
 func TestQueueOverflowResumeRace(t *testing.T) {
 	const total = 5000
 	q := NewQueue(16, 64)
-	q.EmitOverflowEvents("race-test")
 
 	producerDone := make(chan struct{})
 	go func() {
@@ -178,9 +176,9 @@ func TestQueueOverflowResumeRace(t *testing.T) {
 }
 
 // TestQueueOverflowEventThenResume pins the client-visible protocol: the
-// poll path surfaces the synthetic buffer-overflow event with the drop
-// count, and a subsequent stream resume reports the rotated-ring loss
-// exactly rather than re-delivering stale state.
+// drain reports the drop count the portal routes render as the
+// buffer-overflow event, and a subsequent stream resume reports the
+// rotated-ring loss exactly rather than re-delivering stale state.
 func TestQueueOverflowEventThenResume(t *testing.T) {
 	m := NewManager("srv", WithCapacity(3), WithReplay(3))
 	s := m.Create("alice", auth.Token{User: "alice"})
@@ -188,12 +186,12 @@ func TestQueueOverflowEventThenResume(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		q.Push(qmsg(i))
 	}
-	out := q.Drain(0)
-	if len(out) != 4 {
-		t.Fatalf("drain returned %d messages, want overflow event + 3", len(out))
+	out, overflow := q.DrainEntries(0)
+	if len(out) != 3 {
+		t.Fatalf("drain returned %d entries, want 3", len(out))
 	}
-	if out[0].Op != OverflowEvent || out[0].Text != strconv.Itoa(7) {
-		t.Fatalf("overflow event = %q/%q, want %q/7", out[0].Op, out[0].Text, OverflowEvent)
+	if overflow != 7 {
+		t.Fatalf("overflow = %d, want 7", overflow)
 	}
 	// The client reconnects as a stream from the last seq it processed
 	// before the gap (say 2); ring (8..10) has rotated past it.

