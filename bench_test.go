@@ -442,7 +442,7 @@ func BenchmarkA1OrbVsSocket(b *testing.B) {
 			if err != nil {
 				return
 			}
-			wc := wire.NewConn(conn, wire.BinaryCodec{})
+			wc := wire.NewConn(conn)
 			for {
 				m, err := wc.Recv()
 				if err != nil {
@@ -457,7 +457,7 @@ func BenchmarkA1OrbVsSocket(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		wc := wire.NewConn(raw, wire.BinaryCodec{})
+		wc := wire.NewConn(raw)
 		b.Cleanup(func() { wc.Close() })
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -472,36 +472,30 @@ func BenchmarkA1OrbVsSocket(b *testing.B) {
 }
 
 // BenchmarkA2CodecAblation measures encode+decode of a typical update
-// with both codecs.
+// with the binary codec. Experiment A2 times the gob arm beside it.
 func BenchmarkA2CodecAblation(b *testing.B) {
 	msg := wire.NewUpdate("rutgers#12", 42,
 		wire.Param{Key: "m.step", Value: "1200"},
 		wire.Param{Key: "m.energy", Value: "3.14159"},
 		wire.Param{Key: "p.source_freq", Value: "0.05"},
 	)
-	for _, tc := range []struct {
-		name  string
-		codec wire.Codec
-	}{{"binary", wire.BinaryCodec{}}, {"gob", wire.NewGobCodec()}} {
-		codec := tc.codec
-		b.Run(tc.name, func(b *testing.B) {
-			enc, err := codec.Encode(nil, msg)
+	b.Run("binary", func(b *testing.B) {
+		enc, err := wire.BinaryCodec{}.Encode(nil, msg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(enc)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			buf, err := wire.BinaryCodec{}.Encode(nil, msg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(len(enc)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf, err := codec.Encode(nil, msg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := codec.Decode(buf); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := (wire.BinaryCodec{}).Decode(buf); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkViewCommand measures a field-view snapshot: build, downsample

@@ -1,6 +1,7 @@
-// Command traderd runs the federation's shared Trader and Naming
-// services: the discovery backbone DISCOVER servers use to find each
-// other (the paper's minimal CORBA trader layered on the naming service).
+// Command traderd runs the federation's shared Trader service: the
+// discovery backbone DISCOVER servers use to find each other (the paper's
+// minimal CORBA trader). Applications need no naming service: an
+// application id names its host server.
 //
 // Usage:
 //
@@ -25,7 +26,7 @@ func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
 
 func main() {
 	var users multiFlag
-	addr := flag.String("addr", "127.0.0.1:7100", "listen address for the trader/naming endpoint")
+	addr := flag.String("addr", "127.0.0.1:7100", "listen address for the trader endpoint")
 	flag.Var(&users, "user", "register user:secret in the centralized user directory (repeatable)")
 	flag.Parse()
 
@@ -34,7 +35,7 @@ func main() {
 		log.Fatalf("traderd: %v", err)
 	}
 	defer t.Close()
-	fmt.Printf("traderd: trader and naming services at %s\n", t.Addr())
+	fmt.Printf("traderd: trader service at %s\n", t.Addr())
 	if len(users) > 0 {
 		dir := t.UserDirectory()
 		for _, u := range users {

@@ -6,8 +6,8 @@
 //
 // The moving parts, bottom to top:
 //
-//   - a Trader (with a Naming service) for server discovery — start one
-//     per federation with StartTrader;
+//   - a Trader for server discovery — start one per federation with
+//     StartTrader;
 //   - Domains: one interaction/collaboration server each, bundling the
 //     HTTP portal API, the application daemon, the ORB endpoint and the
 //     middleware substrate — StartDomain;
@@ -58,8 +58,8 @@ type (
 // Trader
 // ---------------------------------------------------------------------------
 
-// TraderService hosts the federation's shared Trader and Naming services,
-// and optionally the centralized user directory of §6.3.
+// TraderService hosts the federation's shared Trader service, and
+// optionally the centralized user directory of §6.3.
 type TraderService struct {
 	orb *orb.ORB
 
@@ -67,7 +67,7 @@ type TraderService struct {
 	dir *userdir.Directory
 }
 
-// StartTrader starts a trader+naming endpoint on addr ("127.0.0.1:0" for
+// StartTrader starts a trader endpoint on addr ("127.0.0.1:0" for
 // an ephemeral port).
 func StartTrader(addr string) (*TraderService, error) {
 	o := orb.New()
@@ -75,7 +75,6 @@ func StartTrader(addr string) (*TraderService, error) {
 		return nil, err
 	}
 	o.Register(orb.TraderKey, orb.NewTrader().Servant())
-	o.Register(orb.NamingKey, orb.NewNaming().Servant())
 	return &TraderService{orb: o}, nil
 }
 
@@ -100,10 +99,10 @@ func (t *TraderService) UserDirectory() *userdir.Directory {
 // Close stops the trader.
 func (t *TraderService) Close() { t.orb.Close() }
 
-// TraderRefs derives the object references for a trader endpoint address,
-// for domains joining an already-running federation.
-func TraderRefs(addr string) (traderRef, namingRef orb.ObjRef) {
-	return orb.ObjRef{Addr: addr, Key: orb.TraderKey}, orb.ObjRef{Addr: addr, Key: orb.NamingKey}
+// TraderRefs derives the trader's object reference from its endpoint
+// address, for domains joining an already-running federation.
+func TraderRefs(addr string) orb.ObjRef {
+	return orb.ObjRef{Addr: addr, Key: orb.TraderKey}
 }
 
 // ---------------------------------------------------------------------------
@@ -124,9 +123,6 @@ type DomainConfig struct {
 	// TraderAddr joins the federation at this trader ("" = standalone
 	// centralized server, the paper's baseline).
 	TraderAddr string
-	// DiscoverHops follows that many trader links during peer discovery
-	// (0 = the joined trader only; see orb.Trader.AddLink).
-	DiscoverHops int
 	// Users maps home-server user-ids to login secrets.
 	Users map[string]string
 	// UserDirAddr points at a centralized user directory (usually the
@@ -246,15 +242,12 @@ func StartDomain(cfg DomainConfig) (*Domain, error) {
 			srv.Close()
 			return nil, err
 		}
-		traderRef, namingRef := TraderRefs(cfg.TraderAddr)
 		sub, err := core.New(core.Config{
-			Server:       srv,
-			ORB:          o,
-			TraderRef:    traderRef,
-			NamingRef:    namingRef,
-			Props:        cfg.Props,
-			DiscoverHops: cfg.DiscoverHops,
-			Logf:         cfg.Logf,
+			Server:    srv,
+			ORB:       o,
+			TraderRef: TraderRefs(cfg.TraderAddr),
+			Props:     cfg.Props,
+			Logf:      cfg.Logf,
 		})
 		if err != nil {
 			o.Close()

@@ -220,7 +220,7 @@ func (d *Daemon) acceptLoop(ln net.Listener) {
 // handshake classifies an inbound connection as one of the three channels
 // and attaches it to its endpoint.
 func (d *Daemon) handshake(conn net.Conn) {
-	wc := wire.NewConn(conn, wire.BinaryCodec{})
+	wc := wire.NewConn(conn)
 	conn.SetReadDeadline(time.Now().Add(d.handshakeTimeout))
 	hello, err := wc.Recv()
 	if err != nil || hello.Kind != wire.KindRegister {

@@ -364,7 +364,7 @@ func TestBogusHelloDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	wc := wire.NewConn(conn, wire.BinaryCodec{})
+	wc := wire.NewConn(conn)
 	// A non-register hello must be dropped without a crash.
 	if err := wc.Send(wire.NewUpdate("x", 1)); err != nil {
 		t.Fatal(err)
@@ -381,7 +381,7 @@ func TestAttachWithBadSessionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	wc := wire.NewConn(conn, wire.BinaryCodec{})
+	wc := wire.NewConn(conn)
 	hello := &wire.Message{Kind: wire.KindRegister, Op: roleCommand, App: "nope"}
 	hello.Set("session", "forged")
 	if err := wc.Send(hello); err != nil {

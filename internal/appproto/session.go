@@ -112,7 +112,7 @@ func (s *Session) dialChannel(ctx context.Context, addr string) (*wire.Conn, err
 	if err != nil {
 		return nil, err
 	}
-	return wire.NewConn(raw, wire.BinaryCodec{}), nil
+	return wire.NewConn(raw), nil
 }
 
 func (s *Session) attach(ctx context.Context, addr, role, session string) (*wire.Conn, error) {

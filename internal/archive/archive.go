@@ -36,7 +36,6 @@ type Log struct {
 	mu      sync.RWMutex
 	entries []Entry
 	nextSeq uint64
-	limit   int // 0 = unlimited
 
 	// Durability identity: when journal is set, appends are recorded as
 	// archive.append events tagged with the log's family and app id so
@@ -46,16 +45,15 @@ type Log struct {
 	app     string
 }
 
-// NewLog returns an empty log. limit > 0 keeps only the most recent
-// entries (sequence numbers keep increasing).
-func NewLog(limit int) *Log { return &Log{limit: limit} }
+// NewLog returns an empty log. A log keeps every entry it is given.
+func NewLog() *Log { return &Log{} }
 
 // Append records a message and returns its entry.
 func (l *Log) Append(client string, m *wire.Message) Entry {
 	l.mu.Lock()
 	l.nextSeq++
 	e := Entry{Seq: l.nextSeq, Time: time.Now(), Client: client, Msg: m}
-	l.appendLocked(e)
+	l.entries = append(l.entries, e)
 	journal := l.journal
 	l.mu.Unlock()
 	if journal != nil {
@@ -67,16 +65,6 @@ func (l *Log) Append(client string, m *wire.Message) Entry {
 	return e
 }
 
-// appendLocked adds e and enforces the retention limit. Caller holds
-// l.mu.
-func (l *Log) appendLocked(e Entry) {
-	l.entries = append(l.entries, e)
-	if l.limit > 0 && len(l.entries) > l.limit {
-		drop := len(l.entries) - l.limit
-		l.entries = append(l.entries[:0:0], l.entries[drop:]...)
-	}
-}
-
 // restoreAppend re-applies a journaled entry during WAL replay, without
 // journaling and skipping entries already covered by a snapshot.
 func (l *Log) restoreAppend(e Entry) {
@@ -86,11 +74,11 @@ func (l *Log) restoreAppend(e Entry) {
 		return
 	}
 	l.nextSeq = e.Seq
-	l.appendLocked(e)
+	l.entries = append(l.entries, e)
 }
 
 // Since returns entries with Seq > seq, oldest first. Since(0) replays
-// everything retained.
+// everything.
 func (l *Log) Since(seq uint64) []Entry {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -103,7 +91,7 @@ func (l *Log) Since(seq uint64) []Entry {
 	return out
 }
 
-// ByClient returns retained entries originated by one client.
+// ByClient returns the entries originated by one client.
 func (l *Log) ByClient(client string) []Entry {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -116,7 +104,7 @@ func (l *Log) ByClient(client string) []Entry {
 	return out
 }
 
-// Len reports retained entry count.
+// Len reports the entry count.
 func (l *Log) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -167,16 +155,14 @@ type Store struct {
 	mu          sync.Mutex
 	interaction map[string]*Log
 	application map[string]*Log
-	limit       int
 	journal     storage.Recorder // nil = durability off
 }
 
-// NewStore returns an empty store; limit bounds each log (0 = unlimited).
-func NewStore(limit int) *Store {
+// NewStore returns an empty store. Its logs are unbounded (DESIGN §7).
+func NewStore() *Store {
 	return &Store{
 		interaction: make(map[string]*Log),
 		application: make(map[string]*Log),
-		limit:       limit,
 	}
 }
 
@@ -212,7 +198,7 @@ func (s *Store) InteractionLog(app string) *Log {
 	defer s.mu.Unlock()
 	l, ok := s.interaction[app]
 	if !ok {
-		l = NewLog(s.limit)
+		l = NewLog()
 		l.bind(s.journal, storage.FamilyInteraction, app)
 		s.interaction[app] = l
 	}
@@ -226,7 +212,7 @@ func (s *Store) ApplicationLog(app string) *Log {
 	defer s.mu.Unlock()
 	l, ok := s.application[app]
 	if !ok {
-		l = NewLog(s.limit)
+		l = NewLog()
 		l.bind(s.journal, storage.FamilyApplication, app)
 		s.application[app] = l
 	}
@@ -327,12 +313,12 @@ func (s *Store) LoadAll(r io.Reader) error {
 	s.interaction = make(map[string]*Log, len(snap.Interaction))
 	s.application = make(map[string]*Log, len(snap.Application))
 	for id, ls := range snap.Interaction {
-		l := &Log{nextSeq: ls.NextSeq, entries: ls.Entries, limit: s.limit}
+		l := &Log{nextSeq: ls.NextSeq, entries: ls.Entries}
 		l.bind(s.journal, storage.FamilyInteraction, id)
 		s.interaction[id] = l
 	}
 	for id, ls := range snap.Application {
-		l := &Log{nextSeq: ls.NextSeq, entries: ls.Entries, limit: s.limit}
+		l := &Log{nextSeq: ls.NextSeq, entries: ls.Entries}
 		l.bind(s.journal, storage.FamilyApplication, id)
 		s.application[id] = l
 	}

@@ -11,7 +11,7 @@ import (
 func cmd(client, op string) *wire.Message { return wire.NewCommand("app", client, op) }
 
 func TestLogAppendAndSince(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	for i := 0; i < 5; i++ {
 		e := l.Append("c1", cmd("c1", "op"))
 		if e.Seq != uint64(i+1) {
@@ -35,7 +35,7 @@ func TestLogAppendAndSince(t *testing.T) {
 }
 
 func TestLogByClient(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	l.Append("c1", cmd("c1", "a"))
 	l.Append("c2", cmd("c2", "b"))
 	l.Append("c1", cmd("c1", "c"))
@@ -49,25 +49,8 @@ func TestLogByClient(t *testing.T) {
 	}
 }
 
-func TestLogLimitKeepsNewest(t *testing.T) {
-	l := NewLog(3)
-	for i := 0; i < 10; i++ {
-		l.Append("c", cmd("c", "op"))
-	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	entries := l.Since(0)
-	if entries[0].Seq != 8 || entries[2].Seq != 10 {
-		t.Errorf("retained %v..%v", entries[0].Seq, entries[2].Seq)
-	}
-	if l.LastSeq() != 10 {
-		t.Errorf("LastSeq = %d", l.LastSeq())
-	}
-}
-
 func TestLogSaveLoad(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	l.Append("c1", cmd("c1", "set_param"))
 	l.Append("c2", wire.NewResponse(cmd("c2", "status"), "ok"))
 
@@ -75,7 +58,7 @@ func TestLogSaveLoad(t *testing.T) {
 	if err := l.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewLog(0)
+	restored := NewLog()
 	if err := restored.Load(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +79,7 @@ func TestLogSaveLoad(t *testing.T) {
 // Replay property: replaying the interaction log against a fresh consumer
 // yields the same op sequence that was recorded.
 func TestReplayReproducesSequence(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	ops := []string{"get_param", "set_param", "status", "set_param", "checkpoint"}
 	for _, op := range ops {
 		l.Append("c1", cmd("c1", op))
@@ -116,7 +99,7 @@ func TestReplayReproducesSequence(t *testing.T) {
 }
 
 func TestStoreSeparatesLogFamilies(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	il := s.InteractionLog("app#1")
 	al := s.ApplicationLog("app#1")
 	if il == al {
@@ -140,7 +123,7 @@ func TestStoreSeparatesLogFamilies(t *testing.T) {
 }
 
 func TestStoreSaveLoadAll(t *testing.T) {
-	s := NewStore(0)
+	s := NewStore()
 	s.InteractionLog("app#1").Append("c1", cmd("c1", "set_param"))
 	s.InteractionLog("app#1").Append("c2", cmd("c2", "status"))
 	s.ApplicationLog("app#1").Append("", wire.NewUpdate("app#1", 1))
@@ -150,7 +133,7 @@ func TestStoreSaveLoadAll(t *testing.T) {
 	if err := s.SaveAll(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored := NewStore(0)
+	restored := NewStore()
 	if err := restored.LoadAll(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +159,7 @@ func TestStoreSaveLoadAll(t *testing.T) {
 
 // Partition property: Since(0) == Since-prefix(k) ++ Since(seq of k-th).
 func TestSincePartitionProperty(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	for i := 0; i < 50; i++ {
 		l.Append("c", cmd("c", "op"))
 	}
@@ -199,7 +182,7 @@ func TestSincePartitionProperty(t *testing.T) {
 }
 
 func TestLogConcurrentAppend(t *testing.T) {
-	l := NewLog(0)
+	l := NewLog()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

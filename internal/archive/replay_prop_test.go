@@ -3,8 +3,7 @@ package archive
 // Replay-determinism property (DESIGN §4i invariant): the journaled
 // event stream of an archive store, replayed into a fresh store — from
 // empty or from a mid-sequence snapshot — reproduces the identical
-// state trajectory: same logs, same sequence numbers, same retained
-// windows under trimming.
+// state trajectory: same logs, same entries, same sequence numbers.
 
 import (
 	"bytes"
@@ -13,6 +12,7 @@ import (
 	"testing"
 
 	"discover/internal/storage"
+	"discover/internal/storage/storagetest"
 	"discover/internal/wire"
 )
 
@@ -20,14 +20,10 @@ func TestReplayDeterminismProperty(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			limit := 0
-			if rng.Intn(2) == 1 {
-				limit = 8 + rng.Intn(8) // exercise retention trimming too
-			}
-			mem := storage.NewMemory()
+			mem := storagetest.NewMemory()
 			j := storage.NewJournal(mem, 0, nil)
 			defer j.Close()
-			src := NewStore(limit)
+			src := NewStore()
 			src.SetJournal(j)
 
 			apps := []string{"srv#1", "srv#2", "srv#3"}
@@ -59,11 +55,11 @@ func TestReplayDeterminismProperty(t *testing.T) {
 				}
 			}
 
-			full := NewStore(limit)
+			full := NewStore()
 			replayInto(t, mem, full, 0)
 			assertSameTrajectory(t, src, full, "full replay")
 
-			fromSnap := NewStore(limit)
+			fromSnap := NewStore()
 			if len(snapState) > 0 {
 				if err := fromSnap.LoadAll(bytes.NewReader(snapState)); err != nil {
 					t.Fatal(err)
@@ -129,7 +125,7 @@ func assertSameLog(t *testing.T, want, got *Log, label string) {
 	}
 	we, ge := want.Since(0), got.Since(0)
 	if len(we) != len(ge) {
-		t.Fatalf("%s: %d retained entries, want %d", label, len(ge), len(we))
+		t.Fatalf("%s: %d entries, want %d", label, len(ge), len(we))
 	}
 	for i := range we {
 		if we[i].Seq != ge[i].Seq || we[i].Client != ge[i].Client || we[i].Msg.Op != ge[i].Msg.Op {

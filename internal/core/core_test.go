@@ -24,13 +24,11 @@ import (
 	"discover/internal/wire"
 )
 
-// testNet is a federation of DISCOVER domains plus shared naming/trader.
+// testNet is a federation of DISCOVER domains plus a shared trader.
 type testNet struct {
 	t         *testing.T
 	traderORB *orb.ORB
 	traderRef orb.ObjRef
-	namingRef orb.ObjRef
-	naming    *orb.Naming
 	domains   map[string]*domain
 
 	// wan, when set, routes every domain's ORB dials through a netsim
@@ -54,15 +52,11 @@ func newTestNet(t *testing.T) *testNet {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { to.Close() })
-	naming := orb.NewNaming()
 	to.Register(orb.TraderKey, orb.NewTrader().Servant())
-	to.Register(orb.NamingKey, naming.Servant())
 	return &testNet{
 		t:         t,
 		traderORB: to,
 		traderRef: orb.ObjRef{Addr: to.Addr(), Key: orb.TraderKey},
-		namingRef: orb.ObjRef{Addr: to.Addr(), Key: orb.NamingKey},
-		naming:    naming,
 		domains:   make(map[string]*domain),
 	}
 }
@@ -107,7 +101,6 @@ func (n *testNet) addDomain(name string) *domain {
 		Server:        srv,
 		ORB:           o,
 		TraderRef:     n.traderRef,
-		NamingRef:     n.namingRef,
 		DiscoverEvery: 200 * time.Millisecond,
 		Logf:          func(string, ...any) {},
 	})
@@ -259,27 +252,36 @@ func TestGlobalAppListMergesDomains(t *testing.T) {
 	}
 }
 
-func TestNamingBindingForProxies(t *testing.T) {
+// TestProxyServantFollowsRegistration checks that a peer finds an
+// application's CorbaProxy from its id alone: the id names the host, the
+// peer table gives the host's address, and the servant answers there
+// while the application is registered and is gone once it closes.
+func TestProxyServantFollowsRegistration(t *testing.T) {
 	n := newTestNet(t)
 	a := n.addDomain("rutgers")
+	b := n.addDomain("caltech")
 	as := n.attachApp(a, "wave", defaultUsers())
-	waitFor(t, 2*time.Second, func() bool {
-		_, err := n.naming.Resolve(as.AppID())
-		return err == nil
-	})
-	ref, err := n.naming.Resolve(as.AppID())
+	n.discoverAll()
+	appID := as.AppID()
+
+	p, err := b.sub.peerFor(appID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Key != ProxyKey(as.AppID()) || ref.Addr != a.orb.Addr() {
-		t.Errorf("naming ref = %v", ref)
+	ref := b.sub.proxyRef(p, appID)
+	if ref != a.orb.Ref(ProxyKey(appID)) {
+		t.Fatalf("proxyRef = %v, want %v", ref, a.orb.Ref(ProxyKey(appID)))
 	}
-	// On close the binding disappears.
+	pull := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		return b.orb.Invoke(ctx, ref, "collabSync", collabSyncReq{From: "caltech"}, &collabSyncResp{})
+	}
+	if err := pull(); err != nil {
+		t.Fatalf("CorbaProxy at %v: %v", ref, err)
+	}
 	as.Close()
-	waitFor(t, 2*time.Second, func() bool {
-		_, err := n.naming.Resolve(as.AppID())
-		return err != nil
-	})
+	waitFor(t, 2*time.Second, func() bool { return orb.IsRemote(pull(), orb.CodeNoServant) })
 }
 
 // remoteSteeringTest exercises the full remote path.
@@ -864,76 +866,6 @@ func serverOf(domains []*domain, appID string) *server.Server {
 		}
 	}
 	return nil
-}
-
-// TestLinkedTraderDiscovery runs two administrative domains with their
-// own traders, linked CosTrading-style; substrates configured with a hop
-// budget discover peers registered at the other trader.
-func TestLinkedTraderDiscovery(t *testing.T) {
-	mkTrader := func() (*orb.Trader, *orb.ORB) {
-		o := orb.New()
-		if err := o.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { o.Close() })
-		tr := orb.NewTrader(orb.WithLinkORB(o))
-		o.Register(orb.TraderKey, tr.Servant())
-		o.Register(orb.NamingKey, orb.NewNaming().Servant())
-		return tr, o
-	}
-	trA, orbA := mkTrader()
-	trB, orbB := mkTrader()
-	if err := trA.AddLink("b", orb.ObjRef{Addr: orbB.Addr(), Key: orb.TraderKey}); err != nil {
-		t.Fatal(err)
-	}
-	if err := trB.AddLink("a", orb.ObjRef{Addr: orbA.Addr(), Key: orb.TraderKey}); err != nil {
-		t.Fatal(err)
-	}
-
-	mkDomain := func(name string, traderORB *orb.ORB) *Substrate {
-		srv, err := server.New(server.Config{Name: name, Logf: func(string, ...any) {}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := srv.ListenDaemon("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
-		o := orb.New()
-		if err := o.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { o.Close() })
-		sub, err := New(Config{
-			Server: srv, ORB: o,
-			TraderRef:    orb.ObjRef{Addr: traderORB.Addr(), Key: orb.TraderKey},
-			DiscoverHops: 1,
-			Logf:         func(string, ...any) {},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sub.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(sub.Close)
-		return sub
-	}
-	subA := mkDomain("alpha", orbA) // registers at trader A
-	subB := mkDomain("beta", orbB)  // registers at trader B
-
-	if err := subA.DiscoverPeers(); err != nil {
-		t.Fatal(err)
-	}
-	if err := subB.DiscoverPeers(); err != nil {
-		t.Fatal(err)
-	}
-	if peers := subA.Peers(); len(peers) != 1 || peers[0] != "beta" {
-		t.Errorf("alpha peers across linked traders = %v", peers)
-	}
-	if peers := subB.Peers(); len(peers) != 1 || peers[0] != "alpha" {
-		t.Errorf("beta peers across linked traders = %v", peers)
-	}
 }
 
 // TestPeerFailureHandledCleanly kills the host domain abruptly and checks

@@ -10,10 +10,10 @@
 //     relay subscriptions.
 //
 //   - CorbaProxy (level two, one servant per local application, object key
-//     "CorbaProxy/<appID>", also bound in the naming service under the
-//     application id): forward commands, relay lock requests, fan
-//     collaboration messages out, and serve the replicated collaboration
-//     log's anti-entropy exchange.
+//     "CorbaProxy/<appID>" at the ORB address of the server the application
+//     id names): forward commands, relay lock requests, fan collaboration
+//     messages out, and serve the replicated collaboration log's
+//     anti-entropy exchange.
 //
 // A Control servant carries the fourth inter-server channel: error and
 // system events plus pushed group traffic (the Salamander-style
@@ -22,7 +22,9 @@
 // Server discovery uses the trader service: every substrate exports a
 // service offer of type DISCOVER with its name and endpoint in the
 // property list, refreshes the offer's lease while alive, and queries the
-// trader to find peers.
+// trader to find peers. An application's id (serverName#n) names its host
+// server, so the peer table alone resolves where its CorbaProxy lives;
+// there is no separate naming service.
 //
 // # Update propagation
 //

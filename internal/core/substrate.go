@@ -25,12 +25,10 @@ type Config struct {
 	Server        *server.Server
 	ORB           *orb.ORB   // must already be listening
 	TraderRef     orb.ObjRef // the shared trader service
-	NamingRef     orb.ObjRef // the shared naming service (optional)
 	Props         map[string]string
 	OfferTTL      time.Duration // trader lease (default 60s)
 	RelayBatch    int           // max messages per push invocation (default 32; 1 disables batching)
 	DiscoverEvery time.Duration // peer re-discovery period (default 5s)
-	DiscoverHops  int           // trader links to follow during discovery (default 0)
 	Logf          func(format string, args ...any)
 
 	// Failure detection (see peers.go). DefaultDownAfter consecutive
@@ -49,7 +47,6 @@ type Substrate struct {
 	srv    *server.Server
 	orb    *orb.ORB
 	trader *orb.TraderClient
-	naming *orb.NamingClient
 	acct   *policy.Accountant
 
 	peers *peerTable // discovered peers and their call gates
@@ -67,11 +64,8 @@ type Substrate struct {
 	mu      sync.Mutex
 	relays  map[string]*relaySender // by peer name (host side)
 	subs    map[string]bool         // app ids subscribed (subscriber side)
-	named   map[string]bool         // app ids with a naming (un)bind pending: true = bind
 	offerID string
 	closed  bool
-
-	namingMu sync.Mutex // one naming bind or unbind at a time (syncName)
 
 	wg   sync.WaitGroup
 	stop chan struct{}
@@ -113,7 +107,6 @@ func New(cfg Config) (*Substrate, error) {
 		dir:    newDirCache(cfg.Server.Name(), DefaultDirCacheTTL),
 		relays: make(map[string]*relaySender),
 		subs:   make(map[string]bool),
-		named:  make(map[string]bool),
 		stop:   make(chan struct{}),
 	}
 	s.fanWorkers.Store(DefaultFanoutWorkers)
@@ -124,9 +117,6 @@ func New(cfg Config) (*Substrate, error) {
 	s.peers.onRecovered = s.peerRecovered
 	if !cfg.TraderRef.IsZero() {
 		s.trader = orb.NewTraderClient(cfg.ORB, cfg.TraderRef)
-	}
-	if !cfg.NamingRef.IsZero() {
-		s.naming = orb.NewNamingClient(cfg.ORB, cfg.NamingRef)
 	}
 	return s, nil
 }
@@ -297,8 +287,8 @@ func (s *Substrate) DiscoverPeers() error {
 	}
 	ctx, cancel := s.rpcCtx()
 	defer cancel()
-	offers, err := s.trader.QueryFederated(ctx, orb.DiscoverServiceType,
-		fmt.Sprintf("name != '%s'", s.srv.Name()), s.cfg.DiscoverHops)
+	offers, err := s.trader.Query(ctx, orb.DiscoverServiceType,
+		fmt.Sprintf("name != '%s'", s.srv.Name()))
 	if err != nil {
 		return err
 	}
@@ -706,52 +696,14 @@ func (s *Substrate) Subscribe(ctx context.Context, appID string) error {
 
 // ExportApp installs a local application's CorbaProxy servant. The
 // server calls it before the application becomes listable, so a peer
-// that lists it can reach it. The naming binding follows off the
-// registration path (see syncName).
+// that lists it can reach it at proxyRef.
 func (s *Substrate) ExportApp(appID string) {
 	s.orb.Register(ProxyKey(appID), s.proxyServant(appID))
-	s.syncName(appID, true)
 }
 
-// WithdrawApp removes a closed local application's CorbaProxy servant
-// and its naming binding.
+// WithdrawApp removes a closed local application's CorbaProxy servant.
 func (s *Substrate) WithdrawApp(appID string) {
 	s.orb.Unregister(ProxyKey(appID))
-	s.syncName(appID, false)
-}
-
-// syncName records whether an application should be bound in the naming
-// service and applies that in a tracked goroutine, so no application
-// registration waits on a naming round trip. The goroutines take turns
-// and each applies the latest recorded state, so a bind that runs after
-// a later unbind cannot leave a stale binding behind.
-func (s *Substrate) syncName(appID string, bound bool) {
-	if s.naming == nil {
-		return
-	}
-	s.mu.Lock()
-	s.named[appID] = bound
-	s.mu.Unlock()
-	s.goTracked(func() {
-		s.namingMu.Lock()
-		defer s.namingMu.Unlock()
-		s.mu.Lock()
-		bound, pending := s.named[appID]
-		delete(s.named, appID)
-		s.mu.Unlock()
-		if !pending {
-			return // an earlier turn already applied the latest state
-		}
-		ctx, cancel := s.rpcCtx()
-		defer cancel()
-		if !bound {
-			s.naming.Unbind(ctx, appID)
-			return
-		}
-		if err := s.naming.Rebind(ctx, appID, s.orb.Ref(ProxyKey(appID))); err != nil {
-			s.cfg.Logf("core %s: naming bind %s: %v", s.srv.Name(), appID, err)
-		}
-	})
 }
 
 // NotifyEvent disseminates a control-channel event: it fans the event

@@ -148,7 +148,6 @@ func NewFederation(cfg FederationConfig) (*Federation, error) {
 	}
 	f.closers = append(f.closers, func() { f.Trader.Close() })
 	f.Trader.Register(orb.TraderKey, orb.NewTrader().Servant())
-	f.Trader.Register(orb.NamingKey, orb.NewNaming().Servant())
 	f.setSite(f.Trader.Addr(), "hub")
 
 	for _, dc := range cfg.Domains {
@@ -236,7 +235,6 @@ func (f *Federation) addDomain(name string, site netsim.Site, cfg FederationConf
 		Server:         srv,
 		ORB:            o,
 		TraderRef:      orb.ObjRef{Addr: f.Trader.Addr(), Key: orb.TraderKey},
-		NamingRef:      orb.ObjRef{Addr: f.Trader.Addr(), Key: orb.NamingKey},
 		RelayBatch:     cfg.RelayBatch,
 		DialTimeout:    cfg.DialTimeout,
 		HeartbeatEvery: cfg.HeartbeatEvery,

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"discover/internal/wire"
 )
 
 // The experiment smoke tests run each experiment with reduced parameters
@@ -78,6 +80,38 @@ func TestA1OrbVsSocket(t *testing.T) {
 func TestA2CodecAblation(t *testing.T) {
 	res, err := RunA2(2000)
 	checkResult(t, res, err)
+}
+
+// TestA2ArmsAgree checks that A2 times two codecs doing the same job:
+// each arm round-trips a message to what the other arm reads back.
+func TestA2ArmsAgree(t *testing.T) {
+	update := wire.NewUpdate("rutgers#12", 42, wire.Param{Key: "m.step", Value: "1200"})
+	update.Data = []byte{0, 1, 0xff}
+	for _, m := range []*wire.Message{
+		update,
+		wire.NewCommand("203.0.113.9:7000#12", "client-4", "set_param", wire.Param{Key: "value", Value: "1.25"}),
+		{Kind: wire.KindBye},
+	} {
+		be, err := binaryEncode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm, err := wire.BinaryCodec{}.Decode(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ge, err := gobEncode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm, err := gobDecode(ge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Equal(bm) || !m.Equal(gm) {
+			t.Errorf("%v: binary read back %v, gob read back %v", m, bm, gm)
+		}
+	}
 }
 
 func TestA3PollVsPush(t *testing.T) {

@@ -414,6 +414,15 @@ func s2Edge() (rt, shed Row, err error) {
 		Pass: m1.Op == "tick" && id1 >= 1 && lat < time.Second && spliced,
 	}
 
+	// The server frees a stream's slot only once its handler sees the
+	// disconnect, so the cap phase starts when both closed streams are
+	// gone.
+	for deadline := time.Now().Add(5 * time.Second); srv.EdgeStats().Streams != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return rt, shed, fmt.Errorf("s2: %d streams still open 5s after their clients closed", srv.EdgeStats().Streams)
+		}
+	}
+
 	// Cap: two parked streams fill MaxStreams, the third sheds 429.
 	sessB, err := srv.Login(ctx, "alice", "pw")
 	if err != nil {

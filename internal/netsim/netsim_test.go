@@ -187,7 +187,7 @@ func TestShapedConnWithWireConn(t *testing.T) {
 		if err != nil {
 			return
 		}
-		wc := wire.NewConn(c, wire.BinaryCodec{})
+		wc := wire.NewConn(c)
 		m, err := wc.Recv()
 		if err != nil {
 			return
@@ -203,7 +203,7 @@ func TestShapedConnWithWireConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wc := wire.NewConn(raw, wire.BinaryCodec{})
+	wc := wire.NewConn(raw)
 	defer wc.Close()
 
 	start := time.Now()

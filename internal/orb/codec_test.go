@@ -119,9 +119,7 @@ func TestCodecByteIdentity(t *testing.T) {
 	resetCodecCaches()
 	checkByteIdentity(t,
 		ObjRef{}, RemoteError{}, Offer{},
-		bindReq{}, bindResp{}, resolveReq{}, resolveResp{}, unbindReq{}, listReq{}, listResp{},
-		exportReq{}, exportResp{}, withdrawReq{}, refreshReq{}, queryReq{}, queryResp{},
-		listTypesReq{}, listTypesResp{},
+		exportReq{}, exportResp{}, withdrawReq{}, refreshReq{}, traderResp{}, queryReq{}, queryResp{},
 		benchDeliverBatch{}, "text", uint64(7), []byte("raw"),
 	)
 }
@@ -303,8 +301,8 @@ func TestCodecHammer(t *testing.T) {
 	resetCodecCaches()
 	batch := benchBatch(4)
 	values := []any{
-		codecFuzzSample, &codecFuzzSample, resolveReq{Name: "discover/rutgers"},
-		listResp{Names: []string{"a", "b"}}, &RemoteError{Code: CodeComm, Msg: "down"},
+		codecFuzzSample, &codecFuzzSample, queryReq{ServiceType: DiscoverServiceType, Constraint: "name != 'rutgers'"},
+		exportResp{OfferID: "offer-1"}, &RemoteError{Code: CodeComm, Msg: "down"},
 		batch, "text", int64(-5), queryResp{Offers: []Offer{{ID: "o1", Props: map[string]string{"k": "v"}}}},
 	}
 	want := make([][]byte, len(values))
@@ -428,7 +426,7 @@ func benchBatch(n int) benchDeliverBatch {
 
 // BenchmarkCodec measures the argument codec per invocation: Marshal
 // plus Unmarshal of a four-message relay batch, and of both legs of a
-// small two-way request (naming resolve).
+// small two-way request (a trader query).
 func BenchmarkCodec(b *testing.B) {
 	batch := benchBatch(4)
 	b.Run("deliverBatch", func(b *testing.B) {
@@ -444,23 +442,27 @@ func BenchmarkCodec(b *testing.B) {
 			}
 		}
 	})
-	b.Run("resolve", func(b *testing.B) {
+	b.Run("query", func(b *testing.B) {
 		b.ReportAllocs()
-		req := resolveReq{Name: "discover/rutgers"}
-		resp := resolveResp{Ref: ObjRef{Addr: "127.0.0.1:7201", Key: "DiscoverCorbaServer"}}
+		req := queryReq{ServiceType: DiscoverServiceType, Constraint: "name != 'rutgers'"}
+		resp := queryResp{Offers: []Offer{{
+			ID: "offer-1", ServiceType: DiscoverServiceType,
+			Ref:   ObjRef{Addr: "127.0.0.1:7201", Key: "DiscoverServer"},
+			Props: map[string]string{"name": "caltech", "addr": "127.0.0.1:7201"},
+		}}}
 		for i := 0; i < b.N; i++ {
 			p, err := Marshal(req)
 			if err != nil {
 				b.Fatal(err)
 			}
-			var in resolveReq
+			var in queryReq
 			if err := Unmarshal(p, &in); err != nil {
 				b.Fatal(err)
 			}
 			if p, err = Marshal(resp); err != nil {
 				b.Fatal(err)
 			}
-			var out resolveResp
+			var out queryResp
 			if err := Unmarshal(p, &out); err != nil {
 				b.Fatal(err)
 			}

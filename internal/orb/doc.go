@@ -2,8 +2,9 @@
 // stand-in for CORBA/IIOP.
 //
 // The DISCOVER middleware substrate builds on CORBA for peer-to-peer
-// server connectivity and uses the CORBA Naming and Trader services for
-// application and server discovery. No CORBA ORB is available here (and
+// server connectivity and uses the CORBA Trader service for server
+// discovery; an application's id names its host server, so no naming
+// service is needed to reach it. No CORBA ORB is available here (and
 // the paper itself treats the ORB as a commodity it merely evaluates), so
 // this package implements the part of the object model DISCOVER needs:
 //
@@ -11,11 +12,9 @@
 //   - synchronous remote method invocation with request multiplexing over
 //     pooled connections (GIOP-like framed request/reply),
 //   - oneway operations (fire-and-forget, used by the push relay),
-//   - servant registration and dispatch,
-//   - a Naming service (bind/resolve), and
-//   - a Trader service (service offers with property lists and a
-//     constraint query language), as specified for the paper's prototype
-//     which layered a minimal trader over the naming service.
+//   - servant registration and dispatch, and
+//   - a Trader service (service offers with property lists, leases and a
+//     constraint query language), the paper's minimal trader.
 //
 // Argument marshalling uses encoding/gob, mirroring the prototype's use of
 // Java object serialization over IIOP. Marshal and Unmarshal cache gob

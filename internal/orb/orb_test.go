@@ -328,81 +328,6 @@ func TestUnregister(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------------
-// Naming service
-// ---------------------------------------------------------------------------
-
-func TestNamingLocal(t *testing.T) {
-	n := NewNaming()
-	ref := ObjRef{Addr: "h:1", Key: "k"}
-	if err := n.Bind("app#1", ref, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Bind("app#1", ref, false); !IsRemote(err, CodeAlreadyBound) {
-		t.Errorf("duplicate bind: %v", err)
-	}
-	if err := n.Bind("app#1", ObjRef{Addr: "h:2", Key: "k"}, true); err != nil {
-		t.Errorf("rebind: %v", err)
-	}
-	got, err := n.Resolve("app#1")
-	if err != nil || got.Addr != "h:2" {
-		t.Errorf("Resolve = %v, %v", got, err)
-	}
-	if _, err := n.Resolve("nosuch"); !IsRemote(err, CodeNotFound) {
-		t.Errorf("resolve missing: %v", err)
-	}
-	n.Bind("app#2", ref, false)
-	n.Bind("svc/x", ref, false)
-	if got := n.List("app#"); len(got) != 2 || got[0] != "app#1" {
-		t.Errorf("List(app#) = %v", got)
-	}
-	n.Unbind("app#1")
-	n.Unbind("app#1") // idempotent
-	if _, err := n.Resolve("app#1"); err == nil {
-		t.Error("resolve after unbind succeeded")
-	}
-}
-
-func TestNamingRemote(t *testing.T) {
-	server := New()
-	if err := server.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	naming := NewNaming()
-	server.Register(NamingKey, naming.Servant())
-
-	client := New()
-	defer client.Close()
-	nc := NewNamingClient(client, server.Ref(NamingKey))
-	ctx := context.Background()
-
-	want := ObjRef{Addr: "apphost:9", Key: "app/42"}
-	if err := nc.Bind(ctx, "app#42", want); err != nil {
-		t.Fatal(err)
-	}
-	if err := nc.Bind(ctx, "app#42", want); !IsRemote(err, CodeAlreadyBound) {
-		t.Errorf("remote duplicate bind: %v", err)
-	}
-	if err := nc.Rebind(ctx, "app#42", want); err != nil {
-		t.Errorf("remote rebind: %v", err)
-	}
-	got, err := nc.Resolve(ctx, "app#42")
-	if err != nil || got != want {
-		t.Errorf("remote Resolve = %v, %v", got, err)
-	}
-	names, err := nc.List(ctx, "app#")
-	if err != nil || len(names) != 1 {
-		t.Errorf("remote List = %v, %v", names, err)
-	}
-	if err := nc.Unbind(ctx, "app#42"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nc.Resolve(ctx, "app#42"); !IsRemote(err, CodeNotFound) {
-		t.Errorf("remote resolve after unbind: %v", err)
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Trader service
 // ---------------------------------------------------------------------------
 
@@ -428,9 +353,8 @@ func TestTraderLocal(t *testing.T) {
 	if _, err := tr.Query(DiscoverServiceType, "((("); !IsRemote(err, CodeBadConstraint) {
 		t.Errorf("bad constraint: %v", err)
 	}
-	types := tr.ListTypes()
-	if len(types) != 2 || types[0] != "ARCHIVE" || types[1] != "DISCOVER" {
-		t.Errorf("ListTypes = %v", types)
+	if offers, err := tr.Query("ARCHIVE", ""); err != nil || len(offers) != 1 || offers[0].Ref.Key != "arch" {
+		t.Errorf("Query ARCHIVE = %v, %v", offers, err)
 	}
 
 	// Mutating a returned offer's props must not corrupt the trader.
@@ -491,10 +415,6 @@ func TestTraderRemote(t *testing.T) {
 	}
 	if err := tc.Refresh(ctx, id, time.Minute); err != nil {
 		t.Errorf("Refresh: %v", err)
-	}
-	types, err := tc.ListTypes(ctx)
-	if err != nil || len(types) != 1 {
-		t.Errorf("ListTypes = %v, %v", types, err)
 	}
 	if err := tc.Withdraw(ctx, id); err != nil {
 		t.Errorf("Withdraw: %v", err)

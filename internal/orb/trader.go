@@ -28,19 +28,12 @@ type Offer struct {
 // because, as the paper notes, "the availability of these servers is not
 // guaranteed and must be determined at runtime": an exporter that stops
 // refreshing its offer disappears from query results.
-//
-// Traders can be linked, CosTrading-style: a query with a hop budget also
-// consults linked traders, so federations can run one trader per
-// administrative domain instead of a single global one. Results are
-// deduplicated by object reference and hops bound any link cycles.
 type Trader struct {
 	mu         sync.Mutex
 	offers     map[string]*offerEntry
-	links      map[string]ObjRef
 	nextID     uint64
 	defaultTTL time.Duration
 	now        func() time.Time
-	linkORB    *ORB
 }
 
 type offerEntry struct {
@@ -57,15 +50,10 @@ func WithOfferTTL(d time.Duration) TraderOption { return func(t *Trader) { t.def
 // WithTraderClock injects a clock for lease tests.
 func WithTraderClock(now func() time.Time) TraderOption { return func(t *Trader) { t.now = now } }
 
-// WithLinkORB provides the ORB used to follow trader links. Required
-// before AddLink.
-func WithLinkORB(o *ORB) TraderOption { return func(t *Trader) { t.linkORB = o } }
-
 // NewTrader returns an empty trader.
 func NewTrader(opts ...TraderOption) *Trader {
 	t := &Trader{
 		offers:     make(map[string]*offerEntry),
-		links:      make(map[string]ObjRef),
 		defaultTTL: 5 * time.Minute,
 		now:        time.Now,
 	}
@@ -73,36 +61,6 @@ func NewTrader(opts ...TraderOption) *Trader {
 		o(t)
 	}
 	return t
-}
-
-// AddLink links another trader under a name; federated queries follow it.
-func (t *Trader) AddLink(name string, ref ObjRef) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.linkORB == nil {
-		return fmt.Errorf("orb: trader needs WithLinkORB before AddLink")
-	}
-	t.links[name] = ref
-	return nil
-}
-
-// RemoveLink unlinks a trader.
-func (t *Trader) RemoveLink(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	delete(t.links, name)
-}
-
-// Links lists link names, sorted.
-func (t *Trader) Links() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]string, 0, len(t.links))
-	for n := range t.links {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Trader wire types.
@@ -119,13 +77,9 @@ type (
 		OfferID    string
 		TTLSeconds int64
 	}
-	queryReq struct {
-		ServiceType, Constraint string
-		Hops                    int // how many trader links to follow
-	}
-	queryResp     struct{ Offers []Offer }
-	listTypesReq  struct{}
-	listTypesResp struct{ Types []string }
+	traderResp struct{}
+	queryReq   struct{ ServiceType, Constraint string }
+	queryResp  struct{ Offers []Offer }
 )
 
 // Trader error codes.
@@ -190,20 +144,15 @@ func (t *Trader) Refresh(offerID string, ttl time.Duration) error {
 	return nil
 }
 
-// Query returns live local offers of the given service type matching the
+// Query returns live offers of the given service type matching the
 // constraint, sorted by offer id for determinism.
 func (t *Trader) Query(serviceType, constraint string) ([]Offer, error) {
-	return t.QueryFederated(serviceType, constraint, 0)
-}
-
-// QueryFederated is Query that additionally follows trader links up to
-// hops times, deduplicating offers by object reference.
-func (t *Trader) QueryFederated(serviceType, constraint string, hops int) ([]Offer, error) {
 	c, err := ParseConstraint(constraint)
 	if err != nil {
 		return nil, &RemoteError{Code: CodeBadConstraint, Msg: err.Error()}
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.purgeLocked()
 	var out []Offer
 	for _, e := range t.offers {
@@ -220,78 +169,8 @@ func (t *Trader) QueryFederated(serviceType, constraint string, hops int) ([]Off
 		}
 		out = append(out, o)
 	}
-	links := make(map[string]ObjRef, len(t.links))
-	for n, ref := range t.links {
-		links[n] = ref
-	}
-	linkORB := t.linkORB
-	t.mu.Unlock()
-
-	if hops > 0 && linkORB != nil && len(links) > 0 {
-		// Linked traders are consulted concurrently, so a federated query
-		// costs ~max(link RTT) instead of the sum and a dead link (best
-		// effort in CosTrading) cannot stall the live ones. Results merge
-		// in sorted link-name order to keep dedup deterministic.
-		names := make([]string, 0, len(links))
-		for n := range links {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		linked := make([][]Offer, len(names))
-		var wg sync.WaitGroup
-		for i, name := range names {
-			wg.Add(1)
-			go func(i int, ref ObjRef) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-				defer cancel()
-				var resp queryResp
-				if err := linkORB.Invoke(ctx, ref, "query", queryReq{
-					ServiceType: serviceType, Constraint: constraint, Hops: hops - 1,
-				}, &resp); err != nil {
-					return // a dead link must not fail the whole query
-				}
-				linked[i] = resp.Offers
-			}(i, links[name])
-		}
-		wg.Wait()
-		seen := make(map[ObjRef]bool, len(out))
-		for _, o := range out {
-			seen[o.Ref] = true
-		}
-		for _, offers := range linked {
-			for _, o := range offers {
-				if !seen[o.Ref] {
-					seen[o.Ref] = true
-					out = append(out, o)
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID != out[j].ID {
-			return out[i].ID < out[j].ID
-		}
-		return out[i].Ref.Addr < out[j].Ref.Addr
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
-}
-
-// ListTypes returns the distinct live service types, sorted.
-func (t *Trader) ListTypes() []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.purgeLocked()
-	seen := make(map[string]bool)
-	for _, e := range t.offers {
-		seen[e.offer.ServiceType] = true
-	}
-	out := make([]string, 0, len(seen))
-	for ty := range seen {
-		out = append(out, ty)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Servant exposes the trader over the ORB.
@@ -301,22 +180,15 @@ func (t *Trader) Servant() Servant {
 			id := t.Export(r.ServiceType, r.Ref, r.Props, time.Duration(r.TTLSeconds)*time.Second)
 			return exportResp{OfferID: id}, nil
 		}),
-		"withdraw": Handler(func(r withdrawReq) (bindResp, error) {
-			return bindResp{}, t.Withdraw(r.OfferID)
+		"withdraw": Handler(func(r withdrawReq) (traderResp, error) {
+			return traderResp{}, t.Withdraw(r.OfferID)
 		}),
-		"refresh": Handler(func(r refreshReq) (bindResp, error) {
-			return bindResp{}, t.Refresh(r.OfferID, time.Duration(r.TTLSeconds)*time.Second)
+		"refresh": Handler(func(r refreshReq) (traderResp, error) {
+			return traderResp{}, t.Refresh(r.OfferID, time.Duration(r.TTLSeconds)*time.Second)
 		}),
 		"query": Handler(func(r queryReq) (queryResp, error) {
-			hops := r.Hops
-			if hops > 8 {
-				hops = 8 // bound malicious/cyclic hop budgets
-			}
-			offers, err := t.QueryFederated(r.ServiceType, r.Constraint, hops)
+			offers, err := t.Query(r.ServiceType, r.Constraint)
 			return queryResp{Offers: offers}, err
-		}),
-		"listTypes": Handler(func(listTypesReq) (listTypesResp, error) {
-			return listTypesResp{Types: t.ListTypes()}, nil
 		}),
 	}
 }
@@ -354,28 +226,13 @@ func (c *TraderClient) Refresh(ctx context.Context, offerID string, ttl time.Dur
 	return c.orb.Invoke(ctx, c.ref, "refresh", refreshReq{OfferID: offerID, TTLSeconds: int64(ttl / time.Second)}, nil)
 }
 
-// Query finds matching offers remotely (local to the queried trader).
+// Query finds matching offers remotely.
 func (c *TraderClient) Query(ctx context.Context, serviceType, constraint string) ([]Offer, error) {
-	return c.QueryFederated(ctx, serviceType, constraint, 0)
-}
-
-// QueryFederated finds matching offers, following up to hops trader
-// links from the queried trader.
-func (c *TraderClient) QueryFederated(ctx context.Context, serviceType, constraint string, hops int) ([]Offer, error) {
 	var resp queryResp
 	if err := c.orb.Invoke(ctx, c.ref, "query", queryReq{
-		ServiceType: serviceType, Constraint: constraint, Hops: hops,
+		ServiceType: serviceType, Constraint: constraint,
 	}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Offers, nil
-}
-
-// ListTypes lists service types remotely.
-func (c *TraderClient) ListTypes(ctx context.Context) ([]string, error) {
-	var resp listTypesResp
-	if err := c.orb.Invoke(ctx, c.ref, "listTypes", listTypesReq{}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Types, nil
 }

@@ -1,7 +1,7 @@
 package server
 
 // Kill-and-recover tests over the in-memory storage backend: a server
-// is built on a storage.Memory, crashed with CrashStop, and a second
+// is built on a storagetest.Memory, crashed with CrashStop, and a second
 // server is built over the same (reopened) backend — the process-level
 // analogue of a domain restart from disk, without the filesystem.
 
@@ -10,19 +10,19 @@ import (
 	"time"
 
 	"discover/internal/session"
-	"discover/internal/storage"
+	"discover/internal/storage/storagetest"
 	"discover/internal/wire"
 )
 
 // deployDurable is deploy with a Memory storage backend attached.
-func deployDurable(t *testing.T, mem *storage.Memory) *testDeployment {
+func deployDurable(t *testing.T, mem *storagetest.Memory) *testDeployment {
 	t.Helper()
 	return deploy(t, func(cfg *Config) { cfg.Storage = mem })
 }
 
 // restartFrom builds a fresh server of the same name over a reopened
 // backend, simulating a restart of the crashed domain.
-func restartFrom(t *testing.T, mem *storage.Memory) *Server {
+func restartFrom(t *testing.T, mem *storagetest.Memory) *Server {
 	t.Helper()
 	mem.Reopen()
 	s2, err := New(Config{Name: "rutgers", Storage: mem, Logf: func(string, ...any) {}})
@@ -34,7 +34,7 @@ func restartFrom(t *testing.T, mem *storage.Memory) *Server {
 }
 
 func TestPersistKillRecover(t *testing.T) {
-	mem := storage.NewMemory()
+	mem := storagetest.NewMemory()
 	d := deployDurable(t, mem)
 	sess := d.login(t, "alice")
 	appID := d.connect(t, sess)
@@ -116,7 +116,7 @@ func TestPersistKillRecover(t *testing.T) {
 }
 
 func TestPersistCleanShutdownSkipsReplay(t *testing.T) {
-	mem := storage.NewMemory()
+	mem := storagetest.NewMemory()
 	d := deployDurable(t, mem)
 	sess := d.login(t, "alice")
 	d.connect(t, sess)
@@ -138,7 +138,7 @@ func TestPersistCleanShutdownSkipsReplay(t *testing.T) {
 }
 
 func TestPersistWALSpliceBeyondRing(t *testing.T) {
-	mem := storage.NewMemory()
+	mem := storagetest.NewMemory()
 	d := deploy(t, func(cfg *Config) {
 		cfg.Storage = mem
 		cfg.FifoCapacity = 4

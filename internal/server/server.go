@@ -196,7 +196,7 @@ func New(cfg Config) (*Server, error) {
 		sessions: session.NewManager(cfg.Name, sessOpts...),
 		hub:      collab.NewHub(collab.WithOrigin(cfg.Name)),
 		locks:    lockmgr.NewManager(lockOpts...),
-		store:    archive.NewStore(0),
+		store:    archive.NewStore(),
 		db:       recorddb.New(),
 		proxies:  make(map[string]*ApplicationProxy),
 		gate:     newEdgeGate(cfg),

@@ -1,7 +1,8 @@
 // Package storage is the durability layer under a domain (ROADMAP item
 // 1): an append-only write-ahead log of domain mutations plus periodic
-// snapshots, behind a pluggable Backend so tests and in-memory
-// deployments share one code path with the file-backed production mode.
+// snapshots, behind a Backend interface so tests (over the in-memory
+// storagetest.Memory) share one code path with the file-backed
+// production mode.
 //
 // The contract is event sourcing: every mutating path in the domain —
 // session create/close, delivery-queue pushes, lock grant/release,

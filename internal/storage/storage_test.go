@@ -1,4 +1,4 @@
-package storage
+package storage_test
 
 import (
 	"bytes"
@@ -6,30 +6,33 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"discover/internal/storage"
+	"discover/internal/storage/storagetest"
 )
 
 // openBackends builds one of each backend flavor plus a reopen function
 // that simulates a process restart over the same stored state.
 func openBackends(t *testing.T) map[string]struct {
-	b      Backend
-	reopen func() Backend
+	b      storage.Backend
+	reopen func() storage.Backend
 } {
 	t.Helper()
-	mem := NewMemory()
+	mem := storagetest.NewMemory()
 	dir := t.TempDir()
-	fb, err := OpenFile(dir)
+	fb, err := storage.OpenFile(dir)
 	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
+		t.Fatalf("storage.OpenFile: %v", err)
 	}
 	t.Cleanup(func() { fb.Close() })
 	return map[string]struct {
-		b      Backend
-		reopen func() Backend
+		b      storage.Backend
+		reopen func() storage.Backend
 	}{
-		"memory": {b: mem, reopen: func() Backend { return mem.Reopen() }},
-		"file": {b: fb, reopen: func() Backend {
+		"memory": {b: mem, reopen: func() storage.Backend { return mem.Reopen() }},
+		"file": {b: fb, reopen: func() storage.Backend {
 			fb.Close()
-			nb, err := OpenFile(dir)
+			nb, err := storage.OpenFile(dir)
 			if err != nil {
 				t.Fatalf("reopen: %v", err)
 			}
@@ -39,10 +42,10 @@ func openBackends(t *testing.T) map[string]struct {
 	}
 }
 
-func collect(t *testing.T, b Backend, after uint64) []Record {
+func collect(t *testing.T, b storage.Backend, after uint64) []storage.Record {
 	t.Helper()
-	var out []Record
-	if err := b.Replay(after, func(r Record) error { out = append(out, r); return nil }); err != nil {
+	var out []storage.Record
+	if err := b.Replay(after, func(r storage.Record) error { out = append(out, r); return nil }); err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
 	return out
@@ -118,9 +121,9 @@ func TestBackendSnapshotCompaction(t *testing.T) {
 
 func TestFileCompactionDropsSegments(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := OpenFile(dir)
+	fb, err := storage.OpenFile(dir)
 	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
+		t.Fatalf("storage.OpenFile: %v", err)
 	}
 	defer fb.Close()
 	for i := 0; i < 20; i++ {
@@ -193,9 +196,9 @@ func TestBackendCleanMarker(t *testing.T) {
 
 func TestFileTornTailTruncates(t *testing.T) {
 	dir := t.TempDir()
-	fb, err := OpenFile(dir)
+	fb, err := storage.OpenFile(dir)
 	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
+		t.Fatalf("storage.OpenFile: %v", err)
 	}
 	for i := 0; i < 5; i++ {
 		fb.Append("k", []byte("payload"))
@@ -213,7 +216,7 @@ func TestFileTornTailTruncates(t *testing.T) {
 		t.Fatalf("truncate: %v", err)
 	}
 
-	nb, err := OpenFile(dir)
+	nb, err := storage.OpenFile(dir)
 	if err != nil {
 		t.Fatalf("open with torn tail must boot, got %v", err)
 	}
@@ -234,16 +237,16 @@ func TestFileTornTailTruncates(t *testing.T) {
 }
 
 func TestJournalRecordsAndDecodes(t *testing.T) {
-	mem := NewMemory()
-	j := NewJournal(mem, 0, nil)
+	mem := storagetest.NewMemory()
+	j := storage.NewJournal(mem, 0, nil)
 	defer j.Close()
-	j.Record(KindLockGrant, LockGrantEvent{App: "a#1", Owner: "c1"})
+	j.Record(storage.KindLockGrant, storage.LockGrantEvent{App: "a#1", Owner: "c1"})
 	recs := collect(t, mem, 0)
-	if len(recs) != 1 || recs[0].Kind != KindLockGrant {
+	if len(recs) != 1 || recs[0].Kind != storage.KindLockGrant {
 		t.Fatalf("records = %+v", recs)
 	}
-	var ev LockGrantEvent
-	if err := Decode(recs[0], &ev); err != nil || ev.App != "a#1" || ev.Owner != "c1" {
+	var ev storage.LockGrantEvent
+	if err := storage.Decode(recs[0], &ev); err != nil || ev.App != "a#1" || ev.Owner != "c1" {
 		t.Fatalf("decode = %+v, %v", ev, err)
 	}
 	if j.Failed() {

@@ -51,7 +51,7 @@ func TestBinaryEncodeAllocs(t *testing.T) {
 // Conn.Send assembles the length prefix and payload in a connection-owned
 // buffer and issues one Write; steady state must not allocate.
 func TestConnSendAllocs(t *testing.T) {
-	c := NewConn(nopConn{}, BinaryCodec{})
+	c := NewConn(nopConn{})
 	m := allocTestMessage()
 	if err := c.Send(m); err != nil { // warm the send buffer
 		t.Fatal(err)

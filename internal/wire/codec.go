@@ -1,26 +1,13 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
 )
 
-// A Codec converts messages to and from a byte representation suitable for
-// one frame on a stream.
-type Codec interface {
-	// Encode appends the encoding of m to dst and returns the extended
-	// slice. dst may be nil.
-	Encode(dst []byte, m *Message) ([]byte, error)
-	// Decode parses one message from src, which must contain exactly one
-	// encoded message.
-	Decode(src []byte) (*Message, error)
-}
-
-// Limits shared by both codecs. They bound what a single message may carry
+// Codec limits. They bound what a single message may carry
 // so that a corrupt or hostile frame cannot force huge allocations.
 const (
 	MaxStringLen = 1 << 20 // 1 MiB per string field
@@ -78,7 +65,7 @@ func appendBytes(dst []byte, b []byte) []byte {
 	return append(dst, b...)
 }
 
-// Encode implements Codec.
+// Encode appends the encoding of m to dst and returns the extended slice.
 func (BinaryCodec) Encode(dst []byte, m *Message) ([]byte, error) {
 	if err := checkLimits(m); err != nil {
 		return dst, err
@@ -196,7 +183,7 @@ func (r *binReader) bytes(limit int) []byte {
 	return b
 }
 
-// Decode implements Codec.
+// Decode parses one message from src, which must hold exactly one.
 func (BinaryCodec) Decode(src []byte) (*Message, error) {
 	if len(src) == 0 {
 		return nil, ErrTruncated
@@ -240,43 +227,5 @@ func (BinaryCodec) Decode(src []byte) (*Message, error) {
 		return nil, fmt.Errorf("wire: status %d out of range", status)
 	}
 	m.Status = int32(status)
-	return m, nil
-}
-
-// ---------------------------------------------------------------------------
-// GobCodec: the Java-object-serialization analogue.
-// ---------------------------------------------------------------------------
-
-// GobCodec encodes each message as an independent gob stream. Like Java
-// serialization it is self-describing: every frame carries type
-// information, which is exactly the overhead the paper attributes to
-// commodity serialization. GobCodec is stateless and safe for concurrent
-// use.
-type GobCodec struct{}
-
-// NewGobCodec returns a GobCodec.
-func NewGobCodec() GobCodec { return GobCodec{} }
-
-// Encode implements Codec.
-func (GobCodec) Encode(dst []byte, m *Message) ([]byte, error) {
-	if err := checkLimits(m); err != nil {
-		return dst, err
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return dst, fmt.Errorf("wire: gob encode: %w", err)
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-// Decode implements Codec.
-func (GobCodec) Decode(src []byte) (*Message, error) {
-	m := &Message{}
-	if err := gob.NewDecoder(bytes.NewReader(src)).Decode(m); err != nil {
-		return nil, fmt.Errorf("wire: gob decode: %w", err)
-	}
-	if err := checkLimits(m); err != nil {
-		return nil, err
-	}
 	return m, nil
 }

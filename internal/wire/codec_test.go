@@ -43,15 +43,14 @@ func (quickMsg) Generate(r *rand.Rand, _ int) reflect.Value {
 	return reflect.ValueOf(quickMsg{M: randomMessage(r)})
 }
 
-func testRoundTrip(t *testing.T, c Codec) {
-	t.Helper()
+func TestBinaryRoundTripProperty(t *testing.T) {
 	prop := func(q quickMsg) bool {
-		enc, err := c.Encode(nil, q.M)
+		enc, err := BinaryCodec{}.Encode(nil, q.M)
 		if err != nil {
 			t.Logf("encode error: %v", err)
 			return false
 		}
-		dec, err := c.Decode(enc)
+		dec, err := BinaryCodec{}.Decode(enc)
 		if err != nil {
 			t.Logf("decode error: %v", err)
 			return false
@@ -59,32 +58,7 @@ func testRoundTrip(t *testing.T, c Codec) {
 		return q.M.Equal(dec)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
-		t.Errorf("%T round trip failed: %v", c, err)
-	}
-}
-
-func TestBinaryRoundTripProperty(t *testing.T) { testRoundTrip(t, BinaryCodec{}) }
-func TestGobRoundTripProperty(t *testing.T)    { testRoundTrip(t, NewGobCodec()) }
-
-// Cross-codec: a message encoded by one codec and decoded must equal the
-// same message round-tripped through the other codec.
-func TestCodecsAgree(t *testing.T) {
-	bc, gc := BinaryCodec{}, NewGobCodec()
-	prop := func(q quickMsg) bool {
-		be, err1 := bc.Encode(nil, q.M)
-		ge, err2 := gc.Encode(nil, q.M)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		bm, err1 := bc.Decode(be)
-		gm, err2 := gc.Decode(ge)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return bm.Equal(gm)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Errorf("codecs disagree: %v", err)
+		t.Errorf("round trip failed: %v", err)
 	}
 }
 
@@ -178,35 +152,11 @@ func TestEncodeLimits(t *testing.T) {
 		if _, err := (BinaryCodec{}).Encode(nil, m); err != ErrTooLarge {
 			t.Errorf("case %d: binary Encode err = %v, want ErrTooLarge", i, err)
 		}
-		if _, err := (GobCodec{}).Encode(nil, m); err != ErrTooLarge {
-			t.Errorf("case %d: gob Encode err = %v, want ErrTooLarge", i, err)
-		}
-	}
-}
-
-func TestBinaryMoreCompactThanGob(t *testing.T) {
-	// The whole point of the custom protocol: it should beat the
-	// self-describing codec on a typical steering message.
-	m := NewCommand("203.0.113.9:7000#12", "client-4", "setParam",
-		Param{"name", "injection_rate"}, Param{"value", "1.25"})
-	be, err := BinaryCodec{}.Encode(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge, err := NewGobCodec().Encode(nil, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(be) >= len(ge) {
-		t.Errorf("binary (%dB) not smaller than gob (%dB)", len(be), len(ge))
 	}
 }
 
 func TestDecodeEmptyInput(t *testing.T) {
 	if _, err := (BinaryCodec{}).Decode(nil); err == nil {
 		t.Error("binary Decode(nil) should fail")
-	}
-	if _, err := (GobCodec{}).Decode(nil); err == nil {
-		t.Error("gob Decode(nil) should fail")
 	}
 }

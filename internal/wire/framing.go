@@ -121,12 +121,11 @@ func ReadFrameBuf(r io.Reader, buf []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Conn couples a stream with a codec and frames messages over it. Send is
+// Conn frames BinaryCodec-encoded messages over a stream. Send is
 // safe for concurrent use; Recv must be called from a single goroutine at a
 // time, which is how every channel loop in this repository is structured.
 type Conn struct {
 	raw     net.Conn
-	codec   Codec
 	sendMu  sync.Mutex
 	sendBuf []byte
 	recvBuf []byte // reused by Recv; safe under the single-reader rule
@@ -137,16 +136,13 @@ type Conn struct {
 	recvBytes atomic.Uint64
 }
 
-// NewConn wraps raw with codec. The Conn takes ownership of raw.
-func NewConn(raw net.Conn, codec Codec) *Conn {
-	return &Conn{raw: raw, codec: codec}
+// NewConn wraps raw. The Conn takes ownership of raw.
+func NewConn(raw net.Conn) *Conn {
+	return &Conn{raw: raw}
 }
 
 // Raw exposes the underlying connection (for deadlines and addresses).
 func (c *Conn) Raw() net.Conn { return c.raw }
-
-// Codec returns the codec in use.
-func (c *Conn) Codec() Codec { return c.codec }
 
 // Send encodes and writes one message. The header and payload go out in a
 // single Write so that one message corresponds to one write on shaped
@@ -155,7 +151,7 @@ func (c *Conn) Send(m *Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	buf := append(c.sendBuf[:0], 0, 0, 0, 0) // room for the length prefix
-	buf, err := c.codec.Encode(buf, m)
+	buf, err := BinaryCodec{}.Encode(buf, m)
 	if err != nil {
 		return err
 	}
@@ -173,7 +169,7 @@ func (c *Conn) Send(m *Message) error {
 }
 
 // Recv reads and decodes one message. The frame is read into a buffer
-// reused across calls; both codecs copy every field out during Decode, so
+// reused across calls; Decode copies every field out, so
 // the returned Message never aliases it.
 func (c *Conn) Recv() (*Message, error) {
 	payload, err := ReadFrameBuf(c.raw, c.recvBuf)
@@ -183,7 +179,7 @@ func (c *Conn) Recv() (*Message, error) {
 	if cap(payload) > cap(c.recvBuf) && cap(payload) <= maxPooledBuf {
 		c.recvBuf = payload[:0]
 	}
-	m, err := c.codec.Decode(payload)
+	m, err := BinaryCodec{}.Decode(payload)
 	if err != nil {
 		return nil, fmt.Errorf("wire: decoding frame: %w", err)
 	}

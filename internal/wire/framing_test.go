@@ -61,42 +61,39 @@ func TestReadFrameTruncatedPayload(t *testing.T) {
 }
 
 func TestConnSendRecv(t *testing.T) {
-	for _, tc := range testCodecs {
-		codec := tc.codec
-		t.Run(tc.name, func(t *testing.T) {
-			a, b := net.Pipe()
-			ca, cb := NewConn(a, codec), NewConn(b, codec)
-			defer ca.Close()
-			defer cb.Close()
+	t.Run("binary", func(t *testing.T) {
+		a, b := net.Pipe()
+		ca, cb := NewConn(a), NewConn(b)
+		defer ca.Close()
+		defer cb.Close()
 
-			want := NewCommand("app", "cl", "op", Param{"k", "v"})
-			errc := make(chan error, 1)
-			go func() { errc <- ca.Send(want) }()
-			got, err := cb.Recv()
-			if err != nil {
-				t.Fatalf("Recv: %v", err)
-			}
-			if err := <-errc; err != nil {
-				t.Fatalf("Send: %v", err)
-			}
-			if !want.Equal(got) {
-				t.Errorf("got %v, want %v", got, want)
-			}
-			sm, sb, _, _ := ca.Stats()
-			_, _, rm, rb := cb.Stats()
-			if sm != 1 || rm != 1 {
-				t.Errorf("stats msgs: sent=%d recv=%d", sm, rm)
-			}
-			if sb == 0 || sb != rb {
-				t.Errorf("stats bytes: sent=%d recv=%d", sb, rb)
-			}
-		})
-	}
+		want := NewCommand("app", "cl", "op", Param{"k", "v"})
+		errc := make(chan error, 1)
+		go func() { errc <- ca.Send(want) }()
+		got, err := cb.Recv()
+		if err != nil {
+			t.Fatalf("Recv: %v", err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("Send: %v", err)
+		}
+		if !want.Equal(got) {
+			t.Errorf("got %v, want %v", got, want)
+		}
+		sm, sb, _, _ := ca.Stats()
+		_, _, rm, rb := cb.Stats()
+		if sm != 1 || rm != 1 {
+			t.Errorf("stats msgs: sent=%d recv=%d", sm, rm)
+		}
+		if sb == 0 || sb != rb {
+			t.Errorf("stats bytes: sent=%d recv=%d", sb, rb)
+		}
+	})
 }
 
 func TestConnConcurrentSend(t *testing.T) {
 	a, b := net.Pipe()
-	ca, cb := NewConn(a, BinaryCodec{}), NewConn(b, BinaryCodec{})
+	ca, cb := NewConn(a), NewConn(b)
 	defer ca.Close()
 	defer cb.Close()
 
@@ -139,51 +136,48 @@ func TestConnConcurrentSend(t *testing.T) {
 }
 
 // Stream property: any sequence of random messages sent over a Conn is
-// received identically and in order, for both codecs.
+// received identically and in order.
 func TestConnStreamProperty(t *testing.T) {
-	for _, tc := range testCodecs {
-		codec := tc.codec
-		t.Run(tc.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(5))
-			a, b := net.Pipe()
-			ca, cb := NewConn(a, codec), NewConn(b, codec)
-			defer ca.Close()
-			defer cb.Close()
+	t.Run("binary", func(t *testing.T) {
+		r := rand.New(rand.NewSource(5))
+		a, b := net.Pipe()
+		ca, cb := NewConn(a), NewConn(b)
+		defer ca.Close()
+		defer cb.Close()
 
-			const n = 200
-			msgs := make([]*Message, n)
-			for i := range msgs {
-				msgs[i] = randomMessage(r)
-			}
-			errc := make(chan error, 1)
-			go func() {
-				for _, m := range msgs {
-					if err := ca.Send(m); err != nil {
-						errc <- err
-						return
-					}
-				}
-				errc <- nil
-			}()
-			for i := 0; i < n; i++ {
-				got, err := cb.Recv()
-				if err != nil {
-					t.Fatalf("Recv %d: %v", i, err)
-				}
-				if !msgs[i].Equal(got) {
-					t.Fatalf("message %d mutated in transit:\n sent %v\n got  %v", i, msgs[i], got)
+		const n = 200
+		msgs := make([]*Message, n)
+		for i := range msgs {
+			msgs[i] = randomMessage(r)
+		}
+		errc := make(chan error, 1)
+		go func() {
+			for _, m := range msgs {
+				if err := ca.Send(m); err != nil {
+					errc <- err
+					return
 				}
 			}
-			if err := <-errc; err != nil {
-				t.Fatal(err)
+			errc <- nil
+		}()
+		for i := 0; i < n; i++ {
+			got, err := cb.Recv()
+			if err != nil {
+				t.Fatalf("Recv %d: %v", i, err)
 			}
-		})
-	}
+			if !msgs[i].Equal(got) {
+				t.Fatalf("message %d mutated in transit:\n sent %v\n got  %v", i, msgs[i], got)
+			}
+		}
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestConnRecvCorruptFrame(t *testing.T) {
 	a, b := net.Pipe()
-	cb := NewConn(b, BinaryCodec{})
+	cb := NewConn(b)
 	defer a.Close()
 	defer cb.Close()
 	go func() {
@@ -194,9 +188,3 @@ func TestConnRecvCorruptFrame(t *testing.T) {
 		t.Error("Recv of corrupt frame succeeded")
 	}
 }
-
-// testCodecs names both codecs for subtests.
-var testCodecs = []struct {
-	name  string
-	codec Codec
-}{{"binary", BinaryCodec{}}, {"gob", NewGobCodec()}}

@@ -6,13 +6,12 @@
 //
 // The original DISCOVER prototype shipped serialized Java objects and let
 // clients discriminate message types with reflection. Here the envelope is
-// an explicit struct with a Kind tag, and two interchangeable codecs are
-// provided:
-//
-//   - GobCodec, the analogue of Java object serialization (self-describing,
-//     general, heavier), and
-//   - BinaryCodec, the analogue of the paper's "more optimized, custom
-//     protocol using TCP sockets" (compact, hand-rolled field encoding).
+// an explicit struct with a Kind tag, and the application and client
+// channels encode it with BinaryCodec, the analogue of the paper's "more
+// optimized, custom protocol using TCP sockets" (compact, hand-rolled
+// field encoding). Experiment A2 (internal/experiments) keeps a
+// self-describing gob encoding, the Java-serialization analogue, as its
+// losing arm.
 //
 // # Two framings for two channels
 //
@@ -137,8 +136,8 @@ type Param struct {
 
 // Message is the single envelope used on every DISCOVER channel: between
 // applications and servers, between clients and servers, and between peer
-// servers. Unused fields are left at their zero values and cost little in
-// either codec.
+// servers. Unused fields are left at their zero values and cost little on
+// the wire.
 type Message struct {
 	Kind   Kind
 	App    string  // globally unique application id (host-recoverable)

@@ -73,6 +73,14 @@ go test -race -count=20 -run 'TestRelayGateFollowsMembership|TestCollabPresenceC
 # heartbeat rounds rerun twenty times uncached under the race detector.
 go test -race -count=20 -run 'TestPeerTable|TestPeerHealthNamesEqualPeers|TestConcurrentRoundsProbeOnce' ./internal/core/
 
+# Discovery: the trader and the application id are the only ways to find
+# a server or an application's CorbaProxy. The trader's lease and query
+# tests, the proxy servant's register/withdraw lifecycle and the events
+# long poll (its second push may land after the first drain) rerun twenty
+# times uncached under the race detector.
+go test -race -count=20 -run 'TestTrader|TestProxyServant|TestSessionEventsLongPoll' \
+    ./internal/orb/ ./internal/core/ ./internal/server/
+
 # Session table: one lock over one map, plus the bounded delivery
 # queues. The concurrent-create and overflow/resume race tests exist for
 # -race, so the package reruns twenty times uncached.
