@@ -15,8 +15,8 @@ import (
 
 	"discover/internal/app"
 	"discover/internal/appproto"
+	"discover/internal/clock"
 	"discover/internal/collab"
-	"discover/internal/core"
 	"discover/internal/experiments"
 	"discover/internal/lockmgr"
 	"discover/internal/netsim"
@@ -184,12 +184,8 @@ func BenchmarkE3ProtocolTradeoff(b *testing.B) {
 // benches measure protocol cost; the harness adds latency).
 func twoDomains(b *testing.B) *experiments.Federation {
 	b.Helper()
-	fed, err := experiments.NewFederation(experiments.FederationConfig{
-		Domains: []struct {
-			Name string
-			Site netsim.Site
-		}{experiments.DomainAt("host", "east"), experiments.DomainAt("edge", "west")},
-	})
+	fed, err := experiments.NewFederation(nil, nil, 0,
+		experiments.Place("host", "east"), experiments.Place("edge", "west"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -208,14 +204,14 @@ func BenchmarkE4CollabTraffic(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { as.Close() })
-	if err := edge.Sub.DiscoverPeers(); err != nil {
+	if err := edge.Substrate.DiscoverPeers(); err != nil {
 		b.Fatal(err)
 	}
 	sess, err := experiments.LoginLocal(edge, "alice")
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+	if _, err := edge.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 		b.Fatal(err)
 	}
 	fed.Net.ResetStats()
@@ -242,7 +238,7 @@ func BenchmarkE5RemoteVsLocal(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { as.Close() })
-		if err := edge.Sub.DiscoverPeers(); err != nil {
+		if err := edge.Substrate.DiscoverPeers(); err != nil {
 			b.Fatal(err)
 		}
 		d := host
@@ -253,13 +249,13 @@ func BenchmarkE5RemoteVsLocal(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := d.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+		if _, err := d.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 			b.Fatal(err)
 		}
 		params := []wire.Param{{Key: "name", Value: "source_freq"}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			cmd, err := d.Srv.SubmitCommand(context.Background(), sess, "get_param", params)
+			cmd, err := d.Server.SubmitCommand(context.Background(), sess, "get_param", params)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -292,27 +288,27 @@ func BenchmarkE6DiscoveryAuth(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { as.Close() })
-	if err := edge.Sub.DiscoverPeers(); err != nil {
+	if err := edge.Substrate.DiscoverPeers(); err != nil {
 		b.Fatal(err)
 	}
-	edge.Srv.Auth().SetUserSecret("alice", "pw")
+	edge.Server.Auth().SetUserSecret("alice", "pw")
 	b.Run("trader-query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if err := edge.Sub.DiscoverPeers(); err != nil {
+			if err := edge.Substrate.DiscoverPeers(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("remote-privilege", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := edge.Sub.RemotePrivilege(context.Background(), "alice", as.AppID()); err != nil {
+			if _, err := edge.Substrate.RemotePrivilege(context.Background(), "alice", as.AppID()); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("remote-app-list", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if apps := edge.Sub.RemoteApps(context.Background(), "alice"); len(apps) == 0 {
+			if apps := edge.Substrate.RemoteApps(context.Background(), "alice"); len(apps) == 0 {
 				b.Fatal("no remote apps")
 			}
 		}
@@ -386,16 +382,16 @@ func BenchmarkE9DistributedLocking(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { as.Close() })
-		if err := edge.Sub.DiscoverPeers(); err != nil {
+		if err := edge.Substrate.DiscoverPeers(); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			granted, _, err := edge.Sub.RemoteLock(context.Background(), as.AppID(), "edge/client-1", true)
+			granted, _, err := edge.Substrate.RemoteLock(context.Background(), as.AppID(), "edge/client-1", true)
 			if err != nil || !granted {
 				b.Fatalf("lock: %v %v", granted, err)
 			}
-			if _, _, err := edge.Sub.RemoteLock(context.Background(), as.AppID(), "edge/client-1", false); err != nil {
+			if _, _, err := edge.Substrate.RemoteLock(context.Background(), as.AppID(), "edge/client-1", false); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -553,42 +549,31 @@ func BenchmarkOnewayVsTwoWay(b *testing.B) {
 }
 
 // BenchmarkRelayBatching measures a 64-update burst relayed host -> edge
-// with relay batching disabled (batch-1: one deliver invocation per
-// message, the seed behaviour) and enabled (batch-32: deliverBatch
-// coalescing). Run with -benchmem: the orbInv/msg metric comes from the
-// substrate's invocation counters, not timing, so the N -> ceil(N/K)
-// claim is visible directly.
+// with deliverBatch coalescing up to core.DefaultRelayBatch (32) messages
+// per invocation. Run with -benchmem: the orbInv/msg metric comes from
+// the substrate's invocation counters, not timing, so the N -> ceil(N/K)
+// claim is visible directly (TestRelayBatchInvocationCount pins it).
 func BenchmarkRelayBatching(b *testing.B) {
-	run := func(b *testing.B, relayBatch int) {
-		fed, err := experiments.NewFederation(experiments.FederationConfig{
-			RelayBatch: relayBatch,
-			Domains: []struct {
-				Name string
-				Site netsim.Site
-			}{experiments.DomainAt("host", "east"), experiments.DomainAt("edge", "west")},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(fed.Close)
+	b.Run("batch-32", func(b *testing.B) {
+		fed := twoDomains(b)
 		host, edge := fed.Domains[0], fed.Domains[1]
 		as, err := experiments.AttachApp(host, "burst", 1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { as.Close() })
-		if err := edge.Sub.DiscoverPeers(); err != nil {
+		if err := edge.Substrate.DiscoverPeers(); err != nil {
 			b.Fatal(err)
 		}
 		sess, err := experiments.LoginLocal(edge, "alice")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+		if _, err := edge.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 			b.Fatal(err)
 		}
 		appID := as.AppID()
-		g := host.Srv.Hub().Group(appID)
+		g := host.Server.Hub().Group(appID)
 
 		const burst = 64
 		var seq uint64
@@ -618,7 +603,7 @@ func BenchmarkRelayBatching(b *testing.B) {
 		}
 		b.StopTimer()
 		var inv, delivered, dropped uint64
-		for _, r := range host.Sub.RelayStats() {
+		for _, r := range host.Substrate.RelayStats() {
 			inv += r.Invocations
 			delivered += r.Delivered
 			dropped += r.Dropped
@@ -629,9 +614,7 @@ func BenchmarkRelayBatching(b *testing.B) {
 		if delivered > 0 {
 			b.ReportMetric(float64(inv)/float64(delivered), "orbInv/msg")
 		}
-	}
-	b.Run("batch-1", func(b *testing.B) { run(b, 1) })
-	b.Run("batch-32", func(b *testing.B) { run(b, core.DefaultRelayBatch) })
+	})
 }
 
 // BenchmarkRemoteAppsFanout measures one federation-wide application
@@ -643,29 +626,22 @@ func BenchmarkRelayBatching(b *testing.B) {
 func BenchmarkRemoteAppsFanout(b *testing.B) {
 	const nPeers = 8
 	rtt := 20 * time.Millisecond
-	domains := []struct {
-		Name string
-		Site netsim.Site
-	}{experiments.DomainAt("portal", "home")}
+	specs := []experiments.Spec{experiments.Place("portal", "home")}
 	sites := make([]netsim.Site, nPeers)
 	for i := range sites {
 		sites[i] = netsim.Site(fmt.Sprintf("s%d", i+1))
-		domains = append(domains, experiments.DomainAt(fmt.Sprintf("d%d", i+1), sites[i]))
+		specs = append(specs, experiments.Place(fmt.Sprintf("d%d", i+1), sites[i]))
 	}
-	fed, err := experiments.NewFederation(experiments.FederationConfig{
-		Domains: domains,
-		Topology: func(t *netsim.Topology) {
-			for i, si := range sites {
-				t.SetRTT("home", si, rtt)
-				for _, sj := range sites[i+1:] {
-					t.SetRTT(si, sj, rtt)
-				}
+	topo := func(t *netsim.Topology) {
+		for i, si := range sites {
+			t.SetRTT("home", si, rtt)
+			for _, sj := range sites[i+1:] {
+				t.SetRTT(si, sj, rtt)
 			}
-		},
-		HeartbeatEvery: time.Hour, // no background traffic mid-measurement
-		OfferTTL:       time.Hour,
-		DiscoverEvery:  time.Hour,
-	})
+		}
+	}
+	// A clock nobody advances: no background traffic mid-measurement.
+	fed, err := experiments.NewFederation(topo, clock.NewManual(), 0, specs...)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -678,13 +654,13 @@ func BenchmarkRemoteAppsFanout(b *testing.B) {
 		}
 		b.Cleanup(func() { as.Close() })
 	}
-	portal.Sub.SetDirCacheTTL(-1) // every listing pays the wire
+	portal.Substrate.SetDirCacheTTL(-1) // every listing pays the wire
 
 	measure := func(b *testing.B, workers int) time.Duration {
-		portal.Sub.SetFanoutWorkers(workers)
+		portal.Substrate.SetFanoutWorkers(workers)
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			if apps := portal.Sub.RemoteApps(context.Background(), "alice"); len(apps) != nPeers {
+			if apps := portal.Substrate.RemoteApps(context.Background(), "alice"); len(apps) != nPeers {
 				b.Fatalf("listing saw %d apps, want %d", len(apps), nPeers)
 			}
 		}
@@ -714,7 +690,7 @@ func BenchmarkA3PollVsPush(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { as.Close() })
-		if err := edge.Sub.DiscoverPeers(); err != nil {
+		if err := edge.Substrate.DiscoverPeers(); err != nil {
 			b.Fatal(err)
 		}
 		return host, edge, as
@@ -725,7 +701,7 @@ func BenchmarkA3PollVsPush(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+		if _, err := edge.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()

@@ -1,12 +1,14 @@
-package core
+package core_test
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +17,9 @@ import (
 	"discover/internal/app"
 	"discover/internal/appproto"
 	"discover/internal/auth"
+	"discover/internal/clock"
+	"discover/internal/core"
+	"discover/internal/experiments"
 	"discover/internal/netsim"
 	"discover/internal/orb"
 	"discover/internal/policy"
@@ -24,127 +29,62 @@ import (
 	"discover/internal/wire"
 )
 
-// testNet is a federation of DISCOVER domains plus a shared trader.
-type testNet struct {
-	t         *testing.T
-	traderORB *orb.ORB
-	traderRef orb.ObjRef
-	domains   map[string]*domain
+// domain is one domain of a test federation.
+type domain = experiments.Domain
 
-	// wan, when set, routes every domain's ORB dials through a netsim
-	// network, each domain at its own site (see newWANNet).
-	wan    *netsim.Network
-	siteMu sync.Mutex
-	siteOf map[string]netsim.Site // ORB listen addr -> site
-}
-
-type domain struct {
-	srv *server.Server
-	orb *orb.ORB
-	sub *Substrate
-	app *appproto.Session // optional
-}
-
-func newTestNet(t *testing.T) *testNet {
+// newFederation boots one domain per name through the one builder, each
+// at its own netsim site with WAN links of rtt (0 = unshaped) and with
+// users alice and bob, and runs one discovery round. Every domain and the
+// trader run on a manual clock that no test advances: discovery runs when
+// a test calls discoverAll, and heartbeats when it calls CheckPeersNow.
+func newFederation(t *testing.T, rtt time.Duration, names ...string) *experiments.Federation {
 	t.Helper()
-	to := orb.New()
-	if err := to.Listen("127.0.0.1:0"); err != nil {
+	specs := make([]experiments.Spec, len(names))
+	for i, name := range names {
+		specs[i] = experiments.Place(name, netsim.Site(name))
+		specs[i].Config.Users = map[string]string{"alice": "pw", "bob": "pw"}
+		specs[i].Config.RecordUpdates = true
+	}
+	topo := func(tp *netsim.Topology) { tp.SetDefaultRTT(rtt) }
+	f, err := experiments.NewFederation(topo, clock.NewManual(), 0, specs...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { to.Close() })
-	to.Register(orb.TraderKey, orb.NewTrader().Servant())
-	return &testNet{
-		t:         t,
-		traderORB: to,
-		traderRef: orb.ObjRef{Addr: to.Addr(), Key: orb.TraderKey},
-		domains:   make(map[string]*domain),
-	}
+	t.Cleanup(f.Close)
+	return f
 }
 
-func (n *testNet) addDomain(name string) *domain {
-	n.t.Helper()
-	srv, err := server.New(server.Config{Name: name, RecordUpdates: true, Logf: func(string, ...any) {}})
-	if err != nil {
-		n.t.Fatal(err)
-	}
-	if err := srv.ListenDaemon("127.0.0.1:0"); err != nil {
-		n.t.Fatal(err)
-	}
-	n.t.Cleanup(srv.Close)
-	srv.Auth().SetUserSecret("alice", "pw")
-	srv.Auth().SetUserSecret("bob", "pw")
-
-	var opts []orb.Option
-	if n.wan != nil {
-		opts = append(opts, orb.WithDialer(func(ctx context.Context, network, addr string) (net.Conn, error) {
-			n.siteMu.Lock()
-			to, ok := n.siteOf[addr]
-			n.siteMu.Unlock()
-			if !ok {
-				to = "trader"
-			}
-			return n.wan.DialContext(ctx, netsim.Site(name), to, network, addr)
-		}))
-	}
-	o := orb.New(opts...)
-	if err := o.Listen("127.0.0.1:0"); err != nil {
-		n.t.Fatal(err)
-	}
-	n.t.Cleanup(func() { o.Close() })
-	if n.wan != nil {
-		n.siteMu.Lock()
-		n.siteOf[o.Addr()] = netsim.Site(name)
-		n.siteMu.Unlock()
-	}
-
-	sub, err := New(Config{
-		Server:        srv,
-		ORB:           o,
-		TraderRef:     n.traderRef,
-		DiscoverEvery: 200 * time.Millisecond,
-		Logf:          func(string, ...any) {},
-	})
-	if err != nil {
-		n.t.Fatal(err)
-	}
-	if err := sub.Start(); err != nil {
-		n.t.Fatal(err)
-	}
-	n.t.Cleanup(sub.Close)
-
-	d := &domain{srv: srv, orb: o, sub: sub}
-	n.domains[name] = d
-	return d
-}
-
-// discoverAll forces every domain to refresh its peer table now.
-func (n *testNet) discoverAll() {
-	for _, d := range n.domains {
-		if err := d.sub.DiscoverPeers(); err != nil {
-			n.t.Fatal(err)
+// discoverAll runs one discovery round on every domain.
+func discoverAll(t *testing.T, f *experiments.Federation) {
+	t.Helper()
+	for _, d := range f.Domains {
+		if err := d.Substrate.DiscoverPeers(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
+// waitFor polls a predicate until it holds.
+var waitFor = core.WaitFor
+
 // attachApp connects a synthetic application to a domain's server.
-func (n *testNet) attachApp(d *domain, name string, users []app.UserGrant) *appproto.Session {
-	n.t.Helper()
+func attachApp(t *testing.T, d *domain, name string, users []app.UserGrant) *appproto.Session {
+	t.Helper()
 	rt, err := app.NewRuntime(app.Config{
 		Name: name, Kernel: app.NewSeismic1D(64), ComputeSteps: 2, Users: users,
 	})
 	if err != nil {
-		n.t.Fatal(err)
+		t.Fatal(err)
 	}
-	as, err := appproto.Dial(context.Background(), d.srv.Daemon().Addr(), rt)
+	as, err := appproto.Dial(context.Background(), d.Server.Daemon().Addr(), rt)
 	if err != nil {
-		n.t.Fatal(err)
+		t.Fatal(err)
 	}
-	n.t.Cleanup(func() { as.Close() })
+	t.Cleanup(func() { as.Close() })
 	deadline := time.Now().Add(2 * time.Second)
-	for len(d.srv.LocalAppIDs()) == 0 && time.Now().Before(deadline) {
+	for len(d.Server.LocalAppIDs()) == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	d.app = as
 	return as
 }
 
@@ -165,33 +105,18 @@ func drained(q *session.Queue) []*wire.Message {
 	return out
 }
 
-// waitFor polls a predicate driving optional phase pumps.
-func waitFor(t *testing.T, timeout time.Duration, step func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if step() {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("condition never satisfied")
-}
-
 func TestDiscoveryViaTrader(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	c := n.addDomain("utexas")
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech", "utexas")
+	a, b, c := n.Domains[0], n.Domains[1], n.Domains[2]
+	discoverAll(t, n)
 
 	for _, d := range []*domain{a, b, c} {
-		peers := d.sub.Peers()
+		peers := d.Substrate.Peers()
 		if len(peers) != 2 {
-			t.Errorf("%s sees peers %v", d.srv.Name(), peers)
+			t.Errorf("%s sees peers %v", d.Server.Name(), peers)
 		}
 		for _, p := range peers {
-			if p == d.srv.Name() {
+			if p == d.Server.Name() {
 				t.Errorf("%s discovered itself", p)
 			}
 		}
@@ -199,39 +124,36 @@ func TestDiscoveryViaTrader(t *testing.T) {
 }
 
 func TestSubstrateCloseWithdrawsOffer(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	n.discoverAll()
-	if len(a.sub.Peers()) != 1 {
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	discoverAll(t, n)
+	if len(a.Substrate.Peers()) != 1 {
 		t.Fatal("setup failed")
 	}
-	b.sub.Close()
+	b.Substrate.Close()
 	// One missed discovery round keeps a known peer (marked suspect) to
 	// ride out a momentary trader-offer lapse; the second drops it.
-	if err := a.sub.DiscoverPeers(); err != nil {
+	if err := a.Substrate.DiscoverPeers(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.sub.Peers()) != 1 {
-		t.Errorf("peer dropped on first missed round: %v", a.sub.Peers())
+	if len(a.Substrate.Peers()) != 1 {
+		t.Errorf("peer dropped on first missed round: %v", a.Substrate.Peers())
 	}
-	if err := a.sub.DiscoverPeers(); err != nil {
+	if err := a.Substrate.DiscoverPeers(); err != nil {
 		t.Fatal(err)
 	}
-	if len(a.sub.Peers()) != 0 {
-		t.Errorf("withdrawn peer still discovered: %v", a.sub.Peers())
+	if len(a.Substrate.Peers()) != 0 {
+		t.Errorf("withdrawn peer still discovered: %v", a.Substrate.Peers())
 	}
 }
 
 func TestGlobalAppListMergesDomains(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	n.attachApp(a, "wave-a", defaultUsers())
-	n.attachApp(b, "wave-b", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	attachApp(t, a, "wave-a", defaultUsers())
+	attachApp(t, b, "wave-b", defaultUsers())
 
-	apps := a.srv.Apps(context.Background(), "alice")
+	apps := a.Server.Apps(context.Background(), "alice")
 	if len(apps) != 2 {
 		t.Fatalf("alice sees %v", apps)
 	}
@@ -247,7 +169,7 @@ func TestGlobalAppListMergesDomains(t *testing.T) {
 	}
 
 	// ACL filtering is enforced at each peer: an unknown user sees nothing.
-	if apps := a.srv.Apps(context.Background(), "mallory"); len(apps) != 0 {
+	if apps := a.Server.Apps(context.Background(), "mallory"); len(apps) != 0 {
 		t.Errorf("mallory sees %v", apps)
 	}
 }
@@ -257,25 +179,22 @@ func TestGlobalAppListMergesDomains(t *testing.T) {
 // peer table gives the host's address, and the servant answers there
 // while the application is registered and is gone once it closes.
 func TestProxyServantFollowsRegistration(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
-	p, err := b.sub.peerFor(appID)
+	ref, err := b.Substrate.ProxyRefFor(appID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := b.sub.proxyRef(p, appID)
-	if ref != a.orb.Ref(ProxyKey(appID)) {
-		t.Fatalf("proxyRef = %v, want %v", ref, a.orb.Ref(ProxyKey(appID)))
+	if ref != a.ORB.Ref(core.ProxyKey(appID)) {
+		t.Fatalf("proxyRef = %v, want %v", ref, a.ORB.Ref(core.ProxyKey(appID)))
 	}
 	pull := func() error {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		return b.orb.Invoke(ctx, ref, "collabSync", collabSyncReq{From: "caltech"}, &collabSyncResp{})
+		return b.ORB.Invoke(ctx, ref, "collabSync", core.CollabSyncReq{From: "caltech"}, &core.CollabSyncResp{})
 	}
 	if err := pull(); err != nil {
 		t.Fatalf("CorbaProxy at %v: %v", ref, err)
@@ -284,22 +203,20 @@ func TestProxyServantFollowsRegistration(t *testing.T) {
 	waitFor(t, 2*time.Second, func() bool { return orb.IsRemote(pull(), orb.CodeNoServant) })
 }
 
-// remoteSteeringTest exercises the full remote path.
-func remoteSteeringTest(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers") // host domain
-	b := n.addDomain("caltech") // client's local domain
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+// TestRemoteSteeringPushMode exercises the full remote path.
+func TestRemoteSteeringPushMode(t *testing.T) {
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
 	// Client logs in at caltech (their "closest" server) and connects to
 	// the rutgers-hosted application.
-	sess, err := b.srv.Login(context.Background(), "alice", "pw")
+	sess, err := b.Server.Login(context.Background(), "alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap, err := b.srv.ConnectApp(context.Background(), sess, appID)
+	cap, err := b.Server.ConnectApp(context.Background(), sess, appID)
 	if err != nil {
 		t.Fatalf("remote connect: %v", err)
 	}
@@ -308,19 +225,19 @@ func remoteSteeringTest(t *testing.T) {
 	}
 
 	// Remote lock acquisition relays to the host server's lock table.
-	granted, _, err := b.srv.LockOp(context.Background(), sess, true)
+	granted, _, err := b.Server.LockOp(context.Background(), sess, true)
 	if err != nil || !granted {
 		t.Fatalf("remote lock: %v %v", granted, err)
 	}
-	if holder, held := a.srv.Locks().Holder(appID); !held || holder != sess.ClientID {
+	if holder, held := a.Server.Locks().Holder(appID); !held || holder != sess.ClientID {
 		t.Errorf("host lock table holder = %q, %v", holder, held)
 	}
-	if _, held := b.srv.Locks().Holder(appID); held {
+	if _, held := b.Server.Locks().Holder(appID); held {
 		t.Error("lock state leaked to the remote server")
 	}
 
 	// Remote steering command.
-	if _, err := b.srv.SubmitCommand(context.Background(), sess, "set_param", []wire.Param{
+	if _, err := b.Server.SubmitCommand(context.Background(), sess, "set_param", []wire.Param{
 		{Key: "name", Value: "source_freq"}, {Key: "value", Value: "0.22"},
 	}); err != nil {
 		t.Fatalf("remote command: %v", err)
@@ -354,39 +271,35 @@ func remoteSteeringTest(t *testing.T) {
 	})
 
 	// Release remotely.
-	if _, _, err := b.srv.LockOp(context.Background(), sess, false); err != nil {
+	if _, _, err := b.Server.LockOp(context.Background(), sess, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, held := a.srv.Locks().Holder(appID); held {
+	if _, held := a.Server.Locks().Holder(appID); held {
 		t.Error("remote release did not clear host lock")
 	}
 }
 
-func TestRemoteSteeringPushMode(t *testing.T) { remoteSteeringTest(t) }
-
 func TestDistributedLockMutualExclusion(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
 	// alice local at rutgers, alice2 remote at caltech contend.
-	local, _ := a.srv.Login(context.Background(), "alice", "pw")
-	remote, _ := b.srv.Login(context.Background(), "alice", "pw")
-	if _, err := a.srv.ConnectApp(context.Background(), local, appID); err != nil {
+	local, _ := a.Server.Login(context.Background(), "alice", "pw")
+	remote, _ := b.Server.Login(context.Background(), "alice", "pw")
+	if _, err := a.Server.ConnectApp(context.Background(), local, appID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.srv.ConnectApp(context.Background(), remote, appID); err != nil {
+	if _, err := b.Server.ConnectApp(context.Background(), remote, appID); err != nil {
 		t.Fatal(err)
 	}
 
-	granted, _, _ := a.srv.LockOp(context.Background(), local, true)
+	granted, _, _ := a.Server.LockOp(context.Background(), local, true)
 	if !granted {
 		t.Fatal("local lock denied")
 	}
-	granted, holder, err := b.srv.LockOp(context.Background(), remote, true)
+	granted, holder, err := b.Server.LockOp(context.Background(), remote, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,38 +310,36 @@ func TestDistributedLockMutualExclusion(t *testing.T) {
 		t.Errorf("holder reported to remote = %q", holder)
 	}
 	// Remote steering without the lock is rejected AT THE HOST.
-	_, err = b.srv.SubmitCommand(context.Background(), remote, "set_param", []wire.Param{
+	_, err = b.Server.SubmitCommand(context.Background(), remote, "set_param", []wire.Param{
 		{Key: "name", Value: "source_freq"}, {Key: "value", Value: "0.3"},
 	})
 	if err == nil {
 		t.Error("remote steer without lock accepted")
 	}
 	// Hand over.
-	a.srv.LockOp(context.Background(), local, false)
-	if granted, _, _ := b.srv.LockOp(context.Background(), remote, true); !granted {
+	a.Server.LockOp(context.Background(), local, false)
+	if granted, _, _ := b.Server.LockOp(context.Background(), remote, true); !granted {
 		t.Error("remote lock denied after local release")
 	}
 }
 
 func TestCrossServerCollaboration(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
-	aliceA, _ := a.srv.Login(context.Background(), "alice", "pw")
-	bobB, _ := b.srv.Login(context.Background(), "bob", "pw")
-	if _, err := a.srv.ConnectApp(context.Background(), aliceA, appID); err != nil {
+	aliceA, _ := a.Server.Login(context.Background(), "alice", "pw")
+	bobB, _ := b.Server.Login(context.Background(), "bob", "pw")
+	if _, err := a.Server.ConnectApp(context.Background(), aliceA, appID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.srv.ConnectApp(context.Background(), bobB, appID); err != nil {
+	if _, err := b.Server.ConnectApp(context.Background(), bobB, appID); err != nil {
 		t.Fatal(err)
 	}
 
 	// Chat from the remote member must reach the host domain's member.
-	if err := b.srv.Chat(context.Background(), bobB, "hello from caltech"); err != nil {
+	if err := b.Server.Chat(context.Background(), bobB, "hello from caltech"); err != nil {
 		t.Fatal(err)
 	}
 	var gotChat bool
@@ -442,7 +353,7 @@ func TestCrossServerCollaboration(t *testing.T) {
 	})
 
 	// Chat from the host domain reaches the remote member via its relay.
-	if err := a.srv.Chat(context.Background(), aliceA, "hello from rutgers"); err != nil {
+	if err := a.Server.Chat(context.Background(), aliceA, "hello from rutgers"); err != nil {
 		t.Fatal(err)
 	}
 	var gotBack bool
@@ -456,11 +367,11 @@ func TestCrossServerCollaboration(t *testing.T) {
 	})
 
 	// Whiteboard strokes recorded at both servers for latecomers.
-	if err := b.srv.Whiteboard(context.Background(), bobB, []byte("stroke")); err != nil {
+	if err := b.Server.Whiteboard(context.Background(), bobB, []byte("stroke")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {
-		return a.srv.Hub().Group(appID).WhiteboardLen() == 1
+		return a.Server.Hub().Group(appID).WhiteboardLen() == 1
 	})
 }
 
@@ -468,28 +379,25 @@ func TestCrossServerCollaboration(t *testing.T) {
 // the host's members (the forwarded-collab entry point) and a third
 // domain's members (the relay entry point).
 func TestCrossServerViewShare(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	c := n.addDomain("utexas")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech", "utexas")
+	a, b, c := n.Domains[0], n.Domains[1], n.Domains[2]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
 	ctx := context.Background()
-	aliceA, _ := a.srv.Login(ctx, "alice", "pw")
-	bobB, _ := b.srv.Login(ctx, "bob", "pw")
-	bobC, _ := c.srv.Login(ctx, "bob", "pw")
+	aliceA, _ := a.Server.Login(ctx, "alice", "pw")
+	bobB, _ := b.Server.Login(ctx, "bob", "pw")
+	bobC, _ := c.Server.Login(ctx, "bob", "pw")
 	for _, j := range []struct {
 		d    *domain
 		sess *session.Session
 	}{{a, aliceA}, {b, bobB}, {c, bobC}} {
-		if _, err := j.d.srv.ConnectApp(ctx, j.sess, appID); err != nil {
+		if _, err := j.d.Server.ConnectApp(ctx, j.sess, appID); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if err := b.srv.ShareView(ctx, bobB, []byte("view-1")); err != nil {
+	if err := b.Server.ShareView(ctx, bobB, []byte("view-1")); err != nil {
 		t.Fatal(err)
 	}
 	for _, sess := range []*session.Session{aliceA, bobC} {
@@ -506,14 +414,13 @@ func TestCrossServerViewShare(t *testing.T) {
 }
 
 func TestControlChannelEvents(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	discoverAll(t, n)
 
 	// A logged-in client at caltech hears about an app joining rutgers.
-	sess, _ := b.srv.Login(context.Background(), "alice", "pw")
-	n.attachApp(a, "wave", defaultUsers())
+	sess, _ := b.Server.Login(context.Background(), "alice", "pw")
+	attachApp(t, a, "wave", defaultUsers())
 	var heard bool
 	waitFor(t, 5*time.Second, func() bool {
 		for _, m := range drained(sess.Buffer) {
@@ -526,44 +433,40 @@ func TestControlChannelEvents(t *testing.T) {
 }
 
 func TestRemoteUsers(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	n.attachApp(b, "wave", defaultUsers())
-	n.discoverAll()
-	b.srv.Login(context.Background(), "bob", "pw")
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	attachApp(t, b, "wave", defaultUsers())
+	b.Server.Login(context.Background(), "bob", "pw")
 
-	users, err := a.sub.RemoteUsers(context.Background(), "caltech")
+	users, err := a.Substrate.RemoteUsers(context.Background(), "caltech")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(users) != 1 || users[0] != "bob" {
 		t.Errorf("remote users = %v", users)
 	}
-	if _, err := a.sub.RemoteUsers(context.Background(), "nosuch"); err == nil {
+	if _, err := a.Substrate.RemoteUsers(context.Background(), "nosuch"); err == nil {
 		t.Error("unknown peer accepted")
 	}
 }
 
 func TestRemotePrivilegeDenied(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 
 	// eve has no ACL entry anywhere; connecting must fail with no access.
-	b.srv.Auth().SetUserSecret("eve", "pw")
-	sess, _ := b.srv.Login(context.Background(), "eve", "pw")
-	if _, err := b.srv.ConnectApp(context.Background(), sess, as.AppID()); err == nil {
+	b.Server.Auth().SetUserSecret("eve", "pw")
+	sess, _ := b.Server.Login(context.Background(), "eve", "pw")
+	if _, err := b.Server.ConnectApp(context.Background(), sess, as.AppID()); err == nil {
 		t.Error("remote connect for unauthorized user succeeded")
 	}
 	// bob is monitor: connect fine, steer denied locally.
-	bob, _ := b.srv.Login(context.Background(), "bob", "pw")
-	if _, err := b.srv.ConnectApp(context.Background(), bob, as.AppID()); err != nil {
+	bob, _ := b.Server.Login(context.Background(), "bob", "pw")
+	if _, err := b.Server.ConnectApp(context.Background(), bob, as.AppID()); err != nil {
 		t.Fatalf("bob connect: %v", err)
 	}
-	if _, err := b.srv.SubmitCommand(context.Background(), bob, "set_param", []wire.Param{
+	if _, err := b.Server.SubmitCommand(context.Background(), bob, "set_param", []wire.Param{
 		{Key: "name", Value: "source_freq"}, {Key: "value", Value: "0.4"},
 	}); err == nil {
 		t.Error("monitor steer via substrate accepted")
@@ -576,23 +479,21 @@ func TestRemotePrivilegeDenied(t *testing.T) {
 // while a rutgers client holds the lock, and 403 forbidden once the
 // host's ACL stops granting steer to a client that connected with it.
 func TestRemoteRefusalsKeepTheirCode(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 	ctx := context.Background()
 
-	holder, _ := a.srv.Login(ctx, "alice", "pw")
-	if _, err := a.srv.ConnectApp(ctx, holder, appID); err != nil {
+	holder, _ := a.Server.Login(ctx, "alice", "pw")
+	if _, err := a.Server.ConnectApp(ctx, holder, appID); err != nil {
 		t.Fatal(err)
 	}
-	if granted, _, err := a.srv.LockOp(ctx, holder, true); err != nil || !granted {
+	if granted, _, err := a.Server.LockOp(ctx, holder, true); err != nil || !granted {
 		t.Fatalf("host lock: %v %v", granted, err)
 	}
 
-	ts := httptest.NewServer(b.srv.HTTPHandler())
+	ts := httptest.NewServer(b.Server.HTTPHandler())
 	defer ts.Close()
 	c := portal.New(ts.URL)
 	if err := c.Login(ctx, "alice", "pw"); err != nil {
@@ -611,13 +512,13 @@ func TestRemoteRefusalsKeepTheirCode(t *testing.T) {
 	_, err := c.SetParam(ctx, "source_freq", 0.3)
 	wantRefusal(err, http.StatusConflict, server.CodeLockHeld)
 
-	if _, _, err := a.srv.LockOp(ctx, holder, false); err != nil {
+	if _, _, err := a.Server.LockOp(ctx, holder, false); err != nil {
 		t.Fatal(err)
 	}
 	if granted, _, err := c.AcquireLock(ctx); err != nil || !granted {
 		t.Fatalf("remote lock: %v %v", granted, err)
 	}
-	acl, ok := a.srv.Auth().ACL(appID)
+	acl, ok := a.Server.Auth().ACL(appID)
 	if !ok {
 		t.Fatal("host has no ACL for the application")
 	}
@@ -629,15 +530,13 @@ func TestRemoteRefusalsKeepTheirCode(t *testing.T) {
 // TestLastMemberLeaveStopsUpdates: once a domain's last member
 // disconnects, the host relays no further application updates there.
 func TestLastMemberLeaveStopsUpdates(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
-	sess, _ := b.srv.Login(context.Background(), "alice", "pw")
-	if _, err := b.srv.ConnectApp(context.Background(), sess, appID); err != nil {
+	sess, _ := b.Server.Login(context.Background(), "alice", "pw")
+	if _, err := b.Server.ConnectApp(context.Background(), sess, appID); err != nil {
 		t.Fatal(err)
 	}
 	// Everything the host relays to caltech lands in caltech's local
@@ -645,7 +544,7 @@ func TestLastMemberLeaveStopsUpdates(t *testing.T) {
 	// does not count it) sees it all.
 	var mu sync.Mutex
 	var seen []*wire.Message
-	b.srv.Hub().Group(appID).Join("observer", func(m *wire.Message) {
+	b.Server.Hub().Group(appID).Join("observer", func(m *wire.Message) {
 		mu.Lock()
 		seen = append(seen, m)
 		mu.Unlock()
@@ -666,19 +565,19 @@ func TestLastMemberLeaveStopsUpdates(t *testing.T) {
 		as.RunPhase()
 		return updates() > 0
 	})
-	b.srv.DisconnectApp(context.Background(), sess)
+	b.Server.DisconnectApp(context.Background(), sess)
 	// Each phase's update is handled before the next phase's drained
 	// marker, so after one more phase nothing sent before the leave is
 	// still unqueued at the host.
 	as.RunPhase()
-	host, _ := a.srv.Hub().Lookup(appID)
-	aliceA, _ := a.srv.Login(context.Background(), "alice", "pw")
-	if _, err := a.srv.ConnectApp(context.Background(), aliceA, appID); err != nil {
+	host, _ := a.Server.Hub().Lookup(appID)
+	aliceA, _ := a.Server.Login(context.Background(), "alice", "pw")
+	if _, err := a.Server.ConnectApp(context.Background(), aliceA, appID); err != nil {
 		t.Fatal(err)
 	}
 	fence := func(text string) {
 		t.Helper()
-		if err := a.srv.Chat(context.Background(), aliceA, text); err != nil {
+		if err := a.Server.Chat(context.Background(), aliceA, text); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, 5*time.Second, func() bool {
@@ -712,17 +611,12 @@ func TestLastMemberLeaveStopsUpdates(t *testing.T) {
 // survivors must detect the death, keep serving, and re-federate with the
 // reborn domain.
 func TestFederationChaos(t *testing.T) {
-	n := newTestNet(t)
-	domains := []*domain{
-		n.addDomain("d0"),
-		n.addDomain("d1"),
-		n.addDomain("d2"),
-	}
+	n := newFederation(t, 0, "d0", "d1", "d2")
+	domains := n.Domains
 	apps := []*appproto.Session{
-		n.attachApp(domains[0], "chaos-a", defaultUsers()),
-		n.attachApp(domains[1], "chaos-b", defaultUsers()),
+		attachApp(t, domains[0], "chaos-a", defaultUsers()),
+		attachApp(t, domains[1], "chaos-b", defaultUsers()),
 	}
-	n.discoverAll()
 
 	// Applications pump phases continuously.
 	pumpCtx, stopPump := context.WithCancel(context.Background())
@@ -748,61 +642,59 @@ func TestFederationChaos(t *testing.T) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(c)))
 			d := domains[c%2] // only the surviving domains serve chaos clients
-			sess, err := d.srv.Login(context.Background(), "alice", "pw")
+			sess, err := d.Server.Login(context.Background(), "alice", "pw")
 			if err != nil {
 				t.Errorf("client %d login: %v", c, err)
 				return
 			}
 			appID := apps[c%len(apps)].AppID()
-			if _, err := d.srv.ConnectApp(context.Background(), sess, appID); err != nil {
+			if _, err := d.Server.ConnectApp(context.Background(), sess, appID); err != nil {
 				t.Errorf("client %d connect: %v", c, err)
 				return
 			}
 			for time.Now().Before(deadline) {
 				switch r.Intn(6) {
 				case 0: // try to steer under the lock
-					granted, _, err := d.srv.LockOp(context.Background(), sess, true)
+					granted, _, err := d.Server.LockOp(context.Background(), sess, true)
 					if err != nil || !granted {
 						continue
 					}
-					if _, err := d.srv.SubmitCommand(context.Background(), sess, "set_param", []wire.Param{
+					if _, err := d.Server.SubmitCommand(context.Background(), sess, "set_param", []wire.Param{
 						{Key: "name", Value: "source_amp"},
 						{Key: "value", Value: "1.5"},
 					}); err == nil {
 						steers.Add(1)
 					}
-					d.srv.LockOp(context.Background(), sess, false)
+					d.Server.LockOp(context.Background(), sess, false)
 				case 1:
-					d.srv.SubmitCommand(context.Background(), sess, "status", nil)
+					d.Server.SubmitCommand(context.Background(), sess, "status", nil)
 				case 2:
-					d.srv.Chat(context.Background(), sess, "chaos")
+					d.Server.Chat(context.Background(), sess, "chaos")
 				case 3:
 					sess.Buffer.DrainEntries(0)
 				case 4:
-					d.srv.Apps(context.Background(), "alice")
+					d.Server.Apps(context.Background(), "alice")
 				case 5:
-					d.srv.SubmitCommand(context.Background(), sess, "get_param", []wire.Param{{Key: "name", Value: "source_amp"}})
+					d.Server.SubmitCommand(context.Background(), sess, "get_param", []wire.Param{{Key: "name", Value: "source_amp"}})
 				}
 			}
-			d.srv.Logout(context.Background(), sess)
+			d.Server.Logout(context.Background(), sess)
 		}(c)
 	}
 	// Mid-run: kill d2 abruptly (no offer withdrawal — close the wire
 	// first) while the chaos clients keep hammering d0 and d1.
 	time.Sleep(400 * time.Millisecond)
 	d2 := domains[2]
-	d2.orb.Close()
-	d2.srv.Close()
-	d2.sub.Close()
+	n.Kill(d2)
 	// Survivors detect the death: drive the failure detector until both
 	// either opened the breaker or pruned the peer via discovery.
 	sawDown := func(d *domain) bool {
-		for _, ph := range d.sub.PeerHealth() {
+		for _, ph := range d.Substrate.PeerHealth() {
 			if ph.Peer == "d2" && (ph.State == "down" || ph.State == "probing") {
 				return true
 			}
 		}
-		for _, p := range d.sub.Peers() {
+		for _, p := range d.Substrate.Peers() {
 			if p == "d2" {
 				return false
 			}
@@ -810,14 +702,15 @@ func TestFederationChaos(t *testing.T) {
 		return true // pruned entirely: also a detected death
 	}
 	waitFor(t, 10*time.Second, func() bool {
-		domains[0].sub.CheckPeersNow()
-		domains[1].sub.CheckPeersNow()
+		domains[0].Substrate.CheckPeersNow()
+		domains[1].Substrate.CheckPeersNow()
 		return sawDown(domains[0]) && sawDown(domains[1])
 	})
 
 	// Restart d2 under the same name and re-federate.
-	d2b := n.addDomain("d2")
-	n.discoverAll()
+	if err := n.Restart(d2); err != nil {
+		t.Fatal(err)
+	}
 
 	waitDone := make(chan struct{})
 	go func() { wg.Wait(); close(waitDone) }()
@@ -838,31 +731,31 @@ func TestFederationChaos(t *testing.T) {
 
 	// The reborn d2 participates end-to-end: a client there steers the
 	// d0-hosted application through the re-formed federation.
-	sess, err := d2b.srv.Login(context.Background(), "alice", "pw")
+	sess, err := d2.Server.Login(context.Background(), "alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d2b.srv.ConnectApp(context.Background(), sess, apps[0].AppID()); err != nil {
+	if _, err := d2.Server.ConnectApp(context.Background(), sess, apps[0].AppID()); err != nil {
 		t.Fatalf("connect via reborn domain: %v", err)
 	}
 	waitFor(t, 10*time.Second, func() bool {
-		granted, _, err := d2b.srv.LockOp(context.Background(), sess, true)
+		granted, _, err := d2.Server.LockOp(context.Background(), sess, true)
 		return err == nil && granted
 	})
-	if _, err := d2b.srv.SubmitCommand(context.Background(), sess, "set_param", []wire.Param{
+	if _, err := d2.Server.SubmitCommand(context.Background(), sess, "set_param", []wire.Param{
 		{Key: "name", Value: "source_amp"},
 		{Key: "value", Value: "2.0"},
 	}); err != nil {
 		t.Errorf("steer via reborn domain: %v", err)
 	}
-	d2b.srv.LockOp(context.Background(), sess, false)
-	d2b.srv.Logout(context.Background(), sess)
+	d2.Server.LockOp(context.Background(), sess, false)
+	d2.Server.Logout(context.Background(), sess)
 }
 
 func serverOf(domains []*domain, appID string) *server.Server {
 	for _, d := range domains {
-		if d.srv.Name() == server.ServerOfApp(appID) {
-			return d.srv
+		if d.Server.Name() == server.ServerOfApp(appID) {
+			return d.Server
 		}
 	}
 	return nil
@@ -871,36 +764,34 @@ func serverOf(domains []*domain, appID string) *server.Server {
 // TestPeerFailureHandledCleanly kills the host domain abruptly and checks
 // that the remote server degrades gracefully: remote operations fail with
 // errors (never hang or panic), the failure detector opens the breaker so
-// later operations fail fast with ErrPeerDown, and the dead peer's
+// later operations fail fast with core.ErrPeerDown, and the dead peer's
 // applications stay listed — marked unavailable — from the cache.
 func TestPeerFailureHandledCleanly(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
-	sess, _ := b.srv.Login(context.Background(), "alice", "pw")
-	if _, err := b.srv.ConnectApp(context.Background(), sess, appID); err != nil {
+	sess, _ := b.Server.Login(context.Background(), "alice", "pw")
+	if _, err := b.Server.ConnectApp(context.Background(), sess, appID); err != nil {
 		t.Fatal(err)
 	}
 	// Populate b's remote-app cache while the host is alive.
-	if apps := b.srv.Apps(context.Background(), "alice"); len(apps) != 1 || apps[0].Unavailable {
+	if apps := b.Server.Apps(context.Background(), "alice"); len(apps) != 1 || apps[0].Unavailable {
 		t.Fatalf("pre-failure apps = %v", apps)
 	}
 
 	// Abrupt death: close the host's ORB and server without withdrawing.
 	as.Close()
-	a.sub.Close()
-	a.orb.Close()
-	a.srv.Close()
-	b.orb.DropConn(a.orb.Addr())
+	a.Substrate.Close()
+	a.ORB.Close()
+	a.Server.Close()
+	b.ORB.DropConn(a.ORB.Addr())
 
 	// Remote operations fail with errors, promptly.
 	done := make(chan error, 1)
 	go func() {
-		_, err := b.srv.SubmitCommand(context.Background(), sess, "status", nil)
+		_, err := b.Server.SubmitCommand(context.Background(), sess, "status", nil)
 		done <- err
 	}()
 	select {
@@ -911,24 +802,24 @@ func TestPeerFailureHandledCleanly(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("command to dead peer hung")
 	}
-	if _, _, err := b.srv.LockOp(context.Background(), sess, true); err == nil {
+	if _, _, err := b.Server.LockOp(context.Background(), sess, true); err == nil {
 		t.Error("lock relay to dead peer succeeded")
 	}
 
 	// Drive the failure detector to the down threshold; dials to the
 	// closed listener fail immediately, so this is fast and deterministic.
-	for i := 0; i < DefaultDownAfter; i++ {
-		b.sub.CheckPeersNow()
+	for i := 0; i < core.DefaultDownAfter; i++ {
+		b.Substrate.CheckPeersNow()
 	}
-	if st := stateOf(b.sub.peers, "rutgers"); st != "down" {
-		t.Fatalf("peer state after %d failed probes = %v", DefaultDownAfter, st)
+	if ph := b.Substrate.PeerHealth(); len(ph) != 1 || ph[0].Peer != "rutgers" || ph[0].State != "down" {
+		t.Fatalf("peer health after %d failed probes = %+v", core.DefaultDownAfter, ph)
 	}
 
 	// Breaker open: operations fail fast with the typed error, well under
 	// the RPC timeout.
 	start := time.Now()
-	_, err := b.srv.SubmitCommand(context.Background(), sess, "status", nil)
-	if !errors.Is(err, ErrPeerDown) {
+	_, err := b.Server.SubmitCommand(context.Background(), sess, "status", nil)
+	if !errors.Is(err, core.ErrPeerDown) {
 		t.Errorf("command after breaker open: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -936,13 +827,13 @@ func TestPeerFailureHandledCleanly(t *testing.T) {
 	}
 
 	// The dead peer's applications are still listed, marked unavailable.
-	apps := b.srv.Apps(context.Background(), "alice")
+	apps := b.Server.Apps(context.Background(), "alice")
 	if len(apps) != 1 || !apps[0].Unavailable || apps[0].ID != appID {
 		t.Errorf("apps after peer death = %+v", apps)
 	}
 
 	// Stats surface the breaker state.
-	ph := b.sub.PeerHealth()
+	ph := b.Substrate.PeerHealth()
 	if len(ph) != 1 || ph[0].Peer != "rutgers" || ph[0].State != "down" || ph[0].BreakerOpens == 0 {
 		t.Errorf("peer health = %+v", ph)
 	}
@@ -952,32 +843,30 @@ func TestPeerFailureHandledCleanly(t *testing.T) {
 // peer exceeding its request-rate budget is denied at the host with a
 // RESOURCE_POLICY error, and its consumption is accounted.
 func TestResourcePolicyThrottlesPeer(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
 	// rutgers (the host) restricts caltech to 2 requests with no refill.
-	a.sub.Accounting().SetPolicy("caltech", policy.Policy{RequestsPerSec: 0.0001, RequestBurst: 2})
+	a.Substrate.Accounting().SetPolicy("caltech", policy.Policy{RequestsPerSec: 0.0001, RequestBurst: 2})
 
-	sess, _ := b.srv.Login(context.Background(), "alice", "pw")
-	if _, err := b.srv.ConnectApp(context.Background(), sess, appID); err != nil {
+	sess, _ := b.Server.Login(context.Background(), "alice", "pw")
+	if _, err := b.Server.ConnectApp(context.Background(), sess, appID); err != nil {
 		t.Fatal(err)
 	}
-	granted, _, err := b.srv.LockOp(context.Background(), sess, true)
+	granted, _, err := b.Server.LockOp(context.Background(), sess, true)
 	if err != nil || !granted {
 		t.Fatalf("first lock consumed budget unexpectedly: %v %v", granted, err)
 	}
-	if _, _, err := b.srv.LockOp(context.Background(), sess, false); err != nil {
+	if _, _, err := b.Server.LockOp(context.Background(), sess, false); err != nil {
 		t.Fatal(err)
 	}
 	// Third relayed request exceeds the burst of 2.
-	if _, _, err := b.srv.LockOp(context.Background(), sess, true); err == nil {
+	if _, _, err := b.Server.LockOp(context.Background(), sess, true); err == nil {
 		t.Fatal("request over policy budget was admitted")
 	}
-	usage := a.sub.Accounting().Usage("caltech")
+	usage := a.Substrate.Accounting().Usage("caltech")
 	if usage.Requests != 2 || usage.Denied == 0 {
 		t.Errorf("usage = %+v", usage)
 	}
@@ -989,110 +878,35 @@ func TestResourcePolicyThrottlesPeer(t *testing.T) {
 // message that merely tags bulk data with a membership kind is metered
 // and denied.
 func TestCollabMeterExemptionValidated(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
 	// A byte budget too small for any bulk payload.
-	a.sub.Accounting().SetPolicy("caltech", policy.Policy{BytesPerSec: 1, ByteBurst: 16})
+	a.Substrate.Accounting().SetPolicy("caltech", policy.Policy{BytesPerSec: 1, ByteBurst: 16})
 
-	proxy := orb.ObjRef{Addr: a.orb.Addr(), Key: ProxyKey(appID)}
+	proxy := orb.ObjRef{Addr: a.ORB.Addr(), Key: core.ProxyKey(appID)}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 
 	join := &wire.Message{Kind: wire.KindJoin, App: appID, Client: "caltech/c1"}
 	for i := 0; i < 3; i++ {
-		if err := b.orb.Invoke(ctx, proxy, "collab",
-			collabReq{Msg: join, From: "caltech"}, nil); err != nil {
+		if err := b.ORB.Invoke(ctx, proxy, "collab",
+			core.CollabReq{Msg: join, From: "caltech"}, nil); err != nil {
 			t.Fatalf("genuine membership message hit the meter: %v", err)
 		}
 	}
 
 	forged := &wire.Message{Kind: wire.KindJoin, App: appID, Client: "caltech/c1",
 		Data: make([]byte, 4096)}
-	err := b.orb.Invoke(ctx, proxy, "collab", collabReq{Msg: forged, From: "caltech"}, nil)
+	err := b.ORB.Invoke(ctx, proxy, "collab", core.CollabReq{Msg: forged, From: "caltech"}, nil)
 	if err == nil {
 		t.Fatal("bulk data tagged as a join bypassed the meter")
 	}
 	var re *orb.RemoteError
-	if !errors.As(err, &re) || re.Code != CodePolicy {
-		t.Errorf("forged join error = %v, want code %s", err, CodePolicy)
-	}
-}
-
-// TestDirCacheSingleFlightAndStates walks one cache entry through every
-// state deterministically: single-flight miss dedup, fresh hit,
-// unavailable-marked serve, event invalidation forcing a refetch, failed
-// fetch degrading to the last good listing, and stale
-// serve-while-revalidate past the TTL.
-func TestDirCacheSingleFlightAndStates(t *testing.T) {
-	c := newDirCache("unit", 50*time.Millisecond)
-	apps := []server.AppInfo{{ID: "unit#1"}}
-
-	// Miss: the first caller leads the flight, the second joins it.
-	p1 := c.plan("peer", "alice", false)
-	if p1.state != dirFetch || !p1.lead {
-		t.Fatalf("first plan = %+v, want fetch leader", p1)
-	}
-	p2 := c.plan("peer", "alice", false)
-	if p2.state != dirJoin || p2.lead {
-		t.Fatalf("second plan = %+v, want join follower", p2)
-	}
-	resolved := make(chan []server.AppInfo, 1)
-	go func() {
-		<-p2.flight
-		got, err := c.resolve("peer", "alice")
-		if err != nil {
-			t.Errorf("follower resolve: %v", err)
-		}
-		resolved <- got
-	}()
-	c.complete("peer", "alice", apps, nil)
-	if got := <-resolved; len(got) != 1 || got[0].ID != "unit#1" {
-		t.Fatalf("follower resolved %+v", got)
-	}
-
-	// Fresh hit within the TTL.
-	if p := c.plan("peer", "alice", false); p.state != dirFresh || len(p.apps) != 1 {
-		t.Fatalf("fresh plan = %+v", p)
-	}
-	// Breaker open: the same data, every application marked unavailable.
-	if p := c.plan("peer", "alice", true); p.state != dirUnavailable || !p.apps[0].Unavailable {
-		t.Fatalf("down plan = %+v", p)
-	}
-	// An event invalidation forces a synchronous coherent refetch.
-	c.invalidatePeer("peer", true)
-	p3 := c.plan("peer", "alice", false)
-	if p3.state != dirFetch || !p3.lead {
-		t.Fatalf("post-invalidation plan = %+v, want fetch leader", p3)
-	}
-	// A failed refetch keeps the old data as the degraded fallback.
-	c.complete("peer", "alice", nil, errors.New("boom"))
-	if got, err := c.resolve("peer", "alice"); err == nil || len(got) != 1 || !got[0].Unavailable {
-		t.Fatalf("failed-fetch resolve = %+v, %v", got, err)
-	}
-	st := c.stats()
-	if st.Hits != 1 || st.Misses != 3 || st.Coalesced != 1 ||
-		st.UnavailableServes != 1 || st.EventInvalidations != 1 {
-		t.Errorf("stats = %+v", st)
-	}
-
-	// Past the TTL an entry is served stale while one leader revalidates.
-	c.complete("peer", "alice", apps, nil)
-	time.Sleep(60 * time.Millisecond)
-	p4 := c.plan("peer", "alice", false)
-	if p4.state != dirStale || !p4.lead || len(p4.apps) != 1 {
-		t.Fatalf("expired plan = %+v, want stale leader", p4)
-	}
-	if p := c.plan("peer", "alice", false); p.state != dirStale || p.lead {
-		t.Fatalf("second expired plan = %+v, want stale non-leader", p)
-	}
-	c.complete("peer", "alice", apps, nil)
-	if p := c.plan("peer", "alice", false); p.state != dirFresh {
-		t.Fatalf("revalidated plan = %+v, want fresh", p)
+	if !errors.As(err, &re) || re.Code != core.CodePolicy {
+		t.Errorf("forged join error = %v, want code %s", err, core.CodePolicy)
 	}
 }
 
@@ -1103,13 +917,10 @@ func TestDirCacheSingleFlightAndStates(t *testing.T) {
 // listing completes), degraded marking while the peer is down, and
 // coherent recovery after rebirth.
 func TestDirectoryChaosConcurrentListings(t *testing.T) {
-	n := newTestNet(t)
-	d0 := n.addDomain("d0")
-	d1 := n.addDomain("d1")
-	d2 := n.addDomain("d2")
-	n.attachApp(d1, "stable-1", defaultUsers())
-	n.attachApp(d2, "stable-2", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "d0", "d1", "d2")
+	d0, d1, d2 := n.Domains[0], n.Domains[1], n.Domains[2]
+	attachApp(t, d1, "stable-1", defaultUsers())
+	attachApp(t, d2, "stable-2", defaultUsers())
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -1125,9 +936,9 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 				default:
 				}
 				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-				d0.sub.RemoteApps(ctx, "alice")
+				d0.Substrate.RemoteApps(ctx, "alice")
 				if i%4 == g {
-					d0.sub.RemoteUsers(ctx, "")
+					d0.Substrate.RemoteUsers(ctx, "")
 				}
 				cancel()
 				listings.Add(1)
@@ -1153,18 +964,18 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			as, err := appproto.Dial(context.Background(), d1.srv.Daemon().Addr(), rt)
+			as, err := appproto.Dial(context.Background(), d1.Server.Daemon().Addr(), rt)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			deadline := time.Now().Add(2 * time.Second)
-			for len(d1.srv.LocalAppIDs()) < 2 && time.Now().Before(deadline) {
+			for len(d1.Server.LocalAppIDs()) < 2 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 			as.Close()
 			deadline = time.Now().Add(2 * time.Second)
-			for len(d1.srv.LocalAppIDs()) > 1 && time.Now().Before(deadline) {
+			for len(d1.Server.LocalAppIDs()) > 1 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -1173,12 +984,10 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 	// Let the chaos build, then kill d2 abruptly — wire first, so its
 	// trader offer lingers and survivors keep it as a known-but-dead peer.
 	time.Sleep(300 * time.Millisecond)
-	d2.orb.Close()
-	d2.srv.Close()
-	d2.sub.Close()
+	n.Kill(d2)
 	waitFor(t, 10*time.Second, func() bool {
-		d0.sub.CheckPeersNow()
-		for _, ph := range d0.sub.PeerHealth() {
+		d0.Substrate.CheckPeersNow()
+		for _, ph := range d0.Substrate.PeerHealth() {
 			if ph.Peer == "d2" && (ph.State == "down" || ph.State == "probing") {
 				return true
 			}
@@ -1188,7 +997,7 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 	// Listings keep completing, serving d2's last good listing marked
 	// unavailable instead of hanging or silently dropping it.
 	waitFor(t, 10*time.Second, func() bool {
-		for _, a := range d0.sub.RemoteApps(context.Background(), "alice") {
+		for _, a := range d0.Substrate.RemoteApps(context.Background(), "alice") {
 			if server.ServerOfApp(a.ID) == "d2" && a.Unavailable {
 				return true
 			}
@@ -1198,12 +1007,14 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 
 	// A reborn d2 re-federates under the same name; its new application
 	// becomes visible and available through the invalidated cache.
-	d2b := n.addDomain("d2")
-	reborn := n.attachApp(d2b, "reborn", defaultUsers())
-	n.discoverAll()
+	if err := n.Restart(d2); err != nil {
+		t.Fatal(err)
+	}
+	reborn := attachApp(t, d2, "reborn", defaultUsers())
+	discoverAll(t, n)
 	waitFor(t, 10*time.Second, func() bool {
-		d0.sub.CheckPeersNow()
-		for _, a := range d0.sub.RemoteApps(context.Background(), "alice") {
+		d0.Substrate.CheckPeersNow()
+		for _, a := range d0.Substrate.RemoteApps(context.Background(), "alice") {
 			if a.ID == reborn.AppID() && !a.Unavailable {
 				return true
 			}
@@ -1219,7 +1030,7 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("directory chaos goroutines deadlocked")
 	}
-	st := d0.sub.DirectoryStats()
+	st := d0.Substrate.DirectoryStats()
 	if listings.Load() == 0 || st.Hits == 0 || st.Misses == 0 {
 		t.Errorf("chaos exercised too little: listings=%d stats=%+v", listings.Load(), st)
 	}
@@ -1228,5 +1039,141 @@ func TestDirectoryChaosConcurrentListings(t *testing.T) {
 	}
 	if st.FanoutRounds == 0 || st.FanoutCalls < st.FanoutRounds {
 		t.Errorf("fan-out counters implausible: %+v", st)
+	}
+}
+
+// TestDeliverBatchMatchesDeliver proves the batched control-channel push
+// is observationally equivalent to the per-message form: the same
+// messages, invoked either way against a real substrate, reach a
+// connected client session in the same order.
+func TestDeliverBatchMatchesDeliver(t *testing.T) {
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
+	appID := as.AppID()
+
+	sess, err := b.Server.Login(context.Background(), "alice", "pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Server.ConnectApp(context.Background(), sess, appID); err != nil {
+		t.Fatal(err)
+	}
+	sess.Buffer.DrainEntries(0) // discard connect-time traffic
+	// The host's app-registered event is a oneway that can land at any
+	// point after the application registered, so it is dropped by
+	// identity rather than counted against either path.
+	drain := func() []*wire.Message {
+		var out []*wire.Message
+		for _, m := range drained(sess.Buffer) {
+			if m.Kind == wire.KindEvent && m.Op == "app-registered" && m.App == appID {
+				continue
+			}
+			out = append(out, m)
+		}
+		return out
+	}
+
+	msgs := make([]*wire.Message, 6)
+	for i := range msgs {
+		msgs[i] = wire.NewUpdate(appID, uint64(1000+i),
+			wire.Param{Key: "i", Value: fmt.Sprint(i)})
+	}
+	bControl := orb.ObjRef{Addr: b.ORB.Addr(), Key: core.ControlKey}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	// Per-message deliver (two-way, so arrival is synchronous).
+	for _, m := range msgs {
+		if err := a.ORB.Invoke(ctx, bControl, "deliver",
+			core.DeliverReq{App: appID, Msg: m, From: "rutgers"}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	viaDeliver := drain()
+
+	// Same messages as one deliverBatch.
+	items := make([]core.DeliverItem, len(msgs))
+	for i, m := range msgs {
+		items[i] = core.DeliverItem{App: appID, Msg: m}
+	}
+	if err := a.ORB.Invoke(ctx, bControl, "deliverBatch",
+		core.DeliverBatchReq{Items: items, From: "rutgers"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	viaBatch := drain()
+
+	if len(viaDeliver) != len(msgs) {
+		t.Fatalf("deliver path delivered %d messages, want %d", len(viaDeliver), len(msgs))
+	}
+	if len(viaBatch) != len(viaDeliver) {
+		t.Fatalf("deliverBatch delivered %d messages, deliver delivered %d",
+			len(viaBatch), len(viaDeliver))
+	}
+	for i := range viaDeliver {
+		d, bm := viaDeliver[i], viaBatch[i]
+		if d.Kind != bm.Kind || d.Seq != bm.Seq || d.Params[0].Value != bm.Params[0].Value {
+			t.Errorf("message %d differs: deliver=%+v batch=%+v", i, d, bm)
+		}
+	}
+
+	// The real subscription (created by ConnectApp above) registered a
+	// relay sender at the host; it must be visible in the stats snapshot.
+	rows := a.Substrate.RelayStats()
+	found := false
+	for _, r := range rows {
+		if r.Peer == "caltech" {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("host RelayStats has no caltech row: %+v", rows)
+	}
+}
+
+// TestPeerHealthNamesEqualPeers pins the one-table invariant: whatever
+// discovery rounds, stray relay failures and drops happen, the stats rows
+// name exactly the discovered peers.
+func TestPeerHealthNamesEqualPeers(t *testing.T) {
+	n := newFederation(t, 0, "rutgers", "caltech", "utexas")
+	a, _, c := n.Domains[0], n.Domains[1], n.Domains[2]
+	discoverAll(t, n)
+
+	same := func(when string) {
+		t.Helper()
+		var health []string
+		for _, ph := range a.Substrate.PeerHealth() {
+			health = append(health, ph.Peer)
+		}
+		peers := a.Substrate.Peers()
+		sort.Strings(peers)
+		if !reflect.DeepEqual(health, peers) {
+			t.Fatalf("%s: PeerHealth names %v, Peers %v", when, health, peers)
+		}
+	}
+	same("after discovery")
+
+	// A relay sender to a peer discovery never offered fails its pushes.
+	r := a.Substrate.StartRelay("ghost", "127.0.0.1:1")
+	defer r.Close()
+	// The second failure proves the first was reported.
+	for i := uint64(1); i <= 2; i++ {
+		r.Deliver("wave", wire.NewUpdate("wave", i))
+		waitFor(t, 5*time.Second, func() bool { return r.Failures() >= i })
+	}
+	same("after relay failures for an undiscovered peer")
+
+	// utexas withdraws its offer: kept through one miss, then dropped.
+	c.Substrate.Close()
+	if err := a.Substrate.DiscoverPeers(); err != nil {
+		t.Fatal(err)
+	}
+	same("after one missed round")
+	if err := a.Substrate.DiscoverPeers(); err != nil {
+		t.Fatal(err)
+	}
+	same("after the drop")
+	if got := a.Substrate.Peers(); len(got) != 1 || got[0] != "caltech" {
+		t.Fatalf("peers after utexas withdrew = %v", got)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -117,5 +118,78 @@ func TestDirCacheJitterNeverWidensPastBound(t *testing.T) {
 	}
 	if effectiveTTL(base, 0) != base {
 		t.Fatalf("zero jitter (unfetched entry) must fall back to the configured TTL")
+	}
+}
+
+// TestDirCacheSingleFlightAndStates walks one cache entry through every
+// state deterministically: single-flight miss dedup, fresh hit,
+// unavailable-marked serve, event invalidation forcing a refetch, failed
+// fetch degrading to the last good listing, and stale
+// serve-while-revalidate past the TTL.
+func TestDirCacheSingleFlightAndStates(t *testing.T) {
+	c := newDirCache("unit", 50*time.Millisecond)
+	apps := []server.AppInfo{{ID: "unit#1"}}
+
+	// Miss: the first caller leads the flight, the second joins it.
+	p1 := c.plan("peer", "alice", false)
+	if p1.state != dirFetch || !p1.lead {
+		t.Fatalf("first plan = %+v, want fetch leader", p1)
+	}
+	p2 := c.plan("peer", "alice", false)
+	if p2.state != dirJoin || p2.lead {
+		t.Fatalf("second plan = %+v, want join follower", p2)
+	}
+	resolved := make(chan []server.AppInfo, 1)
+	go func() {
+		<-p2.flight
+		got, err := c.resolve("peer", "alice")
+		if err != nil {
+			t.Errorf("follower resolve: %v", err)
+		}
+		resolved <- got
+	}()
+	c.complete("peer", "alice", apps, nil)
+	if got := <-resolved; len(got) != 1 || got[0].ID != "unit#1" {
+		t.Fatalf("follower resolved %+v", got)
+	}
+
+	// Fresh hit within the TTL.
+	if p := c.plan("peer", "alice", false); p.state != dirFresh || len(p.apps) != 1 {
+		t.Fatalf("fresh plan = %+v", p)
+	}
+	// Breaker open: the same data, every application marked unavailable.
+	if p := c.plan("peer", "alice", true); p.state != dirUnavailable || !p.apps[0].Unavailable {
+		t.Fatalf("down plan = %+v", p)
+	}
+	// An event invalidation forces a synchronous coherent refetch.
+	c.invalidatePeer("peer", true)
+	p3 := c.plan("peer", "alice", false)
+	if p3.state != dirFetch || !p3.lead {
+		t.Fatalf("post-invalidation plan = %+v, want fetch leader", p3)
+	}
+	// A failed refetch keeps the old data as the degraded fallback.
+	c.complete("peer", "alice", nil, errors.New("boom"))
+	if got, err := c.resolve("peer", "alice"); err == nil || len(got) != 1 || !got[0].Unavailable {
+		t.Fatalf("failed-fetch resolve = %+v, %v", got, err)
+	}
+	st := c.stats()
+	if st.Hits != 1 || st.Misses != 3 || st.Coalesced != 1 ||
+		st.UnavailableServes != 1 || st.EventInvalidations != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+
+	// Past the TTL an entry is served stale while one leader revalidates.
+	c.complete("peer", "alice", apps, nil)
+	time.Sleep(60 * time.Millisecond)
+	p4 := c.plan("peer", "alice", false)
+	if p4.state != dirStale || !p4.lead || len(p4.apps) != 1 {
+		t.Fatalf("expired plan = %+v, want stale leader", p4)
+	}
+	if p := c.plan("peer", "alice", false); p.state != dirStale || p.lead {
+		t.Fatalf("second expired plan = %+v, want stale non-leader", p)
+	}
+	c.complete("peer", "alice", apps, nil)
+	if p := c.plan("peer", "alice", false); p.state != dirFresh {
+		t.Fatalf("revalidated plan = %+v, want fresh", p)
 	}
 }

@@ -30,7 +30,7 @@
 //
 // Of the two designs of §5.2.3, the substrate implements push: a
 // subscribing server asks the host once, and the host's per-peer relay
-// sender drains up to Config.RelayBatch queued messages per wakeup into a
+// sender drains up to DefaultRelayBatch queued messages per wakeup into a
 // single oneway deliverBatch invocation on the subscriber's Control
 // servant. Updates cross the WAN once per remote server that has a member
 // in the application's group, and fan out locally. The prototype's

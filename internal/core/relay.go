@@ -50,7 +50,7 @@ type relayItem struct {
 // dropped (slow-peer shedding, same policy as client FIFOs).
 const relayQueueDepth = 1024
 
-// DefaultRelayBatch is the default drain limit per push invocation.
+// DefaultRelayBatch is the drain limit per push invocation.
 const DefaultRelayBatch = 32
 
 // Backoff bounds for a peer whose pushes fail: without it the sender
@@ -66,7 +66,7 @@ func newRelaySender(s *Substrate, peer peerInfo) *relaySender {
 		peer:      peer,
 		queue:     make(chan relayItem, relayQueueDepth),
 		done:      make(chan struct{}),
-		batchMax:  s.cfg.RelayBatch,
+		batchMax:  DefaultRelayBatch,
 		flushHist: telemetry.GetHistogram("discover_relay_flush_seconds", "peer", peer.name),
 		waitHist:  telemetry.GetHistogram("discover_relay_queue_wait_seconds", "peer", peer.name),
 	}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"discover/internal/clock"
 	"discover/internal/orb"
 	"discover/internal/policy"
 	"discover/internal/server"
@@ -22,22 +23,31 @@ const rpcTimeout = 10 * time.Second
 
 // Config wires a Substrate to its server and discovery services.
 type Config struct {
-	Server        *server.Server
-	ORB           *orb.ORB   // must already be listening
-	TraderRef     orb.ObjRef // the shared trader service
-	Props         map[string]string
-	OfferTTL      time.Duration // trader lease (default 60s)
-	RelayBatch    int           // max messages per push invocation (default 32; 1 disables batching)
-	DiscoverEvery time.Duration // peer re-discovery period (default 5s)
-	Logf          func(format string, args ...any)
+	Server    *server.Server
+	ORB       *orb.ORB   // must already be listening
+	TraderRef orb.ObjRef // the shared trader service
+	Props     map[string]string
+	Logf      func(format string, args ...any)
 
-	// Failure detection (see peers.go). DefaultDownAfter consecutive
-	// peer-failure outcomes, from regular traffic or from the heartbeat,
-	// open a peer's gate; operations against it then fail fast with
-	// ErrPeerDown until a recovery probe succeeds.
-	DialTimeout    time.Duration // TCP connect and heartbeat/probe budget, below the 10s RPC budget (default 2s)
-	HeartbeatEvery time.Duration // control-channel heartbeat period (default 2s)
+	// Clock drives the heartbeat, offer-refresh and discovery tickers
+	// (nil = clock.Real). A harness that never advances a clock.Manual
+	// runs with no background traffic.
+	Clock clock.Clock
+	// DialTimeout is the TCP connect and heartbeat/probe budget, below
+	// the 10s RPC budget (default 2s). Failure detection (see peers.go):
+	// DefaultDownAfter consecutive peer-failure outcomes, from regular
+	// traffic or from the heartbeat, open a peer's gate; operations
+	// against it then fail fast with ErrPeerDown until a recovery probe
+	// succeeds.
+	DialTimeout time.Duration
 }
+
+// Maintenance cadence: the trader lease on this server's offer (refreshed
+// every half of it) and the peer re-discovery period.
+const (
+	DefaultOfferTTL      = 60 * time.Second
+	DefaultDiscoverEvery = 5 * time.Second
+)
 
 // Substrate is the per-server middleware endpoint. Create it with New,
 // then Start it; it registers the servants, exports the trader offer and
@@ -79,20 +89,11 @@ func New(cfg Config) (*Substrate, error) {
 	if cfg.ORB.Addr() == "" {
 		return nil, fmt.Errorf("core: ORB must be listening before the substrate starts")
 	}
-	if cfg.OfferTTL <= 0 {
-		cfg.OfferTTL = 60 * time.Second
-	}
-	if cfg.RelayBatch <= 0 {
-		cfg.RelayBatch = DefaultRelayBatch
-	}
-	if cfg.DiscoverEvery <= 0 {
-		cfg.DiscoverEvery = 5 * time.Second
+	if cfg.Clock == nil {
+		cfg.Clock = clock.Real
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = DefaultDialTimeout
-	}
-	if cfg.HeartbeatEvery <= 0 {
-		cfg.HeartbeatEvery = DefaultHeartbeatEvery
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -138,7 +139,7 @@ func (s *Substrate) Start() error {
 		ctx, cancel := s.rpcCtx()
 		defer cancel()
 		id, err := s.trader.Export(ctx, orb.DiscoverServiceType,
-			orb.ObjRef{Addr: s.orb.Addr(), Key: ServerKey}, props, s.cfg.OfferTTL)
+			orb.ObjRef{Addr: s.orb.Addr(), Key: ServerKey}, props, DefaultOfferTTL)
 		if err != nil {
 			return fmt.Errorf("core: exporting trader offer: %w", err)
 		}
@@ -216,8 +217,8 @@ func (s *Substrate) goTracked(fn func()) bool {
 // maintenanceLoop refreshes the trader lease and re-discovers peers.
 func (s *Substrate) maintenanceLoop() {
 	defer s.wg.Done()
-	refresh := time.NewTicker(s.cfg.OfferTTL / 2)
-	discover := time.NewTicker(s.cfg.DiscoverEvery)
+	refresh := s.cfg.Clock.NewTicker(DefaultOfferTTL / 2)
+	discover := s.cfg.Clock.NewTicker(DefaultDiscoverEvery)
 	defer refresh.Stop()
 	defer discover.Stop()
 	for {
@@ -229,7 +230,7 @@ func (s *Substrate) maintenanceLoop() {
 			id := s.offerID
 			s.mu.Unlock()
 			ctx, cancel := s.rpcCtx()
-			if err := s.trader.Refresh(ctx, id, s.cfg.OfferTTL); err != nil {
+			if err := s.trader.Refresh(ctx, id, DefaultOfferTTL); err != nil {
 				s.cfg.Logf("core %s: offer refresh: %v", s.srv.Name(), err)
 			}
 			cancel()

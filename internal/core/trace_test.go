@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -25,23 +25,21 @@ func spanByHop(rec telemetry.TraceRecord) map[string][]telemetry.Span {
 // address.
 func TestTracePropagationAcrossFederation(t *testing.T) {
 	telemetry.Reset()
-	n := newTestNet(t)
-	a := n.addDomain("rutgers") // host
-	b := n.addDomain("caltech") // edge
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 
-	sess, err := b.srv.Login(context.Background(), "alice", "pw")
+	sess, err := b.Server.Login(context.Background(), "alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+	if _, err := b.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 		t.Fatal(err)
 	}
 
 	tr := telemetry.Default().Start("command status")
 	ctx := telemetry.WithTrace(context.Background(), tr)
-	if _, err := b.srv.SubmitCommand(ctx, sess, "status", nil); err != nil {
+	if _, err := b.Server.SubmitCommand(ctx, sess, "status", nil); err != nil {
 		t.Fatal(err)
 	}
 	tr.Finish()
@@ -56,11 +54,11 @@ func TestTracePropagationAcrossFederation(t *testing.T) {
 			t.Fatalf("trace lacks %s span: %+v", h, rec.Spans)
 		}
 	}
-	if loc := hops[telemetry.HopServant][0].Loc; loc != a.orb.Addr() {
-		t.Errorf("servant span Loc = %q, want host ORB %q", loc, a.orb.Addr())
+	if loc := hops[telemetry.HopServant][0].Loc; loc != a.ORB.Addr() {
+		t.Errorf("servant span Loc = %q, want host ORB %q", loc, a.ORB.Addr())
 	}
-	if peer := hops[telemetry.HopRPC][0].Peer; peer != a.orb.Addr() {
-		t.Errorf("rpc span Peer = %q, want host ORB %q", peer, a.orb.Addr())
+	if peer := hops[telemetry.HopRPC][0].Peer; peer != a.ORB.Addr() {
+		t.Errorf("rpc span Peer = %q, want host ORB %q", peer, a.ORB.Addr())
 	}
 	if loc := hops[telemetry.HopEdge][0].Loc; loc != "caltech" {
 		t.Errorf("edge span Loc = %q, want caltech", loc)
@@ -80,17 +78,15 @@ func TestTracePropagationAcrossFederation(t *testing.T) {
 // and queue-wait latencies as traffic flows to a subscribed peer.
 func TestRelayHistogramsPopulated(t *testing.T) {
 	telemetry.Reset()
-	n := newTestNet(t)
-	a := n.addDomain("rutgers")
-	b := n.addDomain("caltech")
-	as := n.attachApp(a, "wave", defaultUsers())
-	n.discoverAll()
+	n := newFederation(t, 0, "rutgers", "caltech")
+	a, b := n.Domains[0], n.Domains[1]
+	as := attachApp(t, a, "wave", defaultUsers())
 
-	sess, err := b.srv.Login(context.Background(), "alice", "pw")
+	sess, err := b.Server.Login(context.Background(), "alice", "pw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+	if _, err := b.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 5*time.Second, func() bool {

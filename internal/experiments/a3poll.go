@@ -49,7 +49,7 @@ func StartLogPoller(host, edge *Domain, appID string, every time.Duration) *LogP
 	host.ORB.Register(logPollKey, orb.MethodMap{
 		"pollUpdates": orb.Handler(func(r logPollReq) (logPollResp, error) {
 			resp := logPollResp{Last: r.Since}
-			for _, e := range host.Srv.Archive().ApplicationLog(r.App).Since(r.Since) {
+			for _, e := range host.Server.Archive().ApplicationLog(r.App).Since(r.Since) {
 				resp.Msgs = append(resp.Msgs, e.Msg)
 				resp.Last = e.Seq
 			}

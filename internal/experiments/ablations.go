@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"discover/internal/clock"
 	"discover/internal/netsim"
 	"discover/internal/orb"
 	"discover/internal/wire"
@@ -202,17 +203,12 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 	res := Result{ID: "A3", Title: "Update propagation: push vs poll (§5.2.3)"}
 
 	run := func(poll bool) (lat time.Duration, idleMsgs uint64, err error) {
-		fed, err := NewFederation(FederationConfig{
-			Domains: []struct {
-				Name string
-				Site netsim.Site
-			}{DomainAt("host", "east"), DomainAt("edge", "west")},
-			Topology: func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) },
-			// No failure-detector heartbeats: the idle row counts
-			// propagation traffic, and the randomised gaps stretch the
-			// run past the first heartbeat tick.
-			HeartbeatEvery: time.Hour,
-		})
+		// A clock nobody advances: no heartbeat, re-discovery or
+		// re-subscribe traffic. The idle row counts propagation
+		// traffic, and the randomised gaps stretch the run past the
+		// first background tick.
+		fed, err := NewFederation(func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) },
+			clock.NewManual(), 0, Place("host", "east"), Place("edge", "west"))
 		if err != nil {
 			return 0, 0, err
 		}
@@ -223,7 +219,7 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 			return 0, 0, err
 		}
 		defer as.Close()
-		if err := edge.Sub.DiscoverPeers(); err != nil {
+		if err := edge.Substrate.DiscoverPeers(); err != nil {
 			return 0, 0, err
 		}
 
@@ -244,7 +240,7 @@ func RunA3(updates int, pollInterval, rtt time.Duration) (Result, error) {
 			if err != nil {
 				return 0, 0, err
 			}
-			if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+			if _, err := edge.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 				return 0, 0, err
 			}
 			arrived = func(seq uint64) bool {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"discover/internal/clock"
 	"discover/internal/collab"
 	"discover/internal/netsim"
 	"discover/internal/portal"
@@ -43,28 +44,19 @@ func RunC1(clients int) (Result, error) {
 	res := Result{ID: "C1", Title: "Replicated collaboration log: fan-out, churn, partition, latecomers"}
 	snap := C1Snapshot{Clients: clients, Domains: nDomains}
 
-	domains := make([]struct {
-		Name string
-		Site netsim.Site
-	}, nDomains)
-	for i := range domains {
+	specs := make([]Spec, nDomains)
+	for i := range specs {
 		name := fmt.Sprintf("c1d%d", i)
 		// One site per domain: every cross-domain byte is WAN traffic.
-		domains[i] = DomainAt(name, netsim.Site(name))
+		specs[i] = Place(name, netsim.Site(name))
 	}
-	fed, err := NewFederation(FederationConfig{
-		Domains: domains,
-		// Failed dials into the partition must not stall the chaos phase:
-		// the budget is failure-detection policy, not protocol cost, and
-		// scales under the race detector like every other wall-clock knob.
-		DialTimeout: 40 * time.Millisecond * raceTimeoutScale,
-		// Background maintenance off: the harness drives anti-entropy in
-		// lockstep (CollabSyncNow), and heartbeat/trader traffic would
-		// pollute the crossing counts.
-		HeartbeatEvery: time.Hour,
-		OfferTTL:       time.Hour,
-		DiscoverEvery:  time.Hour,
-	})
+	// Background maintenance off (a clock nobody advances): the harness
+	// drives anti-entropy in lockstep (CollabSyncNow), and heartbeat/
+	// trader traffic would pollute the crossing counts. Failed dials into
+	// the partition must not stall the chaos phase: the dial budget is
+	// failure-detection policy, not protocol cost, and scales under the
+	// race detector like every other wall-clock knob.
+	fed, err := NewFederation(nil, clock.NewManual(), 40*time.Millisecond*raceTimeoutScale, specs...)
 	if err != nil {
 		return res, err
 	}
@@ -97,7 +89,7 @@ func RunC1(clients int) (Result, error) {
 			for c := 0; c < share; c++ {
 				sess, err := LoginLocal(d, "alice")
 				if err == nil {
-					_, err = d.Srv.ConnectApp(ctx, sess, appID)
+					_, err = d.Server.ConnectApp(ctx, sess, appID)
 				}
 				if err != nil {
 					errs[i] = fmt.Errorf("c1: connect client %d at %s: %w", c, d.Name, err)
@@ -129,19 +121,19 @@ func RunC1(clients int) (Result, error) {
 	member := fed.Domains[3]
 	chats0 := c1Group(host, appID).LogInfo().Chats
 	relay0 := c1RelayDelivered(fed)
-	fwd0 := member.Sub.WireStats().Invocations
+	fwd0 := member.Substrate.WireStats().Invocations
 	for i := 0; i < perOrigin; i++ {
-		if err := host.Srv.Chat(ctx, hostSess, fmt.Sprintf("host line %d", i)); err != nil {
+		if err := host.Server.Chat(ctx, hostSess, fmt.Sprintf("host line %d", i)); err != nil {
 			return res, err
 		}
-		if err := member.Srv.Chat(ctx, memberSess, fmt.Sprintf("member line %d", i)); err != nil {
+		if err := member.Server.Chat(ctx, memberSess, fmt.Sprintf("member line %d", i)); err != nil {
 			return res, err
 		}
 	}
 	msgs := 2 * perOrigin
 	if !c1WaitFor(10*time.Second, func() bool {
 		for _, d := range fed.Domains {
-			if g, ok := d.Srv.Hub().Lookup(appID); !ok || g.LogInfo().Chats < chats0+msgs {
+			if g, ok := d.Server.Hub().Lookup(appID); !ok || g.LogInfo().Chats < chats0+msgs {
 				return false
 			}
 		}
@@ -150,7 +142,7 @@ func RunC1(clients int) (Result, error) {
 		return res, fmt.Errorf("c1: broadcast chats never reached all domains")
 	}
 	c1Quiesce(fed)
-	crossings := (c1RelayDelivered(fed) - relay0) + (member.Sub.WireStats().Invocations - fwd0)
+	crossings := (c1RelayDelivered(fed) - relay0) + (member.Substrate.WireStats().Invocations - fwd0)
 	perMsg := float64(crossings) / float64(msgs)
 	naive := clients - 1
 	snap.BroadcastMsgs = msgs
@@ -179,13 +171,13 @@ func RunC1(clients int) (Result, error) {
 			defer wg.Done()
 			for c := 0; c < n && c < len(sessions[i]); c++ {
 				sess := sessions[i][c]
-				d.Srv.DisconnectApp(ctx, sess)
-				d.Srv.Chat(ctx, sess, "post-churn") // must fail: not in group
-				if _, err := d.Srv.ConnectApp(ctx, sess, appID); err != nil {
+				d.Server.DisconnectApp(ctx, sess)
+				d.Server.Chat(ctx, sess, "post-churn") // must fail: not in group
+				if _, err := d.Server.ConnectApp(ctx, sess, appID); err != nil {
 					errs[i] = err
 					return
 				}
-				d.Srv.JoinSubGroup(ctx, sess, fmt.Sprintf("room%d", c%3))
+				d.Server.JoinSubGroup(ctx, sess, fmt.Sprintf("room%d", c%3))
 			}
 		}(i, d, churn/nDomains)
 	}
@@ -218,7 +210,7 @@ func RunC1(clients int) (Result, error) {
 	}
 	var strokes int
 	for i := 0; i < 4; i++ { // side A: normal broadcasts through the host
-		if err := host.Srv.Whiteboard(ctx, hostSess, []byte{0xA0, byte(i)}); err != nil {
+		if err := host.Server.Whiteboard(ctx, hostSess, []byte{0xA0, byte(i)}); err != nil {
 			return res, err
 		}
 		strokes++
@@ -233,14 +225,14 @@ func RunC1(clients int) (Result, error) {
 			wg.Add(1)
 			go func(m int) {
 				defer wg.Done()
-				d.Srv.Chat(ctx, sessions[i][m%len(sessions[i])], fmt.Sprintf("isolated %s %d", d.Name, m))
+				d.Server.Chat(ctx, sessions[i][m%len(sessions[i])], fmt.Sprintf("isolated %s %d", d.Name, m))
 			}(m)
 		}
 		for m := 0; m < 2; m++ {
 			wg.Add(1)
 			go func(m int) {
 				defer wg.Done()
-				d.Srv.Whiteboard(ctx, sessions[i][0], []byte{0xB0, byte(i), byte(m)})
+				d.Server.Whiteboard(ctx, sessions[i][0], []byte{0xB0, byte(i), byte(m)})
 				smu.Lock()
 				strokes++
 				smu.Unlock()
@@ -249,7 +241,7 @@ func RunC1(clients int) (Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d.Srv.DisconnectApp(ctx, sessions[i][len(sessions[i])-1])
+			d.Server.DisconnectApp(ctx, sessions[i][len(sessions[i])-1])
 		}()
 	}
 	wg.Wait()
@@ -268,7 +260,7 @@ func RunC1(clients int) (Result, error) {
 		wg.Add(1)
 		go func(d *Domain) {
 			defer wg.Done()
-			d.Sub.CheckPeersNow()
+			d.Substrate.CheckPeersNow()
 		}(d)
 	}
 	wg.Wait()
@@ -304,7 +296,7 @@ func RunC1(clients int) (Result, error) {
 	// relay count below measures the replay alone.
 	c1Quiesce(fed)
 	relay0 = c1RelayDelivered(fed)
-	inv0 := late.Sub.WireStats().Invocations
+	inv0 := late.Substrate.WireStats().Invocations
 	wb, err := cl.WhiteboardSince(ctx, 0)
 	if err != nil {
 		return res, err
@@ -313,7 +305,7 @@ func RunC1(clients int) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	lateInv := late.Sub.WireStats().Invocations - inv0
+	lateInv := late.Substrate.WireStats().Invocations - inv0
 	hostHash := fmt.Sprintf("%016x", c1Group(host, appID).LogHash())
 	snap.LatecomerStrokes = len(wb.Strokes)
 	snap.LatecomerMissed = wb.Missed
@@ -344,7 +336,7 @@ func RunC1(clients int) (Result, error) {
 
 // c1Group resolves the domain's replica of the app's group (creating it
 // is fine: every domain in C1 has members).
-func c1Group(d *Domain, appID string) *collab.Group { return d.Srv.Hub().Group(appID) }
+func c1Group(d *Domain, appID string) *collab.Group { return d.Server.Hub().Group(appID) }
 
 // c1Round drives one lockstep anti-entropy round: every domain syncs its
 // subscribed collaboration logs against the host, concurrently.
@@ -354,7 +346,7 @@ func c1Round(fed *Federation) {
 		wg.Add(1)
 		go func(d *Domain) {
 			defer wg.Done()
-			d.Sub.CollabSyncNow()
+			d.Substrate.CollabSyncNow()
 		}(d)
 	}
 	wg.Wait()
@@ -405,7 +397,7 @@ func c1ByteIdentical(domains []*Domain, appID string) bool {
 func c1RelayDelivered(fed *Federation) uint64 {
 	var total uint64
 	for _, d := range fed.Domains {
-		for _, rs := range d.Sub.RelayStats() {
+		for _, rs := range d.Substrate.RelayStats() {
 			total += rs.Delivered
 		}
 	}

@@ -215,7 +215,8 @@ func RunE3(iters int) (Result, error) {
 		return res, err
 	}
 	defer as.Close()
-	sess, err := LoginLocal(&Domain{Srv: srv}, "alice")
+	srv.Auth().SetUserSecret("alice", "pw")
+	sess, err := srv.Login(context.Background(), "alice", "pw")
 	if err != nil {
 		return res, err
 	}

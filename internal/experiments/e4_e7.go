@@ -25,16 +25,11 @@ import (
 //
 //	(the centralized baseline).
 func collabDeployment(peerToPeer bool, k, updates int, rtt time.Duration) (wan netsim.DirStats, elapsed time.Duration, err error) {
-	cfg := FederationConfig{}
-	cfg.Topology = func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) }
-	cfg.Domains = []struct {
-		Name string
-		Site netsim.Site
-	}{DomainAt("host", "east")}
+	specs := []Spec{Place("host", "east")}
 	if peerToPeer {
-		cfg.Domains = append(cfg.Domains, DomainAt("edge", "west"))
+		specs = append(specs, Place("edge", "west"))
 	}
-	fed, err := NewFederation(cfg)
+	fed, err := NewFederation(func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) }, nil, 0, specs...)
 	if err != nil {
 		return wan, 0, err
 	}
@@ -46,7 +41,7 @@ func collabDeployment(peerToPeer bool, k, updates int, rtt time.Duration) (wan n
 		portalDomain = fed.Domains[1]
 	}
 	for _, d := range fed.Domains {
-		d.Srv.Auth().SetUserSecret("alice", "pw")
+		d.Server.Auth().SetUserSecret("alice", "pw")
 	}
 
 	as, err := AttachApp(host, "collab-app", 1)
@@ -56,7 +51,7 @@ func collabDeployment(peerToPeer bool, k, updates int, rtt time.Duration) (wan n
 	defer as.Close()
 	if peerToPeer {
 		// Let the edge domain re-discover so the app is visible there.
-		if err := fed.Domains[1].Sub.DiscoverPeers(); err != nil {
+		if err := fed.Domains[1].Substrate.DiscoverPeers(); err != nil {
 			return wan, 0, err
 		}
 	}
@@ -183,13 +178,8 @@ func RunE5(iters int, rtt time.Duration) (Result, error) {
 	}
 	res := Result{ID: "E5", Title: "Remote vs local application latency/throughput (§7)"}
 
-	fed, err := NewFederation(FederationConfig{
-		Domains: []struct {
-			Name string
-			Site netsim.Site
-		}{DomainAt("host", "east"), DomainAt("edge", "west")},
-		Topology: func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) },
-	})
+	fed, err := NewFederation(func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) }, nil, 0,
+		Place("host", "east"), Place("edge", "west"))
 	if err != nil {
 		return res, err
 	}
@@ -205,7 +195,7 @@ func RunE5(iters int, rtt time.Duration) (Result, error) {
 		return res, err
 	}
 	defer as.Close()
-	if err := edge.Sub.DiscoverPeers(); err != nil {
+	if err := edge.Substrate.DiscoverPeers(); err != nil {
 		return res, err
 	}
 	appCtx, stopApp := context.WithCancel(context.Background())
@@ -218,13 +208,13 @@ func RunE5(iters int, rtt time.Duration) (Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := d.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+		if _, err := d.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 			return nil, err
 		}
 		var lats []time.Duration
 		for i := 0; i < iters; i++ {
 			start := time.Now()
-			cmd, err := d.Srv.SubmitCommand(context.Background(), sess, "get_param",
+			cmd, err := d.Server.SubmitCommand(context.Background(), sess, "get_param",
 				[]wire.Param{{Key: "name", Value: "source_freq"}})
 			if err != nil {
 				return nil, err
@@ -275,12 +265,7 @@ func RunE6(iters int) (Result, error) {
 	}
 	res := Result{ID: "E6", Title: "Discovery and remote authentication overheads (§7)"}
 
-	fed, err := NewFederation(FederationConfig{
-		Domains: []struct {
-			Name string
-			Site netsim.Site
-		}{DomainAt("a", "east"), DomainAt("b", "east")},
-	})
+	fed, err := NewFederation(nil, nil, 0, Place("a", "east"), Place("b", "east"))
 	if err != nil {
 		return res, err
 	}
@@ -291,7 +276,7 @@ func RunE6(iters int) (Result, error) {
 		return res, err
 	}
 	defer as.Close()
-	if err := a.Sub.DiscoverPeers(); err != nil {
+	if err := a.Substrate.DiscoverPeers(); err != nil {
 		return res, err
 	}
 
@@ -302,7 +287,7 @@ func RunE6(iters int) (Result, error) {
 	for i := 0; i < 5; i++ {
 		a.ORB.DropConn(fed.Trader.Addr())
 		s := time.Now()
-		if err := a.Sub.DiscoverPeers(); err != nil {
+		if err := a.Substrate.DiscoverPeers(); err != nil {
 			return res, err
 		}
 		colds = append(colds, time.Since(s))
@@ -310,7 +295,7 @@ func RunE6(iters int) (Result, error) {
 	var warms []time.Duration
 	for i := 0; i < iters; i++ {
 		s := time.Now()
-		if err := a.Sub.DiscoverPeers(); err != nil {
+		if err := a.Substrate.DiscoverPeers(); err != nil {
 			return res, err
 		}
 		warms = append(warms, time.Since(s))
@@ -333,7 +318,7 @@ func RunE6(iters int) (Result, error) {
 	var l1Total time.Duration
 	for i := 0; i < iters; i++ {
 		s := time.Now()
-		apps := a.Sub.RemoteApps(context.Background(), "alice")
+		apps := a.Substrate.RemoteApps(context.Background(), "alice")
 		if len(apps) == 0 {
 			return res, fmt.Errorf("experiments: remote app list empty")
 		}
@@ -342,7 +327,7 @@ func RunE6(iters int) (Result, error) {
 	var l2Total time.Duration
 	for i := 0; i < iters; i++ {
 		s := time.Now()
-		priv, err := a.Sub.RemotePrivilege(context.Background(), "alice", as.AppID())
+		priv, err := a.Substrate.RemotePrivilege(context.Background(), "alice", as.AppID())
 		if err != nil || priv != "steer" {
 			return res, fmt.Errorf("experiments: remote privilege = %q, %v", priv, err)
 		}
@@ -376,11 +361,11 @@ func RunE7(totalClients, updates int) (Result, error) {
 	}
 	run := func(servers int) (loadResult, error) {
 		var lr loadResult
-		cfg := FederationConfig{}
+		var specs []Spec
 		for i := 0; i < servers; i++ {
-			cfg.Domains = append(cfg.Domains, DomainAt(fmt.Sprintf("s%d", i), netsim.Site(fmt.Sprintf("site%d", i))))
+			specs = append(specs, Place(fmt.Sprintf("s%d", i), netsim.Site(fmt.Sprintf("site%d", i))))
 		}
-		fed, err := NewFederation(cfg)
+		fed, err := NewFederation(nil, nil, 0, specs...)
 		if err != nil {
 			return lr, err
 		}
@@ -392,7 +377,7 @@ func RunE7(totalClients, updates int) (Result, error) {
 		}
 		defer as.Close()
 		for _, d := range fed.Domains[1:] {
-			if err := d.Sub.DiscoverPeers(); err != nil {
+			if err := d.Substrate.DiscoverPeers(); err != nil {
 				return lr, err
 			}
 		}
@@ -409,7 +394,7 @@ func RunE7(totalClients, updates int) (Result, error) {
 			if err != nil {
 				return lr, err
 			}
-			if _, err := d.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+			if _, err := d.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 				return lr, err
 			}
 			clients = append(clients, clientAt{d: d, sess: sess})

@@ -111,13 +111,8 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 	}
 	res := Result{ID: "E9", Title: "Distributed locking at the host server (§5.2.4)"}
 
-	fed, err := NewFederation(FederationConfig{
-		Domains: []struct {
-			Name string
-			Site netsim.Site
-		}{DomainAt("host", "east"), DomainAt("edge", "west")},
-		Topology: func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) },
-	})
+	fed, err := NewFederation(func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) }, nil, 0,
+		Place("host", "east"), Place("edge", "west"))
 	if err != nil {
 		return res, err
 	}
@@ -128,7 +123,7 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 		return res, err
 	}
 	defer as.Close()
-	if err := edge.Sub.DiscoverPeers(); err != nil {
+	if err := edge.Substrate.DiscoverPeers(); err != nil {
 		return res, err
 	}
 	appID := as.AppID()
@@ -137,14 +132,14 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, err := host.Srv.ConnectApp(context.Background(), localSess, appID); err != nil {
+	if _, err := host.Server.ConnectApp(context.Background(), localSess, appID); err != nil {
 		return res, err
 	}
 	remoteSess, err := LoginLocal(edge, "alice")
 	if err != nil {
 		return res, err
 	}
-	if _, err := edge.Srv.ConnectApp(context.Background(), remoteSess, appID); err != nil {
+	if _, err := edge.Server.ConnectApp(context.Background(), remoteSess, appID); err != nil {
 		return res, err
 	}
 
@@ -152,7 +147,7 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 		var total time.Duration
 		for i := 0; i < iters; i++ {
 			start := time.Now()
-			granted, holder, err := d.Srv.LockOp(context.Background(), sess, true)
+			granted, holder, err := d.Server.LockOp(context.Background(), sess, true)
 			if err != nil {
 				return 0, err
 			}
@@ -160,7 +155,7 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 				return 0, fmt.Errorf("experiments: lock denied, holder %s", holder)
 			}
 			total += time.Since(start)
-			if _, _, err := d.Srv.LockOp(context.Background(), sess, false); err != nil {
+			if _, _, err := d.Server.LockOp(context.Background(), sess, false); err != nil {
 				return 0, err
 			}
 		}
@@ -191,7 +186,7 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 	contend := func(d *Domain, sess *session.Session) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			granted, _, err := d.Srv.LockOp(context.Background(), sess, true)
+			granted, _, err := d.Server.LockOp(context.Background(), sess, true)
 			if err != nil || !granted {
 				time.Sleep(time.Millisecond)
 				continue
@@ -207,7 +202,7 @@ func RunE9(iters int, rtt time.Duration) (Result, error) {
 			mu.Lock()
 			inCritical--
 			mu.Unlock()
-			d.Srv.LockOp(context.Background(), sess, false)
+			d.Server.LockOp(context.Background(), sess, false)
 		}
 	}
 	wg.Add(2)

@@ -21,12 +21,10 @@ import (
 
 	"discover/internal/app"
 	"discover/internal/appproto"
-	"discover/internal/core"
+	"discover/internal/clock"
+	"discover/internal/deploy"
 	"discover/internal/netsim"
-	"discover/internal/orb"
-	"discover/internal/server"
 	"discover/internal/session"
-	"discover/internal/storage"
 )
 
 // Row is one paper-vs-measured comparison line.
@@ -61,110 +59,122 @@ func quiet(string, ...any) {}
 // Federation harness over a simulated WAN.
 // ---------------------------------------------------------------------------
 
-// Domain is one deployed collaboratory domain in a test federation.
+// Domain is one deployed collaboratory domain in a test federation,
+// booted by the one builder (deploy.StartDomain).
 type Domain struct {
-	Name   string
-	Site   netsim.Site
-	Srv    *server.Server
-	ORB    *orb.ORB
-	Sub    *core.Substrate
-	httpLn net.Listener
-	hsrv   *http.Server
+	*deploy.Domain
+	Name string
+	Site netsim.Site
+	spec Spec
 }
 
-// BaseURL returns the domain's portal URL.
-func (d *Domain) BaseURL() string { return "http://" + d.httpLn.Addr().String() }
+// Spec is one domain of a federation: the netsim site its connections
+// originate at, and the product config (name included) the builder boots
+// it with.
+type Spec struct {
+	Site   netsim.Site
+	Config deploy.DomainConfig
+}
+
+// Place is the Spec of a default in-memory domain named name at site.
+func Place(name string, site netsim.Site) Spec {
+	return Spec{Site: site, Config: deploy.DomainConfig{Name: name}}
+}
 
 // Federation is a set of domains joined through one trader over a
 // simulated WAN.
 type Federation struct {
-	Net    *netsim.Network
-	Trader *orb.ORB
+	Net     *netsim.Network
+	Trader  *deploy.TraderService
+	Domains []*Domain
+
+	// The builder's test-only inputs, shared by every domain: the clock
+	// of the background loops and the trader's leases, and the dial
+	// budget (nil and 0 = real time and core's default).
+	clk         clock.Clock
+	dialTimeout time.Duration
 
 	mu       sync.Mutex
 	addrSite map[string]netsim.Site // listen addr -> site
-	Domains  []*Domain
-	closers  []func()
 }
 
-// FederationConfig configures NewFederation.
-type FederationConfig struct {
-	// Domains maps domain name -> site.
-	Domains []struct {
-		Name string
-		Site netsim.Site
-	}
-	Topology   func(*netsim.Topology) // optional WAN shaping
-	RelayBatch int                    // max messages per relay push invocation (0 = default)
-
-	// Failure-detector knobs (0 = substrate default). Chaos experiments
-	// set HeartbeatEvery very high and drive Sub.CheckPeersNow directly
-	// for determinism.
-	DialTimeout    time.Duration
-	HeartbeatEvery time.Duration
-
-	// Maintenance cadence (0 = substrate default). Latency experiments
-	// stretch these so background trader traffic can't pollute wire
-	// counters mid-measurement.
-	OfferTTL      time.Duration
-	DiscoverEvery time.Duration
-
-	// Durability knobs (experiment R2). Domains named in StorageDirs run
-	// with a file-backed WAL + snapshots rooted at the mapped directory;
-	// everyone else stays in-memory. SnapshotEvery/WalSyncEvery pass
-	// through to server.Config for the durable domains.
-	StorageDirs   map[string]string
-	SnapshotEvery time.Duration
-	WalSyncEvery  time.Duration
-}
-
-// DomainAt is a convenience constructor for FederationConfig.Domains.
-func DomainAt(name string, site netsim.Site) struct {
-	Name string
-	Site netsim.Site
-} {
-	return struct {
-		Name string
-		Site netsim.Site
-	}{name, site}
-}
-
-// NewFederation deploys the domains, discovers peers, and returns the
-// running federation. Call Close when done.
-func NewFederation(cfg FederationConfig) (*Federation, error) {
-	topo := netsim.NewTopology()
-	if cfg.Topology != nil {
-		cfg.Topology(topo)
+// NewFederation deploys one domain per spec over a simulated WAN shaped
+// by topo (nil = unshaped), discovers peers, and returns the running
+// federation. clk and dialTimeout are the builder's test-only inputs
+// (nil and 0 = real time and core's default dial budget); a harness that
+// passes a clock.Manual and never advances it runs with no heartbeat,
+// offer-refresh or discovery traffic. Call Close when done.
+func NewFederation(topo func(*netsim.Topology), clk clock.Clock, dialTimeout time.Duration, specs ...Spec) (*Federation, error) {
+	t := netsim.NewTopology()
+	if topo != nil {
+		topo(t)
 	}
 	f := &Federation{
-		Net:      netsim.New(topo),
-		addrSite: make(map[string]netsim.Site),
+		Net:         netsim.New(t),
+		clk:         clk,
+		dialTimeout: dialTimeout,
+		addrSite:    make(map[string]netsim.Site),
 	}
 
 	// The trader lives at the neutral "hub" site.
-	f.Trader = orb.New(orb.WithDialer(f.dialerFrom("hub")))
-	if err := f.Trader.Listen("127.0.0.1:0"); err != nil {
+	tr, err := deploy.StartTrader("127.0.0.1:0", f.env("hub"))
+	if err != nil {
 		return nil, err
 	}
-	f.closers = append(f.closers, func() { f.Trader.Close() })
-	f.Trader.Register(orb.TraderKey, orb.NewTrader().Servant())
-	f.setSite(f.Trader.Addr(), "hub")
+	f.Trader = tr
+	f.setSite(tr.Addr(), "hub")
 
-	for _, dc := range cfg.Domains {
-		d, err := f.addDomain(dc.Name, dc.Site, cfg)
-		if err != nil {
+	for _, spec := range specs {
+		d := &Domain{Name: spec.Config.Name, Site: spec.Site, spec: spec}
+		if err := f.boot(d); err != nil {
 			f.Close()
 			return nil, err
 		}
 		f.Domains = append(f.Domains, d)
 	}
-	for _, d := range f.Domains {
-		if err := d.Sub.DiscoverPeers(); err != nil {
-			f.Close()
-			return nil, err
-		}
+	if err := f.discoverAll(); err != nil {
+		f.Close()
+		return nil, err
 	}
 	return f, nil
+}
+
+func (f *Federation) env(site netsim.Site) deploy.Env {
+	return deploy.Env{
+		Dial: func(ctx context.Context, network, addr string) (net.Conn, error) {
+			return f.Net.DialContext(ctx, site, f.siteOf(addr), network, addr)
+		},
+		Clock:       f.clk,
+		DialTimeout: f.dialTimeout,
+	}
+}
+
+// boot starts d from its spec through the builder, joined to the
+// federation's trader with ephemeral listeners at d's site.
+func (f *Federation) boot(d *Domain) error {
+	cfg := d.spec.Config
+	cfg.HTTPAddr = "127.0.0.1:0"
+	cfg.TraderAddr = f.Trader.Addr()
+	cfg.Props = map[string]string{"site": string(d.Site)}
+	cfg.Logf = quiet
+	dd, err := deploy.StartDomain(cfg, f.env(d.Site))
+	if err != nil {
+		return err
+	}
+	d.Domain = dd
+	f.setSite(dd.DaemonAddr(), d.Site)
+	f.setSite(dd.ORB.Addr(), d.Site)
+	f.setSite(dd.HTTPAddr(), d.Site)
+	return nil
+}
+
+func (f *Federation) discoverAll() error {
+	for _, d := range f.Domains {
+		if err := d.Substrate.DiscoverPeers(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (f *Federation) setSite(addr string, site netsim.Site) {
@@ -182,131 +192,42 @@ func (f *Federation) siteOf(addr string) netsim.Site {
 	return "unknown"
 }
 
-// dialerFrom returns a dialer that shapes connections according to the
-// destination address's registered site.
-func (f *Federation) dialerFrom(site netsim.Site) orb.Dialer {
-	return func(ctx context.Context, network, addr string) (net.Conn, error) {
-		return f.Net.DialContext(ctx, site, f.siteOf(addr), network, addr)
-	}
-}
-
 // HTTPClientFrom builds an http.Client whose connections originate at a
 // site (for WAN portal clients).
 func (f *Federation) HTTPClientFrom(site netsim.Site) *http.Client {
-	return &http.Client{Transport: &http.Transport{
-		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
-			return f.Net.DialContext(ctx, site, f.siteOf(addr), network, addr)
-		},
-	}}
-}
-
-func (f *Federation) addDomain(name string, site netsim.Site, cfg FederationConfig) (*Domain, error) {
-	scfg := server.Config{Name: name, Logf: quiet}
-	if dir, ok := cfg.StorageDirs[name]; ok {
-		backend, err := storage.OpenFile(dir)
-		if err != nil {
-			return nil, err
-		}
-		scfg.Storage = backend
-		scfg.SnapshotEvery = cfg.SnapshotEvery
-		scfg.WalSyncEvery = cfg.WalSyncEvery
-	}
-	srv, err := server.New(scfg)
-	if err != nil {
-		if scfg.Storage != nil {
-			scfg.Storage.Close()
-		}
-		return nil, err
-	}
-	if err := srv.ListenDaemon("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	f.closers = append(f.closers, srv.Close)
-	f.setSite(srv.Daemon().Addr(), site)
-
-	o := orb.New(orb.WithDialer(f.dialerFrom(site)))
-	if err := o.Listen("127.0.0.1:0"); err != nil {
-		return nil, err
-	}
-	f.closers = append(f.closers, func() { o.Close() })
-	f.setSite(o.Addr(), site)
-
-	sub, err := core.New(core.Config{
-		Server:         srv,
-		ORB:            o,
-		TraderRef:      orb.ObjRef{Addr: f.Trader.Addr(), Key: orb.TraderKey},
-		RelayBatch:     cfg.RelayBatch,
-		DialTimeout:    cfg.DialTimeout,
-		HeartbeatEvery: cfg.HeartbeatEvery,
-		OfferTTL:       cfg.OfferTTL,
-		DiscoverEvery:  cfg.DiscoverEvery,
-		Props:          map[string]string{"site": string(site)},
-		Logf:           quiet,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := sub.Start(); err != nil {
-		return nil, err
-	}
-	f.closers = append(f.closers, sub.Close)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	hsrv := &http.Server{Handler: srv.HTTPHandler()}
-	go hsrv.Serve(ln)
-	f.closers = append(f.closers, func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		hsrv.Shutdown(ctx)
-		cancel()
-	})
-	f.setSite(ln.Addr().String(), site)
-
-	return &Domain{Name: name, Site: site, Srv: srv, ORB: o, Sub: sub, httpLn: ln, hsrv: hsrv}, nil
+	return &http.Client{Transport: &http.Transport{DialContext: f.env(site).Dial}}
 }
 
 // Kill crashes a domain: its site goes dark (in-flight client and peer
-// connections sever), the server crash-stops (no final snapshot, no WAL
-// sync, no clean-shutdown marker, no journaled teardown), and the
-// substrate, ORB, and portal die without deregistering. Restart brings
-// the domain back from its durable directory.
+// connections sever) and the domain crash-stops (deploy.Domain.CrashStop:
+// no final snapshot, no WAL sync, no clean-shutdown marker, no journaled
+// teardown). Restart brings the domain back from its durable directory.
 func (f *Federation) Kill(d *Domain) {
 	f.Net.KillSite(d.Site)
-	d.Srv.CrashStop()
-	d.hsrv.Close()
-	d.Sub.Close()
-	d.ORB.Close()
+	d.CrashStop()
 }
 
 // Restart revives a killed domain's site and rebuilds the domain from
-// its durable directory under the same name and site, then re-runs peer
-// discovery federation-wide so everyone learns the reborn addresses.
-// The restarted listeners get fresh ports: clients re-resolve BaseURL
-// and resume their streams with Last-Event-ID, exactly as they would
-// after a real host restart. d is updated in place.
-func (f *Federation) Restart(d *Domain, cfg FederationConfig) error {
+// its spec (and so its durable directory) under the same name and site,
+// then re-runs peer discovery federation-wide so everyone learns the
+// reborn addresses. The restarted listeners get fresh ports: clients
+// re-resolve BaseURL and resume their streams with Last-Event-ID,
+// exactly as they would after a real host restart. d is updated in place.
+func (f *Federation) Restart(d *Domain) error {
 	f.Net.Revive(d.Site)
-	nd, err := f.addDomain(d.Name, d.Site, cfg)
-	if err != nil {
+	if err := f.boot(d); err != nil {
 		return err
 	}
-	*d = *nd
-	for _, dd := range f.Domains {
-		if err := dd.Sub.DiscoverPeers(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.discoverAll()
 }
 
 // Close tears the federation down.
 func (f *Federation) Close() {
-	for i := len(f.closers) - 1; i >= 0; i-- {
-		f.closers[i]()
+	for i := len(f.Domains) - 1; i >= 0; i-- {
+		f.Domains[i].Close()
 	}
-	f.closers = nil
+	f.Domains = nil
+	f.Trader.Close()
 }
 
 // ---------------------------------------------------------------------------
@@ -328,16 +249,16 @@ func AttachApp(d *Domain, name string, computeSteps int, opts ...appproto.DialOp
 	if err != nil {
 		return nil, err
 	}
-	before := len(d.Srv.LocalAppIDs())
-	sess, err := appproto.Dial(context.Background(), d.Srv.Daemon().Addr(), rt, opts...)
+	before := len(d.Server.LocalAppIDs())
+	sess, err := appproto.Dial(context.Background(), d.Server.Daemon().Addr(), rt, opts...)
 	if err != nil {
 		return nil, err
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for len(d.Srv.LocalAppIDs()) <= before && time.Now().Before(deadline) {
+	for len(d.Server.LocalAppIDs()) <= before && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if len(d.Srv.LocalAppIDs()) <= before {
+	if len(d.Server.LocalAppIDs()) <= before {
 		sess.Close()
 		return nil, fmt.Errorf("experiments: app %s never registered", name)
 	}
@@ -346,8 +267,8 @@ func AttachApp(d *Domain, name string, computeSteps int, opts ...appproto.DialOp
 
 // LoginLocal creates a server-side session directly (ops-level client).
 func LoginLocal(d *Domain, user string) (*session.Session, error) {
-	d.Srv.Auth().SetUserSecret(user, "pw")
-	return d.Srv.Login(context.Background(), user, "pw")
+	d.Server.Auth().SetUserSecret(user, "pw")
+	return d.Server.Login(context.Background(), user, "pw")
 }
 
 // percentile returns the p-th percentile of durations (p in [0,100]).

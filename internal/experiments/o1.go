@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"time"
 
 	"discover/internal/netsim"
@@ -34,13 +35,8 @@ func RunO1(rtt time.Duration) (Result, error) {
 	telemetry.Default().SetSampleEvery(1)
 	defer telemetry.Default().SetSampleEvery(0)
 
-	fed, err := NewFederation(FederationConfig{
-		Domains: []struct {
-			Name string
-			Site netsim.Site
-		}{DomainAt("host", "east"), DomainAt("edge", "west")},
-		Topology: func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) },
-	})
+	fed, err := NewFederation(func(t *netsim.Topology) { t.SetRTT("east", "west", rtt) }, nil, 0,
+		Place("host", "east"), Place("edge", "west"))
 	if err != nil {
 		return res, err
 	}
@@ -58,10 +54,10 @@ func RunO1(rtt time.Duration) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, err := edge.Srv.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
+	if _, err := edge.Server.ConnectApp(context.Background(), sess, as.AppID()); err != nil {
 		return res, err
 	}
-	if granted, holder, err := edge.Srv.LockOp(context.Background(), sess, true); err != nil || !granted {
+	if granted, holder, err := edge.Server.LockOp(context.Background(), sess, true); err != nil || !granted {
 		return res, fmt.Errorf("lock not granted (holder %q): %v", holder, err)
 	}
 
@@ -93,65 +89,84 @@ func RunO1(rtt time.Duration) (Result, error) {
 		return res, err
 	}
 
-	cr, observed, err := post("set_param", map[string]string{"name": "source_freq", "value": "0.3"})
-	if err != nil {
-		return res, err
+	// A steer's spans are wall-clock time on a host shared with
+	// everything else in the process, so the hop-sum gate reads the
+	// median of o1Steers steers rather than a single sample.
+	const o1Steers = 9
+	hopNames := []string{telemetry.HopEdge, telemetry.HopQueue, telemetry.HopRPC, telemetry.HopServant}
+	type steer struct {
+		hops     map[string]int64
+		sum      int64
+		observed time.Duration
 	}
-	if cr.TraceID == "" {
-		res.Rows = append(res.Rows, Row{
-			Name:     "traced steer returns a trace id",
-			Paper:    "sampled requests are identifiable end to end",
-			Measured: "no traceId in CommandResponse",
-			Pass:     false,
-		})
-		return res, nil
-	}
-
-	// Fetch the finished trace through the portal, as an operator would.
-	var rec telemetry.TraceRecord
-	tresp, err := client.Get(edge.BaseURL() + "/api/v1/trace/" + cr.TraceID)
-	if err != nil {
-		return res, err
-	}
-	defer tresp.Body.Close()
-	if tresp.StatusCode != http.StatusOK {
-		return res, fmt.Errorf("GET /api/v1/trace/%s -> %d", cr.TraceID, tresp.StatusCode)
-	}
-	if err := json.NewDecoder(tresp.Body).Decode(&rec); err != nil {
-		return res, err
-	}
-
-	// Hop accounting: every hop of the request path must be present and
-	// nonzero, and their sum must reproduce the observed latency — the
-	// rpc span excludes the echoed servant time, so the four hops add up
-	// without double counting.
-	hops := map[string]int64{}
-	for _, sp := range rec.Spans {
-		hops[sp.Hop] += sp.DurNanos
-	}
-	var sum int64
+	ratio := func(st steer) float64 { return float64(st.sum) / float64(st.observed.Nanoseconds()) }
+	steers := make([]steer, o1Steers)
 	allNonzero := true
-	for _, h := range []string{telemetry.HopEdge, telemetry.HopQueue, telemetry.HopRPC, telemetry.HopServant} {
-		if hops[h] <= 0 {
-			allNonzero = false
+	for i := range steers {
+		value := fmt.Sprintf("0.%d", 3+i)
+		cr, observed, err := post("set_param", map[string]string{"name": "source_freq", "value": value})
+		if err != nil {
+			return res, err
 		}
-		sum += hops[h]
+		if cr.TraceID == "" {
+			res.Rows = append(res.Rows, Row{
+				Name:     "traced steer returns a trace id",
+				Paper:    "sampled requests are identifiable end to end",
+				Measured: "no traceId in CommandResponse",
+				Pass:     false,
+			})
+			return res, nil
+		}
+
+		// Fetch the finished trace through the portal, as an operator would.
+		var rec telemetry.TraceRecord
+		tresp, err := client.Get(edge.BaseURL() + "/api/v1/trace/" + cr.TraceID)
+		if err != nil {
+			return res, err
+		}
+		err = json.NewDecoder(tresp.Body).Decode(&rec)
+		tresp.Body.Close()
+		if tresp.StatusCode != http.StatusOK {
+			return res, fmt.Errorf("GET /api/v1/trace/%s -> %d", cr.TraceID, tresp.StatusCode)
+		}
+		if err != nil {
+			return res, err
+		}
+
+		// Hop accounting: every hop of the request path must be present
+		// and nonzero, and their sum must reproduce the observed latency
+		// — the rpc span excludes the echoed servant time, so the four
+		// hops add up without double counting.
+		st := steer{hops: map[string]int64{}, observed: observed}
+		for _, sp := range rec.Spans {
+			st.hops[sp.Hop] += sp.DurNanos
+		}
+		for _, h := range hopNames {
+			if st.hops[h] <= 0 {
+				allNonzero = false
+			}
+			st.sum += st.hops[h]
+		}
+		steers[i] = st
 	}
+	sort.Slice(steers, func(i, j int) bool { return ratio(steers[i]) < ratio(steers[j]) })
+	mid := steers[len(steers)/2]
 	res.Rows = append(res.Rows, Row{
 		Name:  fmt.Sprintf("hop decomposition of one steer over a %v-RTT WAN", rtt),
 		Paper: "end-to-end latency decomposes into edge, queue, rpc and servant hops",
-		Measured: fmt.Sprintf("edge %v, queue %v, rpc %v, servant %v",
-			time.Duration(hops[telemetry.HopEdge]), time.Duration(hops[telemetry.HopQueue]),
-			time.Duration(hops[telemetry.HopRPC]), time.Duration(hops[telemetry.HopServant])),
+		Measured: fmt.Sprintf("median steer: edge %v, queue %v, rpc %v, servant %v (every hop nonzero in all %d: %v)",
+			time.Duration(mid.hops[telemetry.HopEdge]), time.Duration(mid.hops[telemetry.HopQueue]),
+			time.Duration(mid.hops[telemetry.HopRPC]), time.Duration(mid.hops[telemetry.HopServant]),
+			o1Steers, allNonzero),
 		Pass: allNonzero,
 	})
 
-	ratio := float64(sum) / float64(observed.Nanoseconds())
 	res.Rows = append(res.Rows, Row{
-		Name:     "hop sum vs client-observed latency",
-		Paper:    "span accounting explains the measured end-to-end time (within 10%)",
-		Measured: fmt.Sprintf("spans sum to %v of %v observed (ratio %.3f)", time.Duration(sum), observed, ratio),
-		Pass:     ratio >= 0.9 && ratio <= 1.1,
+		Name:  "hop sum vs client-observed latency",
+		Paper: "span accounting explains the measured end-to-end time (within 10%)",
+		Measured: fmt.Sprintf("median of %d steers: spans sum to %v of %v observed (ratio %.3f; range %.3f-%.3f)",
+			o1Steers, time.Duration(mid.sum), mid.observed, ratio(mid), ratio(steers[0]), ratio(steers[o1Steers-1])),
+		Pass: ratio(mid) >= 0.9 && ratio(mid) <= 1.1,
 	})
 	return res, nil
 }

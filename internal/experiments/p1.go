@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"discover/internal/appproto"
+	"discover/internal/clock"
 	"discover/internal/core"
 	"discover/internal/netsim"
 	"discover/internal/server"
@@ -93,7 +94,7 @@ func RunP1(sizes []int, rtt time.Duration) (Result, error) {
 	})
 
 	// --- Cached steady state: zero ORB invocations. ---
-	portal := big.portal.Sub
+	portal := big.portal.Substrate
 	portal.SetDirCacheTTL(0) // restore the default freshness window
 	if _, err := big.listMedian(1, maxN); err != nil {
 		return res, err // warm every entry
@@ -211,12 +212,12 @@ func (f *p1Fed) close() {
 // off: first one peer at a time, then with the default scatter-gather
 // pool — the worker count is the only variable between the two.
 func (f *p1Fed) measureUncached(trials, n int) (seq, par time.Duration, err error) {
-	f.portal.Sub.SetDirCacheTTL(-1)
-	f.portal.Sub.SetFanoutWorkers(1)
+	f.portal.Substrate.SetDirCacheTTL(-1)
+	f.portal.Substrate.SetFanoutWorkers(1)
 	if seq, err = f.listMedian(trials, n); err != nil {
 		return
 	}
-	f.portal.Sub.SetFanoutWorkers(0) // restore the default pool
+	f.portal.Substrate.SetFanoutWorkers(0) // restore the default pool
 	par, err = f.listMedian(trials, n)
 	return
 }
@@ -227,7 +228,7 @@ func (f *p1Fed) listMedian(trials, wantApps int) (time.Duration, error) {
 	var ds []time.Duration
 	for i := 0; i < trials; i++ {
 		t0 := time.Now()
-		apps := f.portal.Sub.RemoteApps(context.Background(), "alice")
+		apps := f.portal.Substrate.RemoteApps(context.Background(), "alice")
 		ds = append(ds, time.Since(t0))
 		if len(apps) != wantApps {
 			return 0, fmt.Errorf("p1: listing saw %d apps, want %d", len(apps), wantApps)
@@ -239,30 +240,25 @@ func (f *p1Fed) listMedian(trials, wantApps int) (time.Duration, error) {
 // deployP1 builds a portal at "home" plus n peer domains, each at its own
 // site rtt away, hosting one application apiece.
 func deployP1(n int, rtt time.Duration) (*p1Fed, error) {
-	domains := []struct {
-		Name string
-		Site netsim.Site
-	}{DomainAt("portal", "home")}
+	specs := []Spec{Place("portal", "home")}
 	sites := make([]netsim.Site, n)
 	for i := 0; i < n; i++ {
 		sites[i] = netsim.Site(fmt.Sprintf("s%d", i+1))
-		domains = append(domains, DomainAt(fmt.Sprintf("d%d", i+1), sites[i]))
+		specs = append(specs, Place(fmt.Sprintf("d%d", i+1), sites[i]))
 	}
-	fed, err := NewFederation(FederationConfig{
-		Domains: domains,
-		Topology: func(t *netsim.Topology) {
-			for i, si := range sites {
-				t.SetRTT("home", si, rtt)
-				for _, sj := range sites[i+1:] {
-					t.SetRTT(si, sj, rtt)
-				}
+	topo := func(t *netsim.Topology) {
+		for i, si := range sites {
+			t.SetRTT("home", si, rtt)
+			for _, sj := range sites[i+1:] {
+				t.SetRTT(si, sj, rtt)
 			}
-		},
-		DialTimeout:    250 * time.Millisecond,
-		HeartbeatEvery: time.Hour, // driven manually via CheckPeersNow
-		OfferTTL:       time.Hour, // no background trader traffic during
-		DiscoverEvery:  time.Hour, // the measurement windows
-	})
+		}
+	}
+	// A manual clock nobody advances: the detector is driven through
+	// CheckPeersNow, and no background trader traffic lands in the
+	// measurement windows. The dial budget is real time: a listing under
+	// partition must give up on a black-holed dial within it.
+	fed, err := NewFederation(topo, clock.NewManual(), 250*time.Millisecond, specs...)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"discover/internal/clock"
 	"discover/internal/core"
 	"discover/internal/netsim"
 	"discover/internal/wire"
@@ -37,19 +38,16 @@ func RunR1(rtt time.Duration) (Result, error) {
 	res := Result{ID: "R1", Title: "Fault injection: partition, peer death, reconvergence"}
 
 	const dialTimeout = 150 * time.Millisecond
-	fed, err := NewFederation(FederationConfig{
-		Domains: []struct {
-			Name string
-			Site netsim.Site
-		}{DomainAt("host", "east"), DomainAt("edge", "west"), DomainAt("aux", "south")},
-		Topology: func(t *netsim.Topology) {
-			t.SetRTT("east", "west", rtt)
-			t.SetRTT("east", "south", rtt)
-			t.SetRTT("west", "south", rtt)
-		},
-		DialTimeout:    dialTimeout,
-		HeartbeatEvery: time.Hour, // driven manually via CheckPeersNow
-	})
+	topo := func(t *netsim.Topology) {
+		t.SetRTT("east", "west", rtt)
+		t.SetRTT("east", "south", rtt)
+		t.SetRTT("west", "south", rtt)
+	}
+	// The detector is driven through CheckPeersNow on a clock nobody
+	// advances; the dial budget is real time (netsim black-holes dials
+	// on the wall clock).
+	fed, err := NewFederation(topo, clock.NewManual(), dialTimeout,
+		Place("host", "east"), Place("edge", "west"), Place("aux", "south"))
 	if err != nil {
 		return res, err
 	}
@@ -69,20 +67,20 @@ func RunR1(rtt time.Duration) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, err := edge.Srv.ConnectApp(context.Background(), edgeSess, appID); err != nil {
+	if _, err := edge.Server.ConnectApp(context.Background(), edgeSess, appID); err != nil {
 		return res, fmt.Errorf("baseline remote connect: %w", err)
 	}
-	if granted, _, err := edge.Srv.LockOp(context.Background(), edgeSess, true); err != nil || !granted {
+	if granted, _, err := edge.Server.LockOp(context.Background(), edgeSess, true); err != nil || !granted {
 		return res, fmt.Errorf("baseline remote lock: granted=%v err=%v", granted, err)
 	}
-	if _, err := edge.Srv.SubmitCommand(context.Background(), edgeSess, "set_param", []wire.Param{
+	if _, err := edge.Server.SubmitCommand(context.Background(), edgeSess, "set_param", []wire.Param{
 		{Key: "name", Value: "source_amp"}, {Key: "value", Value: "1.1"},
 	}); err != nil {
 		return res, fmt.Errorf("baseline remote steer: %w", err)
 	}
 	// Populate the edge's remote-app cache (the degraded listing serves
 	// the last good snapshot).
-	if apps := edge.Srv.Apps(context.Background(), "alice"); len(apps) == 0 {
+	if apps := edge.Server.Apps(context.Background(), "alice"); len(apps) == 0 {
 		return res, fmt.Errorf("baseline listing empty")
 	}
 
@@ -91,20 +89,20 @@ func RunR1(rtt time.Duration) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, err := host.Srv.ConnectApp(context.Background(), hostSess, appID); err != nil {
+	if _, err := host.Server.ConnectApp(context.Background(), hostSess, appID); err != nil {
 		return res, err
 	}
 	waiterErr := make(chan error, 1)
 	waiterCtx, cancelWaiter := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancelWaiter()
 	go func() {
-		waiterErr <- host.Srv.Locks().Acquire(waiterCtx, appID, hostSess.ClientID, 0)
+		waiterErr <- host.Server.Locks().Acquire(waiterCtx, appID, hostSess.ClientID, 0)
 	}()
 	waitDeadline := time.Now().Add(5 * time.Second)
-	for host.Srv.Locks().QueueLen(appID) == 0 && time.Now().Before(waitDeadline) {
+	for host.Server.Locks().QueueLen(appID) == 0 && time.Now().Before(waitDeadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if host.Srv.Locks().QueueLen(appID) == 0 {
+	if host.Server.Locks().QueueLen(appID) == 0 {
 		return res, fmt.Errorf("host-local waiter never queued")
 	}
 
@@ -112,12 +110,12 @@ func RunR1(rtt time.Duration) (Result, error) {
 	fed.Net.Partition("east", "west")
 	detectStart := time.Now()
 	for i := 0; i < core.DefaultDownAfter; i++ {
-		edge.Sub.CheckPeersNow()
-		host.Sub.CheckPeersNow()
+		edge.Substrate.CheckPeersNow()
+		host.Substrate.CheckPeersNow()
 	}
 	detectTime := time.Since(detectStart)
 	stateAt := func(d *Domain, peer string) string {
-		for _, ph := range d.Sub.PeerHealth() {
+		for _, ph := range d.Substrate.PeerHealth() {
 			if ph.Peer == peer {
 				return ph.State
 			}
@@ -134,7 +132,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 
 	// Breaker open: remote command fails fast with the typed error.
 	start := time.Now()
-	_, cmdErr := edge.Srv.SubmitCommand(context.Background(), edgeSess, "status", nil)
+	_, cmdErr := edge.Server.SubmitCommand(context.Background(), edgeSess, "status", nil)
 	failFast := time.Since(start)
 	res.Rows = append(res.Rows, Row{
 		Name:  "remote command with breaker open",
@@ -153,7 +151,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 	case <-time.After(10 * time.Second):
 		waiterOutcome = fmt.Errorf("waiter still blocked")
 	}
-	holder, held := host.Srv.Locks().Holder(appID)
+	holder, held := host.Server.Locks().Holder(appID)
 	res.Rows = append(res.Rows, Row{
 		Name:  "steering lock failover to local waiter",
 		Paper: "locks cannot be wedged by a departed remote client",
@@ -164,7 +162,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 
 	// The edge still lists the host's application, marked unavailable,
 	// and its client's FIFO carries the peer-down system event.
-	apps := edge.Srv.Apps(context.Background(), "alice")
+	apps := edge.Server.Apps(context.Background(), "alice")
 	var unavailable bool
 	for _, a := range apps {
 		if a.ID == appID && a.Unavailable {
@@ -188,14 +186,14 @@ func RunR1(rtt time.Duration) (Result, error) {
 	})
 
 	// --- Heal and reconverge. ---
-	host.Srv.Locks().Release(appID, hostSess.ClientID)
+	host.Server.Locks().Release(appID, hostSess.ClientID)
 	fed.Net.Heal("east", "west")
-	edge.Sub.CheckPeersNow() // recovery probe closes the breaker
-	host.Sub.CheckPeersNow()
+	edge.Substrate.CheckPeersNow() // recovery probe closes the breaker
+	host.Substrate.CheckPeersNow()
 
 	healthyAgain := stateAt(edge, "host") == "healthy" && stateAt(host, "edge") == "healthy"
-	regranted, _, relockErr := edge.Srv.LockOp(context.Background(), edgeSess, true)
-	apps = edge.Srv.Apps(context.Background(), "alice")
+	regranted, _, relockErr := edge.Server.LockOp(context.Background(), edgeSess, true)
+	apps = edge.Server.Apps(context.Background(), "alice")
 	var availableAgain bool
 	for _, a := range apps {
 		if a.ID == appID && !a.Unavailable {
@@ -219,7 +217,7 @@ func RunR1(rtt time.Duration) (Result, error) {
 		}
 	}
 	var opens, closes uint64
-	for _, ph := range edge.Sub.PeerHealth() {
+	for _, ph := range edge.Substrate.PeerHealth() {
 		if ph.Peer == "host" {
 			opens, closes = ph.BreakerOpens, ph.BreakerCloses
 		}
@@ -232,15 +230,15 @@ func RunR1(rtt time.Duration) (Result, error) {
 		Pass: healthyAgain && regranted && relockErr == nil && availableAgain &&
 			updatesFlow && opens >= 1 && closes >= 1,
 	})
-	edge.Srv.LockOp(context.Background(), edgeSess, false)
+	edge.Server.LockOp(context.Background(), edgeSess, false)
 
 	// --- Kill the aux site outright; survivors are unaffected. ---
 	fed.Net.KillSite("south")
 	for i := 0; i < core.DefaultDownAfter; i++ {
-		host.Sub.CheckPeersNow()
-		edge.Sub.CheckPeersNow()
+		host.Substrate.CheckPeersNow()
+		edge.Substrate.CheckPeersNow()
 	}
-	_, steerErr := edge.Srv.SubmitCommand(context.Background(), edgeSess, "status", nil)
+	_, steerErr := edge.Server.SubmitCommand(context.Background(), edgeSess, "status", nil)
 	res.Rows = append(res.Rows, Row{
 		Name:  "site death leaves survivors collaborating",
 		Paper: "failures degrade the federation instead of collapsing it",

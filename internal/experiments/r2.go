@@ -54,19 +54,12 @@ func RunR2(dataDir string, events int) (Result, error) {
 		dataDir = dir
 	}
 
-	fedCfg := FederationConfig{
-		Domains: []struct {
-			Name string
-			Site netsim.Site
-		}{DomainAt("host", "east"), DomainAt("edge", "west")},
-		Topology: func(t *netsim.Topology) {
-			t.SetRTT("east", "west", 5*time.Millisecond)
-		},
-		StorageDirs:   map[string]string{"host": filepath.Join(dataDir, "host")},
-		SnapshotEvery: time.Hour,        // recovery must replay the WAL, not dodge it
-		WalSyncEvery:  time.Millisecond, // tight group-fsync for the crash window
-	}
-	fed, err := NewFederation(fedCfg)
+	durable := Place("host", "east")
+	durable.Config.DataDir = filepath.Join(dataDir, "host")
+	durable.Config.SnapshotEvery = time.Hour       // recovery must replay the WAL, not dodge it
+	durable.Config.WalSyncEvery = time.Millisecond // tight group-fsync for the crash window
+	fed, err := NewFederation(func(t *netsim.Topology) { t.SetRTT("east", "west", 5*time.Millisecond) },
+		nil, 0, durable, Place("edge", "west"))
 	if err != nil {
 		return res, err
 	}
@@ -85,10 +78,10 @@ func RunR2(dataDir string, events int) (Result, error) {
 	if err != nil {
 		return res, err
 	}
-	if _, err := host.Srv.ConnectApp(ctx, alice, appID); err != nil {
+	if _, err := host.Server.ConnectApp(ctx, alice, appID); err != nil {
 		return res, err
 	}
-	if granted, _, err := host.Srv.LockOp(ctx, alice, true); err != nil || !granted {
+	if granted, _, err := host.Server.LockOp(ctx, alice, true); err != nil || !granted {
 		return res, fmt.Errorf("r2: baseline lock: granted=%v err=%v", granted, err)
 	}
 
@@ -105,17 +98,17 @@ func RunR2(dataDir string, events int) (Result, error) {
 	// log, control events fan into the delivery queue and out the stream.
 	for i := 0; i < events; i++ {
 		if i%5 == 0 {
-			if _, err := host.Srv.SubmitCommand(ctx, alice, "set_param", []wire.Param{
+			if _, err := host.Server.SubmitCommand(ctx, alice, "set_param", []wire.Param{
 				{Key: "name", Value: "source_amp"}, {Key: "value", Value: fmt.Sprintf("1.%d", i)},
 			}); err != nil {
 				return res, fmt.Errorf("r2: steer %d: %w", i, err)
 			}
 		}
-		host.Srv.HandleControlEvent(wire.NewEvent("host", "tick", strconv.Itoa(i)))
+		host.Server.HandleControlEvent(wire.NewEvent("host", "tick", strconv.Itoa(i)))
 	}
-	recID := host.Srv.Records().Table("annotations").Insert("alice",
+	recID := host.Server.Records().Table("annotations").Insert("alice",
 		map[string]string{"note": "pre-crash checkpoint"}, nil)
-	if err := host.Srv.Records().Table("annotations").GrantRead("alice", recID, "bob"); err != nil {
+	if err := host.Server.Records().Table("annotations").GrantRead("alice", recID, "bob"); err != nil {
 		return res, err
 	}
 
@@ -135,7 +128,7 @@ func RunR2(dataDir string, events int) (Result, error) {
 	// Quiesce (async app acks land in the FIFO), then capture the state
 	// the restarted domain must reproduce.
 	wantSeq := r2Quiesce(alice.Buffer.LastSeq, 2*time.Second)
-	wantLog := host.Srv.Archive().InteractionLog(appID).Since(0)
+	wantLog := host.Server.Archive().InteractionLog(appID).Since(0)
 	wantHolder := alice.ClientID
 
 	// --- Kill the host mid-collaboration. ---
@@ -158,12 +151,12 @@ func RunR2(dataDir string, events int) (Result, error) {
 
 	// --- Restart from disk. ---
 	restartStart := time.Now()
-	if err := fed.Restart(host, fedCfg); err != nil {
+	if err := fed.Restart(host); err != nil {
 		return res, fmt.Errorf("r2: restart: %w", err)
 	}
 	restartTime := time.Since(restartStart)
 
-	ss, ok := host.Srv.StorageStats()
+	ss, ok := host.Server.StorageStats()
 	if !ok {
 		return res, fmt.Errorf("r2: restarted host has no storage stats")
 	}
@@ -179,10 +172,10 @@ func RunR2(dataDir string, events int) (Result, error) {
 			rec.DurationMS < float64(recoveryBudget.Milliseconds()),
 	})
 
-	got, ok := host.Srv.Sessions().Peek(alice.ClientID)
+	got, ok := host.Server.Sessions().Peek(alice.ClientID)
 	tokenErr := fmt.Errorf("session missing")
 	if ok {
-		tokenErr = host.Srv.Auth().VerifyToken(got.Token)
+		tokenErr = host.Server.Auth().VerifyToken(got.Token)
 	}
 	res.Rows = append(res.Rows, Row{
 		Name:  "sessions and credentials survive",
@@ -222,7 +215,7 @@ func RunR2(dataDir string, events int) (Result, error) {
 		prev = id
 		spliced++
 	}
-	host.Srv.HandleControlEvent(wire.NewEvent("host", "post-recovery", ""))
+	host.Server.HandleControlEvent(wire.NewEvent("host", "post-recovery", ""))
 	liveID, liveMsg, liveErr := st2.readFrame()
 	res.Rows = append(res.Rows, Row{
 		Name:  "SSE resume splices across the restart",
@@ -233,7 +226,7 @@ func RunR2(dataDir string, events int) (Result, error) {
 			liveID == recoveredSeq+1 && liveMsg.Op == "post-recovery" && recoveredSeq >= wantSeq,
 	})
 
-	holder, held := host.Srv.Locks().Holder(appID)
+	holder, held := host.Server.Locks().Holder(appID)
 	res.Rows = append(res.Rows, Row{
 		Name:  "steering lock reasserted",
 		Paper: "interaction locks are domain state: the pre-crash holder still holds after recovery",
@@ -242,7 +235,7 @@ func RunR2(dataDir string, events int) (Result, error) {
 		Pass: held && holder == wantHolder,
 	})
 
-	gotLog := host.Srv.Archive().InteractionLog(appID).Since(0)
+	gotLog := host.Server.Archive().InteractionLog(appID).Since(0)
 	sameLog := len(gotLog) == len(wantLog)
 	if sameLog {
 		for i := range wantLog {
@@ -260,7 +253,7 @@ func RunR2(dataDir string, events int) (Result, error) {
 		Pass: sameLog && len(wantLog) > 0,
 	})
 
-	dbRec, dbErr := host.Srv.Records().Table("annotations").Get("bob", recID)
+	dbRec, dbErr := host.Server.Records().Table("annotations").Get("bob", recID)
 	res.Rows = append(res.Rows, Row{
 		Name:  "records and grants intact",
 		Paper: "database records and their access grants persist across the crash",
@@ -282,7 +275,7 @@ func RunR2(dataDir string, events int) (Result, error) {
 	var edgeSees bool
 	deadline := time.Now().Add(10 * time.Second)
 	for !edgeSees && time.Now().Before(deadline) {
-		for _, a := range edge.Srv.Apps(ctx, "alice") {
+		for _, a := range edge.Server.Apps(ctx, "alice") {
 			if a.ID == appID2 && !a.Unavailable {
 				edgeSees = true
 			}

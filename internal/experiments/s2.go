@@ -10,6 +10,8 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -38,10 +40,11 @@ import (
 //     (the producer's wakeup feeds a dispatcher pool; no per-client
 //     ticker, no per-tick goroutine).
 //
-// Requests at the mux, process CPU (getrusage), and p50/p99 delivery
-// lag (push-to-drain) are compared. The paper's portals repolled the
-// master servlet on a timer; the claim under test is that a pushed edge
-// collapses request volume by >=10x without hurting tail latency.
+// Requests at the mux, process CPU (getrusage, each arm in a child
+// process of its own), and p50/p99 delivery lag (push-to-drain) are
+// compared. The paper's portals repolled the master servlet on a timer;
+// the claim under test is that a pushed edge collapses request volume by
+// >=10x without hurting tail latency.
 //
 // Part B stands up a real /api/v1 edge and checks the shed behavior the
 // simulation cannot: an SSE round trip with resume splicing over real
@@ -63,19 +66,28 @@ func RunS2(clients int, pollInterval, dur time.Duration) (Result, error) {
 	eventEvery := 5 * pollInterval
 	res := Result{ID: "S2", Title: "Streaming push edge: SSE delivery vs poll-and-pull"}
 
-	poll := s2Deliver(clients, dur, eventEvery, func(qs []*session.Queue, st *s2Side, stop chan struct{}) (func(int), func()) {
-		return s2PollSweep(qs, st, stop, pollInterval)
-	})
-	stream := s2Deliver(clients, dur, eventEvery, s2StreamDispatch)
+	// Each arm runs in its own child process, so its CPU row measures
+	// that arm alone: not the heap, goroutines and timers that earlier
+	// work left in this process.
+	arm := s2Arm{Clients: clients, PollInterval: pollInterval, Dur: dur, EventEvery: eventEvery}
+	poll, err := arm.isolated()
+	if err != nil {
+		return res, err
+	}
+	arm.Stream = true
+	stream, err := arm.isolated()
+	if err != nil {
+		return res, err
+	}
 
-	ratio := float64(poll.reqs) / float64(max64u(stream.reqs, 1))
+	ratio := float64(poll.Reqs) / float64(max64u(stream.Reqs, 1))
 	res.Rows = append(res.Rows, Row{
 		Name: fmt.Sprintf("edge requests at %d clients", clients),
 		Paper: fmt.Sprintf("a pushed stream costs one connect per client; %s polling costs clients/interval req/s forever",
 			pollInterval),
 		Measured: fmt.Sprintf("polling %d reqs (%.0f/s) vs streaming %d connects (%.0f/s) over %s — %.1fx fewer",
-			poll.reqs, float64(poll.reqs)/dur.Seconds(),
-			stream.reqs, float64(stream.reqs)/dur.Seconds(), dur, ratio),
+			poll.Reqs, float64(poll.Reqs)/dur.Seconds(),
+			stream.Reqs, float64(stream.Reqs)/dur.Seconds(), dur, ratio),
 		Pass: ratio >= 10,
 	})
 
@@ -83,17 +95,17 @@ func RunS2(clients int, pollInterval, dur time.Duration) (Result, error) {
 		Name:  "delivery lag, push vs poll",
 		Paper: "pushed delivery is event-paced; polled delivery waits out the next sweep (~interval/2 median)",
 		Measured: fmt.Sprintf("streaming p50 %s / p99 %s (%d delivered) vs polling p50 %s / p99 %s (%d delivered)",
-			stream.p50.Round(time.Microsecond), stream.p99.Round(time.Microsecond), stream.delivered,
-			poll.p50.Round(time.Microsecond), poll.p99.Round(time.Microsecond), poll.delivered),
-		Pass: stream.delivered > 0 && poll.delivered > 0 && stream.p99 <= poll.p99,
+			stream.P50.Round(time.Microsecond), stream.P99.Round(time.Microsecond), stream.Delivered,
+			poll.P50.Round(time.Microsecond), poll.P99.Round(time.Microsecond), poll.Delivered),
+		Pass: stream.Delivered > 0 && poll.Delivered > 0 && stream.P99 <= poll.P99,
 	})
 
 	res.Rows = append(res.Rows, Row{
 		Name:  "edge CPU for the same deliveries",
 		Paper: "sweeping empty queues burns CPU that parked streams do not",
 		Measured: fmt.Sprintf("polling %s CPU vs streaming %s CPU (GOMAXPROCS=%d)",
-			poll.cpu.Round(time.Millisecond), stream.cpu.Round(time.Millisecond), runtime.GOMAXPROCS(0)),
-		Pass: stream.cpu <= poll.cpu,
+			poll.CPU.Round(time.Millisecond), stream.CPU.Round(time.Millisecond), runtime.GOMAXPROCS(0)),
+		Pass: stream.CPU <= poll.CPU,
 	})
 
 	// --- Part B: the real HTTP edge. ---
@@ -108,15 +120,15 @@ func RunS2(clients int, pollInterval, dur time.Duration) (Result, error) {
 		Clients:          clients,
 		PollIntervalMS:   pollInterval.Milliseconds(),
 		DurationMS:       dur.Milliseconds(),
-		PollRequests:     poll.reqs,
-		StreamConnects:   stream.reqs,
+		PollRequests:     poll.Reqs,
+		StreamConnects:   stream.Reqs,
 		RequestReduction: ratio,
-		PollCPUMS:        poll.cpu.Milliseconds(),
-		StreamCPUMS:      stream.cpu.Milliseconds(),
-		PollP50MS:        float64(poll.p50) / float64(time.Millisecond),
-		PollP99MS:        float64(poll.p99) / float64(time.Millisecond),
-		StreamP50MS:      float64(stream.p50) / float64(time.Millisecond),
-		StreamP99MS:      float64(stream.p99) / float64(time.Millisecond),
+		PollCPUMS:        poll.CPU.Milliseconds(),
+		StreamCPUMS:      stream.CPU.Milliseconds(),
+		PollP50MS:        float64(poll.P50) / float64(time.Millisecond),
+		PollP99MS:        float64(poll.P99) / float64(time.Millisecond),
+		StreamP50MS:      float64(stream.P50) / float64(time.Millisecond),
+		StreamP99MS:      float64(stream.P99) / float64(time.Millisecond),
 	}
 	s2mu.Unlock()
 	return res, nil
@@ -154,12 +166,64 @@ func S2LastSnapshot() (S2Snapshot, bool) {
 	return *s2last, true
 }
 
+// s2ArmEnv, set to an s2Arm as JSON, turns this process into that one
+// delivery arm: init runs it, prints its s2Side as JSON and exits. RunS2
+// runs each arm so, in a child process of its own binary.
+const s2ArmEnv = "DISCOVER_S2_ARM"
+
+func init() {
+	if spec := os.Getenv(s2ArmEnv); spec != "" {
+		var arm s2Arm
+		if json.Unmarshal([]byte(spec), &arm) != nil || json.NewEncoder(os.Stdout).Encode(arm.run()) != nil {
+			os.Exit(2)
+		}
+		os.Exit(0)
+	}
+}
+
+// s2Arm is one delivery mode's workload.
+type s2Arm struct {
+	Stream                        bool
+	Clients                       int
+	PollInterval, Dur, EventEvery time.Duration
+}
+
+func (a s2Arm) run() *s2Side {
+	if a.Stream {
+		return s2Deliver(a.Clients, a.Dur, a.EventEvery, s2StreamDispatch)
+	}
+	return s2Deliver(a.Clients, a.Dur, a.EventEvery, func(qs []*session.Queue, st *s2Side, stop chan struct{}) (func(int), func()) {
+		return s2PollSweep(qs, st, stop, a.PollInterval)
+	})
+}
+
+// isolated runs the arm in a child process of this binary.
+func (a s2Arm) isolated() (*s2Side, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
+	spec, _ := json.Marshal(a) // plain fields: cannot fail
+	cmd := exec.Command(exe)
+	cmd.Env = append(os.Environ(), s2ArmEnv+"="+string(spec))
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	st := &s2Side{}
+	if err == nil {
+		err = json.Unmarshal(out, st)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("s2: arm child: %w", err)
+	}
+	return st, nil
+}
+
 // s2Side is one delivery mode's measurement.
 type s2Side struct {
-	reqs      uint64 // requests arriving at the simulated mux
-	delivered uint64
-	cpu       time.Duration
-	p50, p99  time.Duration
+	Reqs      uint64 // requests arriving at the simulated mux
+	Delivered uint64
+	CPU       time.Duration
+	P50, P99  time.Duration
 
 	mu   sync.Mutex
 	lats []time.Duration
@@ -180,15 +244,30 @@ func (st *s2Side) record(local []time.Duration) {
 // delivery edge.
 func s2Deliver(clients int, dur, eventEvery time.Duration,
 	setup func(qs []*session.Queue, st *s2Side, stop chan struct{}) (notify func(int), wait func())) *s2Side {
+	// Each queue takes and hands back one event before the window, so
+	// the window measures steady-state delivery rather than first-touch
+	// allocation of every queue's buffers, and starts from a collected
+	// heap.
 	qs := make([]*session.Queue, clients)
+	warm := wire.NewEvent("s2", "warm", "")
 	for i := range qs {
 		qs[i] = session.NewQueue(64, 64)
+		qs[i].Push(warm)
+		qs[i].DrainEntries(0)
 	}
+	runtime.GC()
 	st := &s2Side{}
 	stop := make(chan struct{})
 	notify, consumersDone := setup(qs, st, stop)
 
-	// Producer stripes: every queue receives one event per eventEvery.
+	// Producer stripes: every queue receives one event per eventEvery,
+	// in the rounds that start inside the window. The last round starts
+	// a whole eventEvery before the window ends, so both modes make the
+	// same deliveries and no round straddles the CPU reading.
+	rounds := int(dur / eventEvery)
+	if rounds < 1 {
+		rounds = 1
+	}
 	var wg sync.WaitGroup
 	producers := runtime.GOMAXPROCS(0)
 	if producers > 8 {
@@ -197,42 +276,38 @@ func s2Deliver(clients int, dur, eventEvery time.Duration,
 	if producers > clients {
 		producers = clients
 	}
+	cpu0 := s2CPU()
+	start := time.Now()
 	for p := 0; p < producers; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			ev := wire.NewEvent("s2", "tick", "")
-			for {
-				t0 := time.Now()
+			for r := 0; r < rounds; r++ {
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Until(start.Add(time.Duration(r) * eventEvery))):
+				}
 				for i := p; i < clients; i += producers {
 					qs[i].Push(ev)
 					if notify != nil {
 						notify(i)
 					}
 				}
-				rest := eventEvery - time.Since(t0)
-				if rest < 0 {
-					rest = 0
-				}
-				select {
-				case <-stop:
-					return
-				case <-time.After(rest):
-				}
 			}
 		}(p)
 	}
 
-	cpu0 := s2CPU()
-	time.Sleep(dur)
-	st.cpu = s2CPU() - cpu0
+	time.Sleep(time.Until(start.Add(dur)))
+	st.CPU = s2CPU() - cpu0
 	close(stop)
 	wg.Wait()
 	consumersDone()
 
-	st.p50 = percentile(st.lats, 50)
-	st.p99 = percentile(st.lats, 99)
-	st.delivered = uint64(len(st.lats))
+	st.P50 = percentile(st.lats, 50)
+	st.P99 = percentile(st.lats, 99)
+	st.Delivered = uint64(len(st.lats))
 	return st
 }
 
@@ -276,7 +351,7 @@ func s2PollSweep(qs []*session.Queue, st *s2Side, stop chan struct{}, interval t
 	}
 	return nil, func() {
 		wg.Wait()
-		st.reqs = reqs.Load()
+		st.Reqs = reqs.Load()
 	}
 }
 
@@ -286,7 +361,7 @@ func s2PollSweep(qs []*session.Queue, st *s2Side, stop chan struct{}, interval t
 // the woken handlers. No ticker and no sweep; idle clients cost nothing
 // between events.
 func s2StreamDispatch(qs []*session.Queue, st *s2Side, stop chan struct{}) (func(int), func()) {
-	st.reqs = uint64(len(qs)) // one stream connect per client for the whole window
+	st.Reqs = uint64(len(qs)) // one stream connect per client for the whole window
 	ready := make(chan int, len(qs))
 	var wg sync.WaitGroup
 	drainers := 2 * runtime.GOMAXPROCS(0)

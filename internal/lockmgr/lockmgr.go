@@ -41,7 +41,6 @@ type Manager struct {
 	mu           sync.Mutex
 	locks        map[string]*lock
 	defaultLease time.Duration
-	now          func() time.Time
 	journal      storage.Recorder     // nil = durability off
 	acquireHist  *telemetry.Histogram // request-to-grant latency
 }
@@ -51,10 +50,6 @@ type Option func(*Manager)
 
 // WithLease sets the default lease duration.
 func WithLease(d time.Duration) Option { return func(m *Manager) { m.defaultLease = d } }
-
-// WithClock injects a clock for expiry tests. Note that expiry timers
-// still use real time; tests combine both.
-func WithClock(now func() time.Time) Option { return func(m *Manager) { m.now = now } }
 
 // WithJournal event-sources the lock table through a WAL recorder:
 // every grant and release (explicit, expiry, break, failover) is
@@ -66,7 +61,6 @@ func NewManager(opts ...Option) *Manager {
 	m := &Manager{
 		locks:        make(map[string]*lock),
 		defaultLease: DefaultLease,
-		now:          time.Now,
 		acquireHist:  telemetry.GetHistogram("discover_lock_acquire_seconds"),
 	}
 	for _, o := range opts {
@@ -299,7 +293,7 @@ func (m *Manager) lockFor(app string) *lock {
 
 // reapLocked expires a stale holder and promotes the next waiter.
 func (m *Manager) reapLocked(app string, l *lock) {
-	if l.holder != "" && m.now().After(l.expires) {
+	if l.holder != "" && time.Now().After(l.expires) {
 		m.releaseLocked(app, l, l.holder)
 	}
 }
@@ -307,7 +301,7 @@ func (m *Manager) reapLocked(app string, l *lock) {
 // grantLocked installs owner as holder and arms the lease timer.
 func (m *Manager) grantLocked(app string, l *lock, owner string, lease time.Duration) {
 	l.holder = owner
-	l.expires = m.now().Add(lease)
+	l.expires = time.Now().Add(lease)
 	if l.timer != nil {
 		l.timer.Stop()
 	}
@@ -326,7 +320,7 @@ func (m *Manager) expire(app, owner string) {
 	if !ok || l.holder != owner {
 		return
 	}
-	if m.now().Before(l.expires) {
+	if time.Now().Before(l.expires) {
 		return // lease was renewed
 	}
 	m.releaseLocked(app, l, owner)

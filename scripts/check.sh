@@ -12,6 +12,23 @@ fi
 
 go vet ./...
 go build ./...
+
+# One federation builder: internal/deploy is the only non-test code that
+# builds a substrate, and the retired harness builders stay gone.
+stray=$(grep -rl --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build 'core\.New(' . \
+    | grep -v '^\./internal/deploy/' || true)
+if [ -n "$stray" ]; then
+    echo "core.New outside internal/deploy in:" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+retired=$(grep -rlwE --include='*.go' --exclude-dir=.bench_build 'FederationConfig|newTestNet' . || true)
+if [ -n "$retired" ]; then
+    echo "retired federation builder names in:" >&2
+    echo "$retired" >&2
+    exit 1
+fi
+
 go test -race ./...
 
 # Documentation: every intra-repo markdown link must resolve.
@@ -98,6 +115,11 @@ go test -race -count=10 -run 'TestCodecHammer|FuzzUnmarshal|TestCodecByteIdentit
 # uncached under the race detector.
 go test -race -count=1 -run 'TestWALCrashPointFuzz|TestReplayDeterminismProperty|TestPersist' \
     ./internal/storage/ ./internal/archive/ ./internal/server/
+
+# Experiments, whole package, uncached: S2's CPU row and O1's hop-sum
+# gate once failed only when the package's experiments ran one after
+# another in one process, so three uncached package runs must all pass.
+go test -count=3 ./internal/experiments/
 
 # Bench smoke: one iteration of every benchmark, so the bench code itself
 # cannot rot between full harness runs.
